@@ -2,9 +2,10 @@
 
 The order-n constant maximizes, over size-n multisets from H, the smallest
 averaged kernel sum seen from L; the dual constant minimizes the largest
-one.  Both are computed by a full scan of all multisets (combinations with
-replacement), vectorized in chunks, with a hard cap on the enumeration
-size.  Multiset witnesses are the lexicographically smallest optimizers.
+one.  One pass over all multisets (combinations with replacement) in
+lexicographic order yields both, vectorized in chunks of at most
+``_CHUNK_CELLS`` float64 cells, with a hard cap on the enumeration size.
+Multiset witnesses are the lexicographically smallest optimizers.
 """
 from __future__ import annotations
 
@@ -56,7 +57,9 @@ def multiset_count(h: int, n: int) -> int:
     return math.comb(h + n - 1, n)
 
 
-def _scan(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int], dual: bool):
+def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
+                ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
+    """Both order-n constants with their witnesses, from one pass over the multisets."""
     if n < 1:
         raise DimensionMismatchError(f"multiset order must be at least 1, got {n}")
     pair.check_range(space.m)
@@ -69,51 +72,85 @@ def _scan(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int], dual
             cap=limit,
             required=required,
         )
-    KH = space.kernel[np.ix_(L, H)]
-    chunk_rows = max(1, _CHUNK_CELLS // (len(L) * n))
-    best_val: float | None = None
-    best_multiset: tuple[int, ...] | None = None
-    combos = itertools.combinations_with_replacement(range(len(H)), n)
-    while True:
-        chunk = list(itertools.islice(combos, chunk_rows))
-        if not chunk:
-            break
-        idx = np.asarray(chunk, dtype=np.intp)
-        sums = KH[:, idx].sum(axis=2) / float(n)  # |L| x chunk
-        inner = sums.max(axis=0) if dual else sums.min(axis=0)
-        j = int(np.argmin(inner)) if dual else int(np.argmax(inner))
-        val = float(inner[j])
-        better = (best_val is None) or (val < best_val if dual else val > best_val)
-        if better:
-            best_val = val
-            best_multiset = chunk[j]
-    assert best_val is not None and best_multiset is not None
-    sums = KH[:, np.asarray(best_multiset, dtype=np.intp)].sum(axis=1) / float(n)
-    row = int(np.argmax(sums)) if dual else int(np.argmin(sums))
-    witness = ChebyshevWitness(
-        points=tuple(H[i] for i in best_multiset),
-        extremal=L[row],
-    )
-    return best_val, witness
+    # Row i holds the kernel from H[i] to every point of L.
+    rows = np.ascontiguousarray(space.kernel[np.ix_(L, H)].T)
+    # The two gathered operands of a chunk share the cell budget.
+    chunk = max(1, _CHUNK_CELLS // (2 * len(L)))
+    lo = hi = None
+    for prefix, tails, sums in _sum_chunks(rows, n, chunk):
+        # Divide before comparing: sums that differ can tie once divided by n.
+        inner = sums.min(axis=1) / n
+        j = int(np.argmax(inner))
+        if lo is None or inner[j] > lo[0]:
+            lo = (float(inner[j]), prefix + tuple(int(t[j]) for t in tails))
+        inner = sums.max(axis=1) / n
+        j = int(np.argmin(inner))
+        if hi is None or inner[j] < hi[0]:
+            hi = (float(inner[j]), prefix + tuple(int(t[j]) for t in tails))
+    return (lo[0], _witness(rows, pair, lo[1], dual=False),
+            hi[0], _witness(rows, pair, hi[1], dual=True))
+
+
+def _sum_chunks(rows: np.ndarray, n: int, chunk: int):
+    """Kernel sums of all order-n multisets, in lexicographic order.
+
+    Yields ``(prefix, tails, sums)``: row j of ``sums`` belongs to the multiset
+    ``prefix + (t[j] for t in tails)``.  Every sum accumulates left to right
+    from 0.0, ``((0 + k_a1) + k_a2) + ... + k_an``, like numpy's own sum over
+    fewer than eight terms.  For each prefix of order n - 2 the sums with the
+    next index b are formed once; the pairs b <= c then add ``k_c``, at most
+    ``chunk`` multisets at a time.
+    """
+    h = rows.shape[0]
+    if n == 1:
+        for s in range(0, h, chunk):
+            c = np.arange(s, min(s + chunk, h))
+            yield (), (c,), 0.0 + rows[c]
+        return
+    b_all, c_all = np.triu_indices(h)
+    for prefix in itertools.combinations_with_replacement(range(h), n - 2):
+        last = prefix[-1] if prefix else 0
+        heads = _prefix_sum(rows, prefix) + rows[last:]
+        # pairs with b < last precede the first pair (last, last)
+        for s in range(last * h - last * (last - 1) // 2, b_all.size, chunk):
+            b, c = b_all[s:s + chunk], c_all[s:s + chunk]
+            sums = heads[b - last]
+            sums += rows[c]
+            yield prefix, (b, c), sums
+
+
+def _prefix_sum(rows: np.ndarray, multiset: tuple[int, ...]) -> np.ndarray:
+    total = np.zeros(rows.shape[1])
+    for a in multiset:
+        total = total + rows[a]
+    return total
+
+
+def _witness(rows: np.ndarray, pair: SubsetPair, multiset: tuple[int, ...],
+             dual: bool) -> ChebyshevWitness:
+    avg = _prefix_sum(rows, multiset) / len(multiset)
+    row = int(np.argmax(avg)) if dual else int(np.argmin(avg))
+    return ChebyshevWitness(points=tuple(pair.H[i] for i in multiset), extremal=pair.L[row])
 
 
 def chebyshev_n(space: KernelSpace, pair: SubsetPair, n: int,
                 cap: Optional[int] = None) -> tuple[float, ChebyshevWitness]:
     """Order-n constant: best multiset of H for the worst (smallest) view from L."""
-    return _scan(space, pair, n, cap, dual=False)
+    lo, witness, _, _ = _order_pass(space, pair, n, cap)
+    return lo, witness
 
 
 def dual_chebyshev_n(space: KernelSpace, pair: SubsetPair, n: int,
                      cap: Optional[int] = None) -> tuple[float, ChebyshevWitness]:
     """Dual order-n constant: best multiset of H for the largest view from L."""
-    return _scan(space, pair, n, cap, dual=True)
+    _, _, hi, witness = _order_pass(space, pair, n, cap)
+    return hi, witness
 
 
 def rendezvous_n(space: KernelSpace, pair: SubsetPair, n: int,
                  cap: Optional[int] = None) -> ValueInterval:
     """Order-n interval between the constant and its dual; may be empty."""
-    lo, _ = chebyshev_n(space, pair, n, cap)
-    hi, _ = dual_chebyshev_n(space, pair, n, cap)
+    lo, _, hi, _ = _order_pass(space, pair, n, cap)
     if lo > hi + TIE_TOL:
         return ValueInterval(lo, hi, empty=True)
     return ValueInterval(min(lo, hi), max(lo, hi))
@@ -128,12 +165,8 @@ def chebyshev_limit_bounds(space: KernelSpace, pair: SubsetPair, n_max: int,
     ``inf_n``; the running max and min over a finite prefix are therefore
     valid lower and upper bounds for the respective limits.
     """
-    lows = []
-    highs = []
-    for n in range(1, n_max + 1):
-        lows.append(chebyshev_n(space, pair, n, cap)[0])
-        highs.append(dual_chebyshev_n(space, pair, n, cap)[0])
-    return max(lows), min(highs)
+    passes = [_order_pass(space, pair, n, cap) for n in range(1, n_max + 1)]
+    return max(p[0] for p in passes), min(p[2] for p in passes)
 
 
 def chebyshev_table(space: KernelSpace, pair: SubsetPair, n_max: int,
@@ -145,8 +178,7 @@ def chebyshev_table(space: KernelSpace, pair: SubsetPair, n_max: int,
         if multiset_count(len(pair.H), n) > limit:
             skipped.append(n)
             continue
-        lo, wl = chebyshev_n(space, pair, n, limit)
-        hi, wu = dual_chebyshev_n(space, pair, n, limit)
+        lo, wl, hi, wu = _order_pass(space, pair, n, limit)
         ns.append(n)
         lows.append(lo)
         highs.append(hi)

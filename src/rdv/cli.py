@@ -103,7 +103,8 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     w_pair = wiener_energy(space, pair.H)
     inv = invariant_measure(space, pair)
     nt = negative_type_test(space)
-    chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap)
+    table = chebyshev_table(space, pair, n_max, enum_cap)
+    chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap, table=table)
     conv = converse_check(space, pair)
     dual, C = dual_kernel(space, dual_constant)
     eq = wiener_energy(dual)
@@ -133,7 +134,6 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "negative_type_eigenvalue": nt.extreme_eigenvalue,
         "dual_constant": C,
     }
-    table = chebyshev_table(space, pair, n_max, enum_cap)
     for n, lo, hi in zip(table.n_values, table.lower, table.upper):
         scalars[f"chebyshev_low_{n}"] = lo
         scalars[f"chebyshev_high_{n}"] = hi

@@ -22,7 +22,7 @@ from .core import (
     UniquenessViolatedError,
     ValueInterval,
 )
-from .chebyshev import chebyshev_table
+from .chebyshev import ChebyshevTable, chebyshev_table
 from .optimize import EQ, LE, LinearProgram, solve_lp
 
 GAP_UNIQUE_TOL = 1e-8
@@ -157,12 +157,16 @@ class ChainReport:
     ``q_lower`` is the lower value on (H, L); ``q_swapped`` the upper value
     on (L, H); the two are dual LPs and must agree within 1e-8.  Multiset
     bounds participate one-sided only, since finite orders merely bracket
-    their limits.  ``a_nonempty`` checks, for nested pairs, that the lower
-    value does not exceed the upper value on (H, L) itself.
+    their limits: ``cheb_lower`` is the best constant of the (H, L) table
+    over ``orders_lower``, ``cheb_upper`` the best dual constant of the
+    (L, H) table over ``orders_upper``; the cap can skip different orders
+    on the two sides.  ``a_nonempty`` checks, for nested pairs, that the
+    lower value does not exceed the upper value on (H, L) itself.
     """
 
     pair: SubsetPair
-    orders_used: tuple[int, ...]
+    orders_lower: tuple[int, ...]
+    orders_upper: tuple[int, ...]
     q_lower: float
     q_swapped: float
     cheb_lower: float
@@ -176,15 +180,24 @@ class ChainReport:
 
 
 def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
-                     cap: Optional[int] = None) -> ChainReport:
-    """Verify the two-sided sandwich of minimax values at tolerance 1e-8."""
+                     cap: Optional[int] = None,
+                     table: Optional[ChebyshevTable] = None) -> ChainReport:
+    """Verify the two-sided sandwich of minimax values at tolerance 1e-8.
+
+    ``table`` is the caller's ``chebyshev_table(space, pair, n, cap)`` for
+    some ``n >= n_max``; its orders up to ``n_max`` are used instead of a new
+    scan.  When H = L it also serves the swapped side.
+    """
     pair.check_range(space.m)
     ql, _ = q_lower_value(space, pair)
     qs, _ = q_value(space, pair.swapped())
-    table_lo = chebyshev_table(space, pair, n_max, cap)
-    table_hi = chebyshev_table(space, pair.swapped(), n_max, cap)
-    cheb_lower = max(table_lo.lower) if table_lo.lower else 0.0
-    cheb_upper = min(table_hi.upper) if table_hi.upper else float("inf")
+    if table is None:
+        table = chebyshev_table(space, pair, n_max, cap)
+    swapped = table if pair.H == pair.L else chebyshev_table(space, pair.swapped(), n_max, cap)
+    lows = [(n, v) for n, v in zip(table.n_values, table.lower) if n <= n_max]
+    highs = [(n, v) for n, v in zip(swapped.n_values, swapped.upper) if n <= n_max]
+    cheb_lower = max((v for _, v in lows), default=0.0)
+    cheb_upper = min((v for _, v in highs), default=float("inf"))
     res_lo = ql - cheb_lower
     res_hi = cheb_upper - qs
     eq_res = abs(qs - ql)
@@ -201,7 +214,8 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
     )
     return ChainReport(
         pair=pair,
-        orders_used=table_lo.n_values,
+        orders_lower=tuple(n for n, _ in lows),
+        orders_upper=tuple(n for n, _ in highs),
         q_lower=ql,
         q_swapped=qs,
         cheb_lower=cheb_lower,

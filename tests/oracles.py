@@ -2,9 +2,9 @@
 
 Everything here is deliberately written with different algorithms than the
 package: brute-force grids over the probability simplex instead of LPs,
-pure-Python tuple scans instead of chunked multiset enumeration, random
-sum-zero probes instead of eigendecompositions, and closed forms /
-quadrature for the classical spaces.
+pure-Python tuple scans and the old itertools scan instead of the
+incremental multiset pass, random sum-zero probes instead of
+eigendecompositions, and closed forms / quadrature for the classical spaces.
 """
 from __future__ import annotations
 
@@ -13,6 +13,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from rdv.chebyshev import ChebyshevWitness, DEFAULT_ENUM_CAP, multiset_count
+from rdv.core import DimensionMismatchError, EnumerationCapExceededError
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +96,52 @@ def dual_chebyshev_brute(kernel: np.ndarray, H, L, n: int) -> float:
         worst = max(sum(kernel[x, y] for x in combo) / n for y in L)
         best = min(best, worst)
     return best
+
+
+# The chunked itertools scan that computed the order-n constants before the
+# one-pass incremental scan replaced it; kept as the differential reference.
+SCAN_CHUNK_CELLS = 4_000_000
+
+
+def chebyshev_scan(space, pair, n: int, cap=None, dual: bool = False):
+    """(value, witness) of one order-n constant, or of its dual, by the old scan."""
+    if n < 1:
+        raise DimensionMismatchError(f"multiset order must be at least 1, got {n}")
+    pair.check_range(space.m)
+    H, L = pair.H, pair.L
+    limit = DEFAULT_ENUM_CAP if cap is None else int(cap)
+    required = multiset_count(len(H), n)
+    if required > limit:
+        raise EnumerationCapExceededError(
+            f"order {n} over {len(H)} points needs {required} multisets; cap is {limit}",
+            cap=limit,
+            required=required,
+        )
+    KH = space.kernel[np.ix_(L, H)]
+    chunk_rows = max(1, SCAN_CHUNK_CELLS // (len(L) * n))
+    best_val = None
+    best_multiset = None
+    combos = itertools.combinations_with_replacement(range(len(H)), n)
+    while True:
+        chunk = list(itertools.islice(combos, chunk_rows))
+        if not chunk:
+            break
+        idx = np.asarray(chunk, dtype=np.intp)
+        sums = KH[:, idx].sum(axis=2) / float(n)  # |L| x chunk
+        inner = sums.max(axis=0) if dual else sums.min(axis=0)
+        j = int(np.argmin(inner)) if dual else int(np.argmax(inner))
+        val = float(inner[j])
+        better = (best_val is None) or (val < best_val if dual else val > best_val)
+        if better:
+            best_val = val
+            best_multiset = chunk[j]
+    sums = KH[:, np.asarray(best_multiset, dtype=np.intp)].sum(axis=1) / float(n)
+    row = int(np.argmax(sums)) if dual else int(np.argmin(sums))
+    witness = ChebyshevWitness(
+        points=tuple(H[i] for i in best_multiset),
+        extremal=L[row],
+    )
+    return best_val, witness
 
 
 def circle_rendezvous_closed_form(m: int, radius: float = 1.0) -> float:

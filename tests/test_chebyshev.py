@@ -14,14 +14,17 @@ from rdv import (
     chebyshev_limit_bounds,
     chebyshev_n,
     chebyshev_table,
+    circle,
     dual_chebyshev_n,
     generate,
+    hypercube,
     multiset_count,
     random_graph,
     rendezvous_n,
 )
+import rdv.chebyshev as chebyshev
 
-from oracles import chebyshev_brute, dual_chebyshev_brute
+from oracles import chebyshev_brute, chebyshev_scan, dual_chebyshev_brute
 
 
 class TestTwoPointTable:
@@ -196,3 +199,86 @@ class TestIntervalShape:
         for n in (1, 2):
             interval = rendezvous_n(space, pair, n)
             assert not interval.empty
+
+
+def _pairs(m: int, seed: int) -> list[SubsetPair]:
+    """The full pair and a seeded general pair with |H| != |L|, both ways round."""
+    rng = np.random.default_rng([seed, m])
+    H = rng.choice(m, size=max(1, m // 3), replace=False)
+    L = rng.choice(m, size=m - 1, replace=False)
+    general = SubsetPair(tuple(int(i) for i in H), tuple(int(i) for i in L))
+    return [SubsetPair.full(m), general, general.swapped()]
+
+
+def _old_scan_cases():
+    for m in range(3, 11):
+        for seed in (0, 1):
+            space = generate(random_graph(m, 0.5, seed))
+            for pair in _pairs(m, seed):
+                yield space, pair
+    for desc in (circle(7), hypercube(3)):
+        space = generate(desc)
+        yield space, SubsetPair.full(space.m)
+
+
+class TestAgainstOldScan:
+    """The one-pass scan reproduces the old itertools scan to the bit."""
+
+    @staticmethod
+    def assert_same(space, pair, n):
+        assert chebyshev_n(space, pair, n) == chebyshev_scan(space, pair, n)
+        assert dual_chebyshev_n(space, pair, n) == chebyshev_scan(space, pair, n, dual=True)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_orders_up_to_seven_bit_identical(self, n):
+        for space, pair in _old_scan_cases():
+            self.assert_same(space, pair, n)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_orders_eight_and_nine(self, n):
+        # numpy's own sum unrolls by eight here, so only the values are close
+        for m, seed in ((4, 2), (5, 7)):
+            space = generate(random_graph(m, 0.5, seed))
+            for pair in _pairs(m, seed):
+                for dual, fn in ((False, chebyshev_n), (True, dual_chebyshev_n)):
+                    val, w = fn(space, pair, n)
+                    old, _ = chebyshev_scan(space, pair, n, dual=dual)
+                    assert val == pytest.approx(old, abs=1e-12)
+                    avg = space.kernel[:, list(w.points)].sum(axis=1) / n
+                    view = avg[list(pair.L)]
+                    seen = view.max() if dual else view.min()
+                    assert float(seen) == pytest.approx(val, abs=1e-12)
+                    assert avg[w.extremal] == pytest.approx(val, abs=1e-12)
+
+    def test_one_row_chunks_keep_the_first_optimizer(self, monkeypatch):
+        # every multiset is its own chunk, so ties straddle chunk boundaries
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", 1)
+        cases = [(generate(circle(7)), SubsetPair.full(7)),
+                 (generate(hypercube(3)), SubsetPair.full(8)),
+                 (generate(random_graph(6, 0.5, 4)), SubsetPair((1, 4), (0, 2, 3, 5)))]
+        for space, pair in cases:
+            for n in (1, 2, 3, 4):
+                self.assert_same(space, pair, n)
+
+    def test_cap_boundary_matches(self):
+        space = generate(random_graph(7, 0.5, 11))
+        for pair in _pairs(7, 11):
+            for n in (1, 2, 3):
+                required = multiset_count(len(pair.H), n)
+                for dual, fn in ((False, chebyshev_n), (True, dual_chebyshev_n)):
+                    assert fn(space, pair, n, cap=required) == chebyshev_scan(
+                        space, pair, n, cap=required, dual=dual)
+                    with pytest.raises(EnumerationCapExceededError) as new:
+                        fn(space, pair, n, cap=required - 1)
+                    with pytest.raises(EnumerationCapExceededError) as old:
+                        chebyshev_scan(space, pair, n, cap=required - 1, dual=dual)
+                    assert (new.value.cap, new.value.required) == (old.value.cap,
+                                                                   old.value.required)
+                    assert str(new.value) == str(old.value)
+
+    def test_single_point_h(self):
+        space = generate(random_graph(6, 0.5, 5))
+        for L in ((3,), (0, 1, 2, 3, 4, 5), (2, 5)):
+            pair = SubsetPair((3,), L)
+            for n in range(1, 6):
+                self.assert_same(space, pair, n)

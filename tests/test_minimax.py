@@ -9,7 +9,9 @@ from rdv import (
     SubsetPair,
     UniquenessViolatedError,
     average_interval,
+    chebyshev_table,
     circle,
+    dual_chebyshev_n,
     elton_measures,
     generate,
     hypercube,
@@ -191,7 +193,7 @@ class TestInequalityChain:
         for space in instances100[:10]:
             rep = inequality_chain(space, SubsetPair.full(space.m))
             assert rep.ok
-            assert rep.orders_used == (1, 2, 3)
+            assert rep.orders_lower == rep.orders_upper == (1, 2, 3)
             assert rep.residual_lower_side >= -1e-8
             assert rep.residual_upper_side >= -1e-8
             assert rep.equality_residual <= 1e-8
@@ -216,8 +218,23 @@ class TestInequalityChain:
         space = instances100[12]
         pair = SubsetPair.full(space.m)
         rep = inequality_chain(space, pair, n_max=3, cap=space.m)
-        assert 3 not in rep.orders_used
+        assert 3 not in rep.orders_lower and 3 not in rep.orders_upper
         assert rep.ok
+
+    def test_cap_reports_orders_per_side(self):
+        # |H| = 2 fits orders 1..3 in the cap; the swapped side over |L| = 6 only order 1
+        space = generate(random_graph(6, 0.5, 3))
+        pair = SubsetPair((0, 1), tuple(range(6)))
+        rep = inequality_chain(space, pair, n_max=3, cap=10)
+        assert rep.orders_lower == (1, 2, 3)
+        assert rep.orders_upper == (1,)
+        assert rep.cheb_upper == dual_chebyshev_n(space, pair.swapped(), 1)[0]
+
+    def test_shared_table_gives_the_same_report(self, instances100):
+        space = instances100[21]
+        for pair in (SubsetPair.full(space.m), SubsetPair((0, 3), tuple(range(space.m)))):
+            table = chebyshev_table(space, pair, 4)
+            assert inequality_chain(space, pair, table=table) == inequality_chain(space, pair)
 
     @settings(max_examples=15)
     @given(seed=st.integers(0, 60))
