@@ -57,6 +57,12 @@ def multiset_count(h: int, n: int) -> int:
     return math.comb(h + n - 1, n)
 
 
+def check_n_max(n_max: int) -> None:
+    """Reject an empty range of orders 1..n_max."""
+    if n_max < 1:
+        raise DimensionMismatchError(f"largest multiset order must be at least 1, got {n_max}")
+
+
 def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
                 ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
     """Both order-n constants with their witnesses, from one pass over the multisets."""
@@ -165,6 +171,7 @@ def chebyshev_limit_bounds(space: KernelSpace, pair: SubsetPair, n_max: int,
     ``inf_n``; the running max and min over a finite prefix are therefore
     valid lower and upper bounds for the respective limits.
     """
+    check_n_max(n_max)
     passes = [_order_pass(space, pair, n, cap) for n in range(1, n_max + 1)]
     return max(p[0] for p in passes), min(p[2] for p in passes)
 
@@ -172,6 +179,7 @@ def chebyshev_limit_bounds(space: KernelSpace, pair: SubsetPair, n_max: int,
 def chebyshev_table(space: KernelSpace, pair: SubsetPair, n_max: int,
                     cap: Optional[int] = None) -> ChebyshevTable:
     """Table of orders 1..n_max, skipping orders whose scan would blow the cap."""
+    check_n_max(n_max)
     limit = DEFAULT_ENUM_CAP if cap is None else int(cap)
     ns, lows, highs, lw, uw, skipped = [], [], [], [], [], []
     for n in range(1, n_max + 1):

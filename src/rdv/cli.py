@@ -8,15 +8,23 @@ inequality chain, or any failing verification suite) so CI can tell
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
 from typing import Optional
 
 from .chebyshev import DEFAULT_ENUM_CAP, chebyshev_table
-from .core import RdvError, SubsetPair, dual_kernel
-from .energy import FROSTMAN_TOL, frostman_check, maximal_energy, wiener_energy
-from .minimax import average_interval, inequality_chain
+from .core import RdvError, SchemaError, SubsetPair, dual_kernel
+from .energy import (
+    EQUALITY_TOL,
+    FROSTMAN_TOL,
+    ORDER_TOL,
+    frostman_check,
+    maximal_energy,
+    wiener_energy,
+)
+from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain
 from .report import AnalysisReport
 from .spaces import (
     SpaceDescriptor,
@@ -27,7 +35,14 @@ from .spaces import (
     save_space,
     space_to_document,
 )
-from .structure import converse_check, invariant_measure, negative_type_test
+from .structure import (
+    AGREEMENT_TOL,
+    INVARIANCE_TOL,
+    NEGATIVE_TYPE_TOL,
+    converse_check,
+    invariant_measure,
+    negative_type_test,
+)
 from .suites import (
     DEFAULT_MAX_POINTS,
     DEFAULT_SEEDS,
@@ -58,8 +73,6 @@ def _parse_generator_spec(text: str) -> Optional[SpaceDescriptor]:
     m = _SPEC_RE.match(text.strip())
     if m is None:
         return None
-    from .core import SchemaError
-
     kind = _KIND_ALIASES.get(m.group(1))
     if kind is None:
         raise SchemaError(f"unknown generator kind {m.group(1)!r}")
@@ -81,8 +94,6 @@ def _parse_generator_spec(text: str) -> Optional[SpaceDescriptor]:
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    from .core import SchemaError
-
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
@@ -93,32 +104,41 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
                    frostman_tol: float = FROSTMAN_TOL,
                    enum_cap: int = DEFAULT_ENUM_CAP,
                    dual_constant: Optional[float] = None) -> tuple[AnalysisReport, int]:
-    """Full analysis of one space/pair; returns (report, exit code)."""
+    """Full analysis of one space/pair; returns (report, exit code).
+
+    Each LP, and each QP apart from the converse check's energy on H, is
+    solved once and handed to every reader.  Two second solves stay on
+    purpose, as independent checks: the lower minimax value is its own LP
+    beside the upper one, and the maximal energy's dual route (C minus the
+    dual kernel's minimal energy) is its own QP beside the direct one.
+    """
     pair.check_range(space.m)
     full = SubsetPair.full(space.m)
     is_full = pair.H == pair.L == full.H
 
-    avg = average_interval(space, pair)
-    me = maximal_energy(space, dual_constant)
-    w_pair = wiener_energy(space, pair.H)
-    inv = invariant_measure(space, pair)
-    nt = negative_type_test(space)
     table = chebyshev_table(space, pair, n_max, enum_cap)
-    chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap, table=table)
-    conv = converse_check(space, pair)
+    avg = average_interval(space, pair)
     dual, C = dual_kernel(space, dual_constant)
     eq = wiener_energy(dual)
-    fr = frostman_check(dual, range(space.m), eq.measure, frostman_tol)
+    me = maximal_energy(space, dual_constant, dual_minimum=eq)
+    w_pair = wiener_energy(space, pair.H)
+    inv = invariant_measure(space, pair, average=avg)
+    nt = negative_type_test(space)
+    chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap, table=table,
+                             average=avg)
+    conv = converse_check(space, pair, average=avg, invariance=inv)
+    fr = frostman_check(dual, range(space.m), eq.measure, frostman_tol, w=eq.value)
 
-    if is_full:
-        r = float(avg.unique_point)
-        inv_full = inv
+    avg_full = avg if is_full else average_interval(space, full)
+    r = float(avg_full.unique_point)
+    wolf_upper = bool(r <= me.value + ORDER_TOL)
+    wolf_equality = bool(abs(r - me.value) <= EQUALITY_TOL)
+    if not wolf_equality:
+        wolf_invariant = True
+    elif is_full:
+        wolf_invariant = bool(inv.found)
     else:
-        r = float(average_interval(space, full).unique_point)
-        inv_full = invariant_measure(space, full)
-    wolf_upper = bool(r <= me.value + 1e-8)
-    wolf_equality = bool(abs(r - me.value) <= 1e-7)
-    wolf_invariant = bool(inv_full.found) if wolf_equality else True
+        wolf_invariant = bool(invariant_measure(space, full, average=avg_full).found)
 
     scalars = {
         "r": r,
@@ -179,13 +199,13 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "certificate_equilibrium_dual": eq.certificate,
     }
     tolerances = {
-        "duality_gap": 1e-8,
-        "uniqueness": 1e-8,
-        "chain": 1e-8,
-        "invariance": 1e-8,
-        "agreement": 1e-7,
+        "duality_gap": GAP_UNIQUE_TOL,
+        "uniqueness": GAP_UNIQUE_TOL,
+        "chain": GAP_UNIQUE_TOL,
+        "invariance": INVARIANCE_TOL,
+        "agreement": AGREEMENT_TOL,
         "frostman": frostman_tol,
-        "negative_type": 1e-10,
+        "negative_type": NEGATIVE_TYPE_TOL,
     }
     report = AnalysisReport(space_name=space.name, parameters=parameters,
                             scalars=scalars, measures=measures,
@@ -224,8 +244,6 @@ def cmd_analyze(args) -> int:
         if args.out:
             save_report(report, args.out)
         else:
-            import json
-
             sys.stdout.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return code
 
@@ -233,8 +251,6 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     kind = _KIND_ALIASES.get(args.kind)
     if kind is None:
-        from .core import SchemaError
-
         raise SchemaError(f"unknown generator kind {args.kind!r}")
     m = args.m if args.m is not None else 0
     if kind == "hypercube":
@@ -249,8 +265,6 @@ def cmd_generate(args) -> int:
     if args.out:
         save_space(space, args.out)
     else:
-        import json
-
         sys.stdout.write(json.dumps(space_to_document(space), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -275,8 +289,9 @@ def cmd_verify(args) -> int:
             scalars={"passed": float(good), "total": float(len(verdicts))},
             measures={},
             verdicts=verdicts,
-            tolerances={"duality_gap": 1e-8, "chain": 1e-8, "frostman": 1e-6,
-                        "invariance": 1e-8, "order": 1e-8},
+            tolerances={"duality_gap": GAP_UNIQUE_TOL, "chain": GAP_UNIQUE_TOL,
+                        "frostman": FROSTMAN_TOL, "invariance": INVARIANCE_TOL,
+                        "order": ORDER_TOL},
         )
         save_report(summary, args.out)
     if not all_ok:
@@ -299,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--H", default=None, help="comma-separated support indices")
     p_an.add_argument("--L", default=None, help="comma-separated evaluation indices")
     p_an.add_argument("--n-max", type=int, default=4, dest="n_max",
-                      help="largest multiset order for the Chebyshev table")
+                      help="largest multiset order for the Chebyshev table (at least 1)")
     p_an.add_argument("--frostman-tol", type=float, default=FROSTMAN_TOL)
     p_an.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
                       help="multiset enumeration budget per order")

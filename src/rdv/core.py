@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -404,14 +404,3 @@ def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[Kern
         KernelSpace(name=f"dual({space.name})", points=space.points, kernel=dual, is_metric=False),
         c,
     )
-
-
-def interval_hull(values: Iterable[float]) -> ValueInterval:
-    """Smallest closed interval containing all the given finite values."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise EmptyInputError("interval hull of no values")
-    for v in vals:
-        if not math.isfinite(v):
-            raise NonFiniteEntryError(f"interval hull over non-finite value {v!r}")
-    return ValueInterval(min(vals), max(vals))

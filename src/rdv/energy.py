@@ -18,10 +18,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DualMismatchError, KernelSpace, Measure, SubsetPair, dual_kernel
-from .minimax import average_interval, rendezvous_number
+from .core import (
+    DimensionMismatchError,
+    DualMismatchError,
+    EmptySubsetError,
+    IndexOutOfRangeError,
+    KernelSpace,
+    Measure,
+    SubsetPair,
+    dual_kernel,
+)
+from .minimax import AverageResult, average_interval
 from .optimize import (
-    SimplexQpResult,
+    QP_ENUM_LIMIT,
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
 )
@@ -32,7 +41,6 @@ FROSTMAN_TOL = 1e-6
 DUAL_MATCH_TOL = 1e-7
 ORDER_TOL = 1e-8
 EQUALITY_TOL = 1e-7
-_EXACT_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -84,21 +92,23 @@ class FrostmanReport:
 
 
 def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
-                   tol: float = FROSTMAN_TOL) -> FrostmanReport:
-    """Test the three maximum-principle statements for ``mu`` on H."""
+                   tol: float = FROSTMAN_TOL, w: Optional[float] = None) -> FrostmanReport:
+    """Test the three maximum-principle statements for ``mu`` on H.
+
+    ``w`` is the caller's minimal energy over H, ``wiener_energy(space, H).value``;
+    it is solved here when not given.
+    """
     subset = sorted(set(int(i) for i in H))
     if not subset:
-        from .core import EmptySubsetError
         raise EmptySubsetError("subset H must be nonempty")
     if subset[0] < 0 or subset[-1] >= space.m:
-        from .core import IndexOutOfRangeError
         raise IndexOutOfRangeError(
             f"subset index out of range for {space.m} points")
     if mu.weights.shape[0] != space.m:
-        from .core import DimensionMismatchError
         raise DimensionMismatchError(
             f"measure has {mu.weights.shape[0]} weights, space has {space.m} points")
-    w = wiener_energy(space, subset).value
+    if w is None:
+        w = wiener_energy(space, subset).value
     pot = space.kernel[subset, :] @ mu.weights
     support = [i for i in mu.support() if i in set(subset)]
     if support:
@@ -142,14 +152,17 @@ class MaxEnergyResult:
 
 
 def maximal_energy(space: KernelSpace,
-                   constant: Optional[float] = None) -> MaxEnergyResult:
+                   constant: Optional[float] = None,
+                   dual_minimum: Optional[EnergyResult] = None) -> MaxEnergyResult:
     """Maximal energy over all probability measures, with dual cross check.
 
     The dual route (reflecting the minimal energy of C - k) is computed
     whenever the agreement is certifiable or the space is small enough to
     enumerate exactly; the agreement assertion itself is armed only for
     metric kernels of negative type, where both routes carry global
-    certificates.
+    certificates.  ``dual_minimum`` is the caller's
+    ``wiener_energy(dual_kernel(space, constant)[0])``; the dual route
+    solves it when not given.  The direct route is always its own solve.
     """
     direct = maximize_quadratic_on_simplex(space, tuple(range(space.m)))
     certified_metric = bool(
@@ -157,9 +170,9 @@ def maximal_energy(space: KernelSpace,
         and sum_zero_definiteness(space.kernel, NEGATIVE_TYPE_TOL)["nsd"]
     )
     dual_constant = dual_value = dual_gap = None
-    if certified_metric or space.m <= _EXACT_LIMIT:
+    if certified_metric or space.m <= QP_ENUM_LIMIT:
         dual_space, C = dual_kernel(space, constant)
-        dual_min = minimize_quadratic_on_simplex(dual_space, tuple(range(space.m)))
+        dual_min = wiener_energy(dual_space) if dual_minimum is None else dual_minimum
         dual_constant = C
         dual_value = C - dual_min.value
         dual_gap = abs(direct.value - dual_value)
@@ -208,34 +221,41 @@ class WolfReport:
     dual_equality_energy_residual: Optional[float]
 
 
-def _equality_side(space: KernelSpace, r: float, w: float) -> Optional[float]:
+def _equality_side(space: KernelSpace, average: AverageResult, w: float) -> Optional[float]:
     """|energy(minimax measure) - w| when r == w, else None."""
-    if abs(r - w) > EQUALITY_TOL:
+    if abs(float(average.unique_point) - w) > EQUALITY_TOL:
         return None
-    avg = average_interval(space, SubsetPair.full(space.m))
-    mu = avg.mu_opt
+    mu = average.mu_opt
     return abs(float(mu.weights @ space.kernel @ mu.weights) - w)
 
 
 def wolf_relations(space: KernelSpace,
                    constant: Optional[float] = None) -> WolfReport:
-    """Verify w <= r <= E and the equality/invariance implications."""
+    """Verify w <= r <= E and the equality/invariance implications.
+
+    Each kernel, the original and its dual C - k, gets one minimax solve,
+    read for r, the invariance check and the equality side; the dual
+    kernel's minimal energy also serves the dual route of E.
+    """
     full = SubsetPair.full(space.m)
-    r = rendezvous_number(space)
-    e = maximal_energy(space, constant)
-    w = wiener_energy(space).value
+    avg = average_interval(space, full)
+    r = float(avg.unique_point)
     dual_space, C = dual_kernel(space, constant)
-    r_dual = rendezvous_number(dual_space)
-    w_dual = wiener_energy(dual_space).value
+    dual_min = wiener_energy(dual_space)
+    e = maximal_energy(space, constant, dual_minimum=dual_min)
+    w = wiener_energy(space).value
+    avg_dual = average_interval(dual_space, full)
+    r_dual = float(avg_dual.unique_point)
+    w_dual = dual_min.value
 
     equality_applicable = abs(r - e.value) <= EQUALITY_TOL
     invariant_found = None
     if equality_applicable:
-        invariant_found = invariant_measure(space, full).found
+        invariant_found = invariant_measure(space, full, average=avg).found
     dual_equality_applicable = abs(r_dual - (C - w)) <= EQUALITY_TOL
     dual_invariant_found = None
     if dual_equality_applicable:
-        dual_invariant_found = invariant_measure(dual_space, full).found
+        dual_invariant_found = invariant_measure(dual_space, full, average=avg_dual).found
 
     return WolfReport(
         r=r,
@@ -251,6 +271,6 @@ def wolf_relations(space: KernelSpace,
         invariant_found=invariant_found,
         dual_equality_applicable=dual_equality_applicable,
         dual_invariant_found=dual_invariant_found,
-        equality_energy_residual=_equality_side(space, r, w),
-        dual_equality_energy_residual=_equality_side(dual_space, r_dual, w_dual),
+        equality_energy_residual=_equality_side(space, avg, w),
+        dual_equality_energy_residual=_equality_side(dual_space, avg_dual, w_dual),
     )

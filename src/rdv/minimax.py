@@ -22,7 +22,7 @@ from .core import (
     UniquenessViolatedError,
     ValueInterval,
 )
-from .chebyshev import ChebyshevTable, chebyshev_table
+from .chebyshev import ChebyshevTable, check_n_max, chebyshev_table
 from .optimize import EQ, LE, LinearProgram, solve_lp
 
 GAP_UNIQUE_TOL = 1e-8
@@ -181,16 +181,26 @@ class ChainReport:
 
 def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
                      cap: Optional[int] = None,
-                     table: Optional[ChebyshevTable] = None) -> ChainReport:
+                     table: Optional[ChebyshevTable] = None,
+                     average: Optional[AverageResult] = None) -> ChainReport:
     """Verify the two-sided sandwich of minimax values at tolerance 1e-8.
 
     ``table`` is the caller's ``chebyshev_table(space, pair, n, cap)`` for
     some ``n >= n_max``; its orders up to ``n_max`` are used instead of a new
-    scan.  When H = L it also serves the swapped side.
+    scan.  When H = L it also serves the swapped side.  ``average`` is the
+    caller's ``average_interval(space, pair)``: the lower value is read from
+    it, and so is the upper value for nested pairs, which for H = L is also
+    the swapped value.  Only H != L solves the swapped LP.
     """
+    check_n_max(n_max)
     pair.check_range(space.m)
-    ql, _ = q_lower_value(space, pair)
-    qs, _ = q_value(space, pair.swapped())
+    if average is None:
+        ql, _ = q_lower_value(space, pair)
+        q_upper = q_value(space, pair)[0] if pair.nested else None
+    else:
+        ql = average.q_lower
+        q_upper = average.q_upper if pair.nested else None
+    qs = q_upper if pair.H == pair.L else q_value(space, pair.swapped())[0]
     if table is None:
         table = chebyshev_table(space, pair, n_max, cap)
     swapped = table if pair.H == pair.L else chebyshev_table(space, pair.swapped(), n_max, cap)
@@ -201,11 +211,7 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
     res_lo = ql - cheb_lower
     res_hi = cheb_upper - qs
     eq_res = abs(qs - ql)
-    q_upper = None
-    a_nonempty = None
-    if pair.nested:
-        q_upper = q_value(space, pair)[0]
-        a_nonempty = bool(q_upper >= ql - GAP_UNIQUE_TOL)
+    a_nonempty = None if q_upper is None else bool(q_upper >= ql - GAP_UNIQUE_TOL)
     ok = (
         res_lo >= -GAP_UNIQUE_TOL
         and res_hi >= -GAP_UNIQUE_TOL

@@ -77,8 +77,13 @@ class InvarianceResult:
     average_matches: Optional[bool]
 
 
-def invariant_measure(space: KernelSpace, pair: SubsetPair) -> InvarianceResult:
-    """Search for a measure on H whose potential is constant on L."""
+def invariant_measure(space: KernelSpace, pair: SubsetPair,
+                      average: Optional[AverageResult] = None) -> InvarianceResult:
+    """Search for a measure on H whose potential is constant on L.
+
+    ``average`` is the caller's ``average_interval(space, pair)``; it is
+    solved here when needed and not given.
+    """
     gap, measure = min_invariance_gap(space, pair)
     pot = space.kernel[list(pair.L), :] @ measure.weights
     mid = 0.5 * (float(pot.max()) + float(pot.min()))
@@ -87,7 +92,7 @@ def invariant_measure(space: KernelSpace, pair: SubsetPair) -> InvarianceResult:
     constant = mid if found else None
     matches = None
     if found:
-        avg = average_interval(space, pair)
+        avg = average_interval(space, pair) if average is None else average
         matches = bool(
             abs(avg.q_upper - mid) <= AGREEMENT_TOL and abs(avg.q_lower - mid) <= AGREEMENT_TOL
         )
@@ -208,7 +213,9 @@ class ConverseReport:
     wolf_form: Optional[ConverseForm]
 
 
-def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
+def converse_check(space: KernelSpace, pair: SubsetPair,
+                   average: Optional[AverageResult] = None,
+                   invariance: Optional[InvarianceResult] = None) -> ConverseReport:
     """When an invariant measure exists and the kernel has the right sign
     structure, the unique average level must equal the extremal energy.
 
@@ -216,19 +223,21 @@ def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
     against the minimal energy over H; the metric (negative-type) form,
     evaluated for H = L, compares it against the maximal energy.  A branch
     whose hypotheses fail is reported not-applicable, with reasons, and
-    asserts nothing.
+    asserts nothing.  ``average`` and ``invariance`` are the caller's
+    ``average_interval(space, pair)`` and ``invariant_measure(space, pair)``;
+    each is solved here when not given, the average only once.
     """
     pair.check_range(space.m)
     sub = space.kernel[np.ix_(pair.H, pair.H)]
     defin = sum_zero_definiteness(sub, NEGATIVE_TYPE_TOL)
-    inv = invariant_measure(space, pair)
+    avg = average_interval(space, pair) if average is None else average
+    inv = invariant_measure(space, pair, average=avg) if invariance is None else invariance
 
     failed = []
     if not defin["psd"]:
         failed.append("kernel energy form is not positive on sum-zero charges")
     if not inv.found:
         failed.append("no invariant measure on the pair")
-    avg = average_interval(space, pair)
     if avg.unique_point is None:
         failed.append("average interval is not a single point")
     if failed:

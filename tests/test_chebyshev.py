@@ -18,6 +18,7 @@ from rdv import (
     dual_chebyshev_n,
     generate,
     hypercube,
+    inequality_chain,
     multiset_count,
     random_graph,
     rendezvous_n,
@@ -147,6 +148,14 @@ class TestCaps:
     def test_order_must_be_positive(self, t2):
         with pytest.raises(DimensionMismatchError):
             chebyshev_n(t2, SubsetPair.full(2), 0)
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_largest_order_must_be_positive(self, t2, n_max):
+        # an empty range of orders has no bounds to give, not max() of nothing
+        pair = SubsetPair.full(2)
+        for fn in (chebyshev_table, chebyshev_limit_bounds, inequality_chain):
+            with pytest.raises(DimensionMismatchError, match="at least 1"):
+                fn(t2, pair, n_max)
 
     def test_pair_range_checked(self, t2):
         with pytest.raises(IndexOutOfRangeError):

@@ -6,8 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from rdv import SubsetPair, generate, interval_grid, load_report, load_space_file, save_space
-from rdv.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, main
+from rdv import (
+    SubsetPair,
+    circle,
+    generate,
+    interval_grid,
+    load_report,
+    load_space_file,
+    random_graph,
+    save_space,
+)
+from rdv.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, build_analysis, main
+import rdv.minimax as minimax_mod
+import rdv.optimize as optimize_mod
+import rdv.structure as structure_mod
 import rdv.suites as suites_mod
 
 from oracles import circle_rendezvous_closed_form
@@ -133,6 +145,14 @@ class TestAnalyze:
         assert "chebyshev_low_2" in report.scalars
         assert "chebyshev_low_3" not in report.scalars
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_nonpositive_n_max_rejected(self, tmp_path, capsys, n_max):
+        # orders 1..n_max would be empty and the chain vacuous
+        out = tmp_path / "rep.json"
+        assert main(["analyze", "grid(5)", "--n-max", n_max, "--out", str(out)]) == EXIT_INPUT
+        assert "error[DimensionMismatch]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.json")]) == EXIT_INPUT
         assert "error[IoError]" in capsys.readouterr().err
@@ -161,6 +181,59 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         assert main(["analyze", str(path)]) == EXIT_INPUT
         assert "error[MetricViolation]" in capsys.readouterr().err
+
+
+class TestSolveOnce:
+    """``build_analysis`` solves each LP of an analysis once; QP counts are pinned too."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"lp": 0, "qp": 0}
+
+        def count(module, name, key):
+            inner = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(minimax_mod, "solve_lp", "lp")
+        count(structure_mod, "solve_lp", "lp")
+        count(optimize_mod, "_quadratic_extremum", "qp")
+        return counts
+
+    def test_full_pair(self, calls):
+        space = generate(circle(8))
+        report, code = build_analysis(space, SubsetPair.full(8), n_max=2)
+        assert code == EXIT_OK
+        # LPs: q, q_lower and the invariance LP.  QPs: the direct maximal
+        # energy, the dual kernel's minimal energy (w_dual and the dual
+        # route), w on H, and the converse check's maximal energy on H, which
+        # repeats the direct one.
+        assert calls == {"lp": 3, "qp": 4}
+        assert report.verdicts["wolf_invariant_when_equal"] is True
+
+    def test_nested_pair(self, calls):
+        space = generate(circle(8))
+        report, _ = build_analysis(space, SubsetPair((0, 2, 4, 6), tuple(range(8))), n_max=2)
+        # q, q_lower and invariance on the pair; q on the swapped pair for the
+        # chain; q, q_lower and invariance on the full pair, the last because
+        # r equals the maximal energy on the circle.
+        assert report.parameters["wolf_equality_applicable"] is True
+        assert calls == {"lp": 7, "qp": 3}
+
+    @pytest.mark.parametrize("desc, equality, lp", [
+        (interval_grid(8), True, 7),
+        # strict gap r < E: the full pair's invariance LP is never read
+        (random_graph(6, 0.5, 3), False, 6),
+    ])
+    def test_general_pair(self, calls, desc, equality, lp):
+        space = generate(desc)
+        report, _ = build_analysis(space, SubsetPair((0, 1, 2), (3, 5)), n_max=2)
+        assert report.parameters["wolf_equality_applicable"] is equality
+        assert calls == {"lp": lp, "qp": 3}
 
 
 class TestVerify:
