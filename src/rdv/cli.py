@@ -8,7 +8,6 @@ inequality chain, or any failing verification suite) so CI can tell
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -33,7 +32,7 @@ from .spaces import (
     report_to_csv,
     save_report,
     save_space,
-    space_to_document,
+    write_text,
 )
 from .structure import (
     AGREEMENT_TOL,
@@ -234,17 +233,9 @@ def cmd_analyze(args) -> int:
                                   enum_cap=args.enum_cap,
                                   dual_constant=args.dual_constant)
     if args.format == "csv":
-        text = report_to_csv(report)
-        if args.out:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        write_text(report_to_csv(report), args.out or None)
     else:
-        if args.out:
-            save_report(report, args.out)
-        else:
-            sys.stdout.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        save_report(report, args.out or None)
     return code
 
 
@@ -261,11 +252,7 @@ def cmd_generate(args) -> int:
         desc = SpaceDescriptor(kind=kind, m=m, edge_prob=args.edge_prob, seed=args.seed)
     else:
         desc = SpaceDescriptor(kind=kind, m=m)
-    space = generate(desc, args.cap)
-    if args.out:
-        save_space(space, args.out)
-    else:
-        sys.stdout.write(json.dumps(space_to_document(space), indent=2, sort_keys=True) + "\n")
+    save_space(generate(desc, args.cap), args.out or None)
     return EXIT_OK
 
 

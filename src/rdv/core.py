@@ -9,7 +9,7 @@ consumes these types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,6 +163,14 @@ def _check_indices(indices: Sequence[int], what: str) -> tuple[int, ...]:
     if not out:
         raise EmptySubsetError(f"{what} must be nonempty")
     return tuple(sorted(set(out)))
+
+
+def check_subset(H: Sequence[int], m: int) -> tuple[int, ...]:
+    """H as sorted, de-duplicated integer indices of a nonempty subset of m points."""
+    idx = _check_indices(H, "H")
+    if idx[-1] >= m:
+        raise IndexOutOfRangeError(f"H index {idx[-1]} out of range for {m} points")
+    return idx
 
 
 @dataclass(frozen=True)

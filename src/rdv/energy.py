@@ -21,16 +21,16 @@ import numpy as np
 from .core import (
     DimensionMismatchError,
     DualMismatchError,
-    EmptySubsetError,
-    IndexOutOfRangeError,
     KernelSpace,
     Measure,
     SubsetPair,
+    check_subset,
     dual_kernel,
 )
 from .minimax import AverageResult, average_interval
 from .optimize import (
     QP_ENUM_LIMIT,
+    EnergyResult,
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
 )
@@ -43,31 +43,16 @@ ORDER_TOL = 1e-8
 EQUALITY_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class EnergyResult:
-    """Extremal energy with the measure attaining it."""
-
-    value: float
-    measure: Measure
-    certificate: str
-    gap: float
-    notes: tuple[str, ...]
-
-
 def wiener_energy(space: KernelSpace, H: Optional[Sequence[int]] = None) -> EnergyResult:
     """Minimal energy over probability measures supported on H (default: all)."""
     subset = tuple(range(space.m)) if H is None else tuple(H)
-    qp = minimize_quadratic_on_simplex(space, subset)
-    return EnergyResult(value=qp.value, measure=qp.point, certificate=qp.certificate,
-                        gap=qp.gap, notes=qp.notes)
+    return minimize_quadratic_on_simplex(space, subset)
 
 
 def maximal_energy_raw(space: KernelSpace, H: Optional[Sequence[int]] = None) -> EnergyResult:
     """Maximal energy over probability measures on H, direct route only."""
     subset = tuple(range(space.m)) if H is None else tuple(H)
-    qp = maximize_quadratic_on_simplex(space, subset)
-    return EnergyResult(value=qp.value, measure=qp.point, certificate=qp.certificate,
-                        gap=qp.gap, notes=qp.notes)
+    return maximize_quadratic_on_simplex(space, subset)
 
 
 @dataclass(frozen=True)
@@ -98,12 +83,7 @@ def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
     ``w`` is the caller's minimal energy over H, ``wiener_energy(space, H).value``;
     it is solved here when not given.
     """
-    subset = sorted(set(int(i) for i in H))
-    if not subset:
-        raise EmptySubsetError("subset H must be nonempty")
-    if subset[0] < 0 or subset[-1] >= space.m:
-        raise IndexOutOfRangeError(
-            f"subset index out of range for {space.m} points")
+    subset = list(check_subset(H, space.m))
     if mu.weights.shape[0] != space.m:
         raise DimensionMismatchError(
             f"measure has {mu.weights.shape[0]} weights, space has {space.m} points")
@@ -183,7 +163,7 @@ def maximal_energy(space: KernelSpace,
                     direct.value, dual_value, dual_gap))
     return MaxEnergyResult(
         value=direct.value,
-        measure=direct.point,
+        measure=direct.measure,
         certificate=direct.certificate,
         dual_constant=dual_constant,
         dual_value=dual_value,

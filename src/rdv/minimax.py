@@ -28,36 +28,47 @@ from .optimize import EQ, LE, LinearProgram, solve_lp
 GAP_UNIQUE_TOL = 1e-8
 
 
-def _value_lp(space: KernelSpace, pair: SubsetPair, upper: bool) -> tuple[float, Measure]:
+def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
+                  floor: bool) -> LinearProgram:
+    """The potential on L of a measure on H, held between levels, as an LP.
+
+    Variables: the weights on H, then the level t if ``roof``, then the
+    level s if ``floor``.  Rows: K[L,H] mu - t <= 0 (roof), -K[L,H] mu + s
+    <= 0 (floor) and sum mu = 1.  Objective: minimize t - s.  The roof alone
+    gives the upper value, the floor alone the lower value, both together
+    the least potential oscillation on L.
+    """
     pair.check_range(space.m)
     H, L = pair.H, pair.L
-    h = len(H)
+    h, l = len(H), len(L)
     KHL = space.kernel[np.ix_(L, H)]
-    sign = 1.0 if upper else -1.0
-    # variables: weights on H, then the level t
-    c = np.zeros(h + 1)
-    c[h] = sign
-    A = np.zeros((len(L) + 1, h + 1))
-    A[: len(L), :h] = sign * KHL
-    A[: len(L), h] = -sign
-    A[len(L), :h] = 1.0
-    senses = tuple([LE] * len(L)) + (EQ,)
-    b = np.zeros(len(L) + 1)
-    b[len(L)] = 1.0
-    sol = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b))
-    value = float(sol.x[h])
-    measure = Measure.from_subvector(space.m, H, sol.x[:h])
-    return value, measure
+    signs = [sign for sign, on in ((1.0, roof), (-1.0, floor)) if on]
+    cols, rows = h + len(signs), len(signs) * l + 1
+    c = np.zeros(cols)
+    A = np.zeros((rows, cols))
+    for k, sign in enumerate(signs):
+        c[h + k] = sign
+        A[k * l : (k + 1) * l, :h] = sign * KHL
+        A[k * l : (k + 1) * l, h + k] = -sign
+    A[-1, :h] = 1.0
+    senses = (LE,) * (rows - 1) + (EQ,)
+    b = np.zeros(rows)
+    b[-1] = 1.0
+    return LinearProgram(c=c, A=A, senses=senses, b=b)
 
 
 def q_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
     """Smallest achievable worst-case potential on L for measures on H."""
-    return _value_lp(space, pair, upper=True)
+    h = len(pair.H)
+    sol = solve_lp(level_program(space, pair, roof=True, floor=False))
+    return float(sol.x[h]), Measure.from_subvector(space.m, pair.H, sol.x[:h])
 
 
 def q_lower_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
     """Largest achievable guaranteed potential on L for measures on H."""
-    return _value_lp(space, pair, upper=False)
+    h = len(pair.H)
+    sol = solve_lp(level_program(space, pair, roof=False, floor=True))
+    return float(sol.x[h]), Measure.from_subvector(space.m, pair.H, sol.x[:h])
 
 
 @dataclass(frozen=True)

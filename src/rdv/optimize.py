@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,12 +26,11 @@ from .core import (
     SUPPORT_EPS,
     CapExceededError,
     DimensionMismatchError,
-    EmptySubsetError,
-    IndexOutOfRangeError,
     KernelSpace,
     Measure,
     NonFiniteEntryError,
     NumericalBreakdownError,
+    check_subset,
 )
 from .spectral import sum_zero_definiteness
 
@@ -241,17 +240,15 @@ class _Simplex:
 def _to_standard_form(lp: LinearProgram):
     """Rewrite with nonnegative variables and equality rows, b >= 0.
 
-    Returns (A_std, b_std, c_std, shift, col_map, row_sign, n_rows_orig) where
-    ``col_map`` maps each standard column to (orig_var, sign) or None for
-    slack/artificial columns, and ``shift`` is the constant added to the
-    objective.
+    Returns (A_std, b_std, c_std, col_map, row_sign, n_rows_orig) where
+    ``col_map`` maps each standard column to (orig_var, sign, base) or None
+    for slack/artificial columns.
     """
     rows, cols = lp.shape
     a_cols = []
     c_std = []
     col_map = []
     b = lp.b.copy()
-    shift = 0.0
     extra_rows = []  # (coefficient column vector, rhs, sense) for finite upper bounds
     for j in range(cols):
         lo, up = lp.lower[j], lp.upper[j]
@@ -259,7 +256,6 @@ def _to_standard_form(lp: LinearProgram):
         if math.isfinite(lo):
             # x_j = lo + x'_j with x'_j >= 0
             b -= col * lo
-            shift += lp.c[j] * lo
             a_cols.append(col)
             c_std.append(lp.c[j])
             col_map.append((j, 1.0, lo))
@@ -268,7 +264,6 @@ def _to_standard_form(lp: LinearProgram):
         elif math.isfinite(up):
             # x_j = up - x'_j with x'_j >= 0
             b -= col * up
-            shift += lp.c[j] * up
             a_cols.append(-col)
             c_std.append(-lp.c[j])
             col_map.append((j, -1.0, up))
@@ -318,11 +313,11 @@ def _to_standard_form(lp: LinearProgram):
     A3[neg] *= -1.0
     b3 = b2.copy()
     b3[neg] *= -1.0
-    return A3, b3, np.asarray(c_std), shift, col_map, row_sign, rows
+    return A3, b3, np.asarray(c_std), col_map, row_sign, rows
 
 
 def _solve_lp_once(lp: LinearProgram, refresh: int, bland_from_start: bool) -> LpSolution:
-    A_std, b_std, c_std, shift, col_map, row_sign, n_rows_orig = _to_standard_form(lp)
+    A_std, b_std, c_std, col_map, row_sign, n_rows_orig = _to_standard_form(lp)
     rows = A_std.shape[0]
     n_struct = A_std.shape[1]
 
@@ -448,8 +443,8 @@ def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, objective: float) 
 
 
 @dataclass(frozen=True)
-class SimplexQpResult:
-    """Extremum of the energy form over measures on a subset.
+class EnergyResult:
+    """Extremal energy over measures on a subset, with the measure attaining it.
 
     ``certificate`` is one of ``global_convex``, ``global_concave_max``,
     ``enumerated_exact``, ``heuristic_bound``.  ``gap`` is the final
@@ -458,10 +453,10 @@ class SimplexQpResult:
     """
 
     value: float
-    point: Measure
+    measure: Measure
     certificate: str
     gap: float
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 def _fw_gap(M: np.ndarray, v: np.ndarray) -> float:
@@ -588,12 +583,8 @@ def _enumerate_supports(Q: np.ndarray, sign: float):
 
 
 def _quadratic_extremum(space: KernelSpace, H: Sequence[int], maximize: bool,
-                        gap_tol: float, max_iter: int) -> SimplexQpResult:
-    idx = tuple(sorted(set(int(i) for i in H)))
-    if not idx:
-        raise EmptySubsetError("quadratic optimization over an empty subset")
-    if idx[0] < 0 or idx[-1] >= space.m:
-        raise IndexOutOfRangeError(f"subset index out of range for {space.m} points")
+                        gap_tol: float, max_iter: int) -> EnergyResult:
+    idx = check_subset(H, space.m)
     Q = space.kernel[np.ix_(idx, idx)]
     h = len(idx)
     sign = -1.0 if maximize else 1.0
@@ -631,25 +622,24 @@ def _quadratic_extremum(space: KernelSpace, H: Sequence[int], maximize: bool,
         cert = "heuristic_bound"
         notes = ("multistart bound only; no global certificate",)
 
-    value = float(v @ Q @ v)
     # drop dust atoms below the support threshold before reporting
     v = np.where(v < SUPPORT_EPS, 0.0, v)
     v = v / v.sum()
     measure = Measure.from_subvector(space.m, idx, v)
-    # report the value of the cleaned-up measure so value and point agree exactly
+    # report the value of the cleaned-up measure so value and measure agree exactly
     value = float(measure.weights @ space.kernel @ measure.weights)
-    return SimplexQpResult(value=value, point=measure, certificate=cert, gap=float(gap), notes=notes)
+    return EnergyResult(value=value, measure=measure, certificate=cert, gap=float(gap), notes=notes)
 
 
 def minimize_quadratic_on_simplex(space: KernelSpace, H: Sequence[int],
                                   gap_tol: float = QP_GAP_TOL,
-                                  max_iter: int = QP_MAX_ITER) -> SimplexQpResult:
+                                  max_iter: int = QP_MAX_ITER) -> EnergyResult:
     """Minimize the energy form over probability measures supported on H."""
     return _quadratic_extremum(space, H, maximize=False, gap_tol=gap_tol, max_iter=max_iter)
 
 
 def maximize_quadratic_on_simplex(space: KernelSpace, H: Sequence[int],
                                   gap_tol: float = QP_GAP_TOL,
-                                  max_iter: int = QP_MAX_ITER) -> SimplexQpResult:
+                                  max_iter: int = QP_MAX_ITER) -> EnergyResult:
     """Maximize the energy form over probability measures supported on H."""
     return _quadratic_extremum(space, H, maximize=True, gap_tol=gap_tol, max_iter=max_iter)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -262,21 +263,31 @@ def space_to_document(space: KernelSpace, pair: Optional[SubsetPair] = None) -> 
     return doc
 
 
-def save_space(space: KernelSpace, path: str, pair: Optional[SubsetPair] = None) -> None:
+def save_space(space: KernelSpace, path: Optional[str],
+               pair: Optional[SubsetPair] = None) -> None:
+    """Write a space file, or the same text to stdout when ``path`` is None."""
     _write_json(space_to_document(space, pair), path)
 
 
 # --------------------------------------------------------------------------
-# report files and CSV export
+# output text, report files and CSV export
 
-def _write_json(doc: dict, path: str) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def write_text(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def save_report(report: AnalysisReport, path: str) -> None:
-    """Write a report file; identical reports produce byte-identical files."""
+def _write_json(doc: dict, path: Optional[str]) -> None:
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
+
+
+def save_report(report: AnalysisReport, path: Optional[str]) -> None:
+    """Write a report file, or its text to stdout when ``path`` is None;
+    identical reports produce byte-identical text."""
     _write_json(report.to_dict(), path)
 
 

@@ -15,11 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import KernelSpace, Measure, SubsetPair
-from .minimax import AverageResult, average_interval
+from .minimax import AverageResult, average_interval, level_program
 from .optimize import (
-    EQ,
-    LE,
-    LinearProgram,
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
     solve_lp,
@@ -37,26 +34,9 @@ def min_invariance_gap(space: KernelSpace, pair: SubsetPair) -> tuple[float, Mea
 
     Solves: minimize t - s subject to s <= potential <= t on all of L.
     """
-    pair.check_range(space.m)
-    H, L = pair.H, pair.L
-    h, l = len(H), len(L)
-    KHL = space.kernel[np.ix_(L, H)]
-    # variables: weights on H, then t (roof), then s (floor)
-    c = np.zeros(h + 2)
-    c[h] = 1.0
-    c[h + 1] = -1.0
-    A = np.zeros((2 * l + 1, h + 2))
-    A[:l, :h] = KHL
-    A[:l, h] = -1.0
-    A[l : 2 * l, :h] = -KHL
-    A[l : 2 * l, h + 1] = 1.0
-    A[2 * l, :h] = 1.0
-    senses = tuple([LE] * (2 * l)) + (EQ,)
-    b = np.zeros(2 * l + 1)
-    b[2 * l] = 1.0
-    sol = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b))
+    sol = solve_lp(level_program(space, pair, roof=True, floor=True))
     gap = max(0.0, float(sol.objective))
-    measure = Measure.from_subvector(space.m, H, sol.x[:h])
+    measure = Measure.from_subvector(space.m, pair.H, sol.x[: len(pair.H)])
     return gap, measure
 
 

@@ -8,8 +8,8 @@ can be dumped to a file for replay.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,9 +27,10 @@ from .structure import (
 SUITE_NAMES = ("duality", "chain", "frostman", "wolf", "converse", "quasi")
 DEFAULT_SEEDS = 100
 DEFAULT_MAX_POINTS = 8
-# Pinned 6-point instance with a strict gap between the rendezvous value and
-# the maximal energy (found by scripts/find_energy_gap_seed.py); exercises the
-# branch where the equality implication is vacuous.
+# Seed of the pinned 6-point instance instance_space(REGRESSION_SEED): a strict
+# gap between the rendezvous value and the maximal energy (found by
+# scripts/find_energy_gap_seed.py) exercises the branch where the equality
+# implication is vacuous.
 REGRESSION_SEED = 3
 ELTON_UPPER_TOL = 1e-8
 ELTON_LOWER_TOL = 2e-8
@@ -45,11 +46,6 @@ def instance_space(seed: int, max_points: int = DEFAULT_MAX_POINTS) -> KernelSpa
     """
     m = 3 + seed % (max_points - 2)
     return generate(random_graph(m=m, edge_prob=0.5, seed=seed))
-
-
-def regression_space() -> KernelSpace:
-    """The pinned strict-gap instance (identical to instance_space(3))."""
-    return generate(random_graph(m=6, edge_prob=0.5, seed=REGRESSION_SEED))
 
 
 def instance_pairs(m: int, seed: int) -> tuple[SubsetPair, SubsetPair]:
@@ -246,8 +242,6 @@ def run_suites(suite: str, seeds: int = DEFAULT_SEEDS,
 
 def dump_failures(reports: tuple[SuiteReport, ...], directory: str) -> tuple[str, ...]:
     """Write the space file of every failing outcome; returns the paths."""
-    import os
-
     paths = []
     for report in reports:
         for outcome in report.outcomes:

@@ -31,7 +31,13 @@ from rdv import (
     wolf_relations,
 )
 from rdv.cli import main
-from rdv.suites import QUASI_EPS, instance_pairs, regression_space, vertex_transitive_family
+from rdv.suites import (
+    QUASI_EPS,
+    REGRESSION_SEED,
+    instance_pairs,
+    instance_space,
+    vertex_transitive_family,
+)
 
 from oracles import circle_limit_by_quadrature, grid_minimax
 
@@ -202,7 +208,7 @@ def test_criterion_08_energy_ordering_and_strict_gap(capsys, instances100):
         order_ok = order_ok and rep.r <= rep.e + 1e-8
         if abs(rep.r - rep.e) <= 1e-7:
             equality_ok = equality_ok and rep.invariant_found is True
-    pinned = wolf_relations(regression_space())
+    pinned = wolf_relations(instance_space(REGRESSION_SEED))
     strict = pinned.r < pinned.e - 1e-4
     ok = order_ok and equality_ok and strict
     announce(

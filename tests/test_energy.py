@@ -8,6 +8,7 @@ from rdv import (
     EmptySubsetError,
     IndexOutOfRangeError,
     Measure,
+    circle,
     dual_kernel,
     frostman_check,
     generate,
@@ -17,12 +18,13 @@ from rdv import (
     wolf_relations,
 )
 from rdv.energy import maximal_energy_raw
+from rdv.optimize import maximize_quadratic_on_simplex
 import sys
 
 # the package re-exports the energy() function, which shadows the module
 # attribute; grab the module object itself for monkeypatching
 energy_mod = sys.modules["rdv.energy"]
-from rdv.suites import regression_space
+from rdv.suites import REGRESSION_SEED, instance_space
 
 from oracles import grid_energy
 
@@ -134,7 +136,7 @@ class TestMaximalEnergy:
             out = real(space, H, **kw)
             return type(out)(
                 value=out.value + 1e-3,
-                point=out.point,
+                measure=out.measure,
                 certificate=out.certificate,
                 gap=out.gap,
                 notes=out.notes,
@@ -192,10 +194,31 @@ class TestWolfRelations:
     def test_pinned_strict_gap_instance(self):
         # 6-point geodesic space where the maximal energy strictly exceeds
         # the rendezvous value; values pinned as a regression guard
-        rep = wolf_relations(regression_space())
+        rep = wolf_relations(instance_space(REGRESSION_SEED))
         assert rep.r == pytest.approx(1.0360979992548067, abs=1e-9)
         assert rep.e == pytest.approx(1.1990690458407671, abs=1e-9)
         assert rep.e - rep.r == pytest.approx(0.1629710465859604, abs=1e-9)
         assert not rep.equality_applicable
         assert rep.invariant_found is None
         assert rep.upper_ok and rep.lower_ok
+
+
+class TestSubsetValidation:
+    """Every energy entry point checks H as strictly as a SubsetPair side."""
+
+    CALLS = {
+        "wiener_energy": wiener_energy,
+        "maximize_quadratic_on_simplex": maximize_quadratic_on_simplex,
+        "frostman_check": lambda space, H: frostman_check(space, H, Measure.uniform(space.m)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("H, error", [
+        ([0.7, 2], IndexOutOfRangeError),
+        ([-1, 2], IndexOutOfRangeError),
+        ([0, 6], IndexOutOfRangeError),
+        ([], EmptySubsetError),
+    ], ids=["non-integer", "negative", "out-of-range", "empty"])
+    def test_bad_subset_raises(self, name, H, error):
+        with pytest.raises(error):
+            self.CALLS[name](generate(circle(6)), H)

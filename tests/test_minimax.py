@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdv import (
+    KernelSpace,
     Measure,
     SubsetPair,
     UniquenessViolatedError,
@@ -27,6 +28,33 @@ from rdv import (
 import rdv.minimax as minimax
 
 from oracles import circle_rendezvous_closed_form, grid_minimax, hypercube_rendezvous
+
+
+class TestLevelProgram:
+    """The one LP behind q, q_lower and the invariance gap, row by row."""
+
+    # K[L, H] for H = (0, 2), L = (1, 2) is [[1, 3], [2, 0]]
+    SPACE = KernelSpace("k", ("a", "b", "c"),
+                        np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]), False)
+    PAIR = SubsetPair((0, 2), (1, 2))
+
+    @pytest.mark.parametrize("roof, floor, c, A", [
+        (True, False, [0, 0, 1],
+         [[1, 3, -1], [2, 0, -1], [1, 1, 0]]),
+        (False, True, [0, 0, -1],
+         [[-1, -3, 1], [-2, 0, 1], [1, 1, 0]]),
+        (True, True, [0, 0, 1, -1],
+         [[1, 3, -1, 0], [2, 0, -1, 0], [-1, -3, 0, 1], [-2, 0, 0, 1], [1, 1, 0, 0]]),
+    ], ids=["roof", "floor", "both"])
+    def test_rows(self, roof, floor, c, A):
+        lp = minimax.level_program(self.SPACE, self.PAIR, roof=roof, floor=floor)
+        rows = len(A)
+        assert np.array_equal(lp.c, np.array(c, dtype=float))
+        assert np.array_equal(lp.A, np.array(A, dtype=float))
+        assert lp.senses == ("<=",) * (rows - 1) + ("=",)
+        assert np.array_equal(lp.b, np.eye(rows)[-1])
+        assert np.array_equal(lp.lower, np.zeros(len(c)))
+        assert np.array_equal(lp.upper, np.full(len(c), np.inf))
 
 
 class TestFrozenValues:

@@ -198,7 +198,7 @@ class TestQuadraticRoutes:
         assert res.certificate == "global_concave_max"
         assert res.gap <= 1e-10
         assert res.value == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert res.point.weights == pytest.approx([1 / 3] * 3, abs=1e-6)
+        assert res.measure.weights == pytest.approx([1 / 3] * 3, abs=1e-6)
 
     def test_convex_certified_min_on_gram_kernel(self):
         # rank-one product kernel: energy = (sum_i x_i mu_i)^2, minimized at x=1
@@ -207,7 +207,7 @@ class TestQuadraticRoutes:
         res = minimize_quadratic_on_simplex(space, range(4))
         assert res.certificate == "global_convex"
         assert res.value == pytest.approx(1.0, abs=1e-8)
-        assert res.point.weights[0] == pytest.approx(1.0, abs=1e-6)
+        assert res.measure.weights[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_indefinite_enumeration(self):
         # single strong pair: energy 2*mu0*mu1*1, indefinite on sum-zero vectors
@@ -218,7 +218,7 @@ class TestQuadraticRoutes:
         assert top.certificate == "enumerated_exact"
         assert top.gap == 0.0
         assert top.value == pytest.approx(0.5, abs=1e-12)
-        assert sorted(top.point.support()) == [0, 1]
+        assert sorted(top.measure.support()) == [0, 1]
         bottom = minimize_quadratic_on_simplex(space, range(3))
         assert bottom.certificate == "enumerated_exact"
         assert bottom.value == pytest.approx(0.0, abs=1e-12)
@@ -250,21 +250,21 @@ class TestQuadraticRoutes:
                 maximize_quadratic_on_simplex(space, range(space.m)),
                 minimize_quadratic_on_simplex(space, range(space.m)),
             ):
-                direct = float(res.point.weights @ space.kernel @ res.point.weights)
-                assert res.value == direct  # exact: value recomputed from the point
+                direct = float(res.measure.weights @ space.kernel @ res.measure.weights)
+                assert res.value == direct  # exact: value recomputed from the measure
 
     def test_subset_support_respected(self, instances100):
         space = instances100[9]
         H = (0, 2, 4)
         res = maximize_quadratic_on_simplex(space, H)
-        assert set(res.point.support()) <= set(H)
+        assert set(res.measure.support()) <= set(H)
         outside = [i for i in range(space.m) if i not in H]
-        assert np.all(res.point.weights[outside] == 0.0)
+        assert np.all(res.measure.weights[outside] == 0.0)
 
     def test_no_dust_atoms(self, instances100):
         for space in instances100[:10]:
             res = maximize_quadratic_on_simplex(space, range(space.m))
-            w = res.point.weights
+            w = res.measure.weights
             assert np.all((w == 0.0) | (w > 1e-12))
 
     def test_errors(self, k3):

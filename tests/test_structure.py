@@ -21,7 +21,7 @@ from rdv import (
     validate_kernel,
 )
 from rdv.spectral import centered
-from rdv.suites import regression_space
+from rdv.suites import REGRESSION_SEED, instance_space
 
 from oracles import centered_by_projection, invariance_gap_grid, max_sum_zero_energy_probe
 
@@ -218,7 +218,7 @@ class TestConverseCheck:
         assert rep.wolf_form.target == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     def test_no_invariant_measure_disables_both(self):
-        space = regression_space()
+        space = instance_space(REGRESSION_SEED)
         rep = converse_check(space, SubsetPair.full(space.m))
         assert not rep.kernel_form.applicable
         assert any("invariant" in h for h in rep.kernel_form.failed_hypotheses)

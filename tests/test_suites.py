@@ -7,7 +7,6 @@ from rdv.suites import (
     SUITE_NAMES,
     instance_pairs,
     instance_space,
-    regression_space,
     vertex_transitive_family,
 )
 
@@ -26,11 +25,6 @@ class TestInstanceRecipe:
     def test_max_points_controls_cycle(self):
         sizes = [instance_space(seed, max_points=4).m for seed in range(4)]
         assert sizes == [3, 4, 3, 4]
-
-    def test_regression_space_is_seed_three(self):
-        a = regression_space()
-        b = instance_space(3)
-        assert np.array_equal(a.kernel, b.kernel)
 
     def test_pairs_deterministic_and_in_range(self):
         for seed in range(10):
