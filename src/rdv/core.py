@@ -151,15 +151,18 @@ class KernelSpace:
         return float(np.max(self.kernel)) if self.m else 0.0
 
 
+def _check_index(i: int, what: str) -> int:
+    """``i`` as an int; a non-integer or negative index raises."""
+    j = int(i)
+    if j != i:
+        raise IndexOutOfRangeError(f"{what} contains non-integer index {i!r}")
+    if j < 0:
+        raise IndexOutOfRangeError(f"{what} contains negative index {j}")
+    return j
+
+
 def _check_indices(indices: Sequence[int], what: str) -> tuple[int, ...]:
-    out = []
-    for i in indices:
-        j = int(i)
-        if j != i:
-            raise IndexOutOfRangeError(f"{what} contains non-integer index {i!r}")
-        if j < 0:
-            raise IndexOutOfRangeError(f"{what} contains negative index {j}")
-        out.append(j)
+    out = [_check_index(i, what) for i in indices]
     if not out:
         raise EmptySubsetError(f"{what} must be nonempty")
     return tuple(sorted(set(out)))

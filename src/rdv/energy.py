@@ -90,7 +90,8 @@ def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
     if w is None:
         w = wiener_energy(space, subset).value
     pot = space.kernel[subset, :] @ mu.weights
-    support = [i for i in mu.support() if i in set(subset)]
+    in_subset = set(subset)
+    support = [i for i in mu.support() if i in in_subset]
     if support:
         pot_supp = space.kernel[support, :] @ mu.weights
         max_on_support = float(pot_supp.max())

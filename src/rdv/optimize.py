@@ -1,10 +1,12 @@
 """Self-contained solvers: dense LP and quadratic optimization on the simplex.
 
-The LP solver is a revised primal simplex with Dantzig pricing that falls
-back to Bland's rule for guaranteed termination.  Every optimal solution is
-re-certified against the original problem data: primal feasibility, dual
-feasibility, and strong duality, at fixed absolute tolerances.  Vertex
-solutions keep exact zeros, which the equilibrium-measure checks rely on.
+The LP solver takes one form, min c @ x over x >= 0 with ``<=`` and ``=``
+rows, which is the form of every level program.  It is a revised primal
+simplex with Dantzig pricing that falls back to Bland's rule for
+guaranteed termination.  Every optimal solution is re-certified against
+the original problem data: primal feasibility, dual feasibility, and
+strong duality, at fixed absolute tolerances.  Vertex solutions keep exact
+zeros, which the equilibrium-measure checks rely on.
 
 Quadratic objectives over the probability simplex are handled by three
 routes, picked by the curvature of the kernel on the sum-zero subspace:
@@ -47,23 +49,20 @@ QP_GAP_TOL = 1e-10
 QP_MAX_ITER = 100_000
 QP_ENUM_LIMIT = 14
 
-LE, EQ, GE = "<=", "=", ">="
+LE, EQ = "<=", "="
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Minimize c @ x subject to row constraints and variable bounds.
+    """Minimize c @ x over x >= 0 subject to rows A @ x <= b or A @ x = b.
 
-    ``senses[i]`` is one of ``"<="``, ``"="``, ``">="``.  Bounds may be
-    infinite; missing bounds mean (0, +inf).
+    ``senses[i]`` is ``"<="`` or ``"="``.
     """
 
     c: np.ndarray
     A: np.ndarray
     senses: tuple[str, ...]
     b: np.ndarray
-    lower: np.ndarray = None
-    upper: np.ndarray = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -78,16 +77,10 @@ class LinearProgram:
                 f"b has {b.size}, {len(self.senses)} senses"
             )
         for s in self.senses:
-            if s not in (LE, EQ, GE):
+            if s not in (LE, EQ):
                 raise DimensionMismatchError(f"unknown row sense {s!r}")
-        lower = np.zeros(cols) if self.lower is None else np.asarray(self.lower, dtype=float)
-        upper = np.full(cols, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        if lower.shape != (cols,) or upper.shape != (cols,):
-            raise DimensionMismatchError("bound vectors must match the variable count")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise NonFiniteEntryError("LP data must be finite")
-        if np.any(lower > upper):
-            raise DimensionMismatchError("some lower bound exceeds its upper bound")
         if max(rows, cols) > LP_SIZE_CAP:
             raise CapExceededError(
                 f"LP has {rows} rows x {cols} columns; cap is {LP_SIZE_CAP} per dimension"
@@ -96,12 +89,20 @@ class LinearProgram:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "senses", tuple(self.senses))
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Variable lower bounds: all zero."""
+        return np.zeros(self.A.shape[1])
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Variable upper bounds: all +inf."""
+        return np.full(self.A.shape[1], np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,109 +239,40 @@ class _Simplex:
 
 
 def _to_standard_form(lp: LinearProgram):
-    """Rewrite with nonnegative variables and equality rows, b >= 0.
+    """Rewrite as equality rows with b >= 0: a +1 slack per ``<=`` row, then row flips.
 
-    Returns (A_std, b_std, c_std, col_map, row_sign, n_rows_orig) where
-    ``col_map`` maps each standard column to (orig_var, sign, base) or None
-    for slack/artificial columns.
+    Returns (A_std, b_std, c_std, slack_rows, row_sign).  The columns of
+    A_std are x, then the slack of each row in ``slack_rows``, in order.
     """
-    rows, cols = lp.shape
-    a_cols = []
-    c_std = []
-    col_map = []
-    b = lp.b.copy()
-    extra_rows = []  # (coefficient column vector, rhs, sense) for finite upper bounds
-    for j in range(cols):
-        lo, up = lp.lower[j], lp.upper[j]
-        col = lp.A[:, j]
-        if math.isfinite(lo):
-            # x_j = lo + x'_j with x'_j >= 0
-            b -= col * lo
-            a_cols.append(col)
-            c_std.append(lp.c[j])
-            col_map.append((j, 1.0, lo))
-            if math.isfinite(up):
-                extra_rows.append((len(a_cols) - 1, up - lo))
-        elif math.isfinite(up):
-            # x_j = up - x'_j with x'_j >= 0
-            b -= col * up
-            a_cols.append(-col)
-            c_std.append(-lp.c[j])
-            col_map.append((j, -1.0, up))
-        else:
-            # free variable: x_j = x+ - x-
-            a_cols.append(col)
-            c_std.append(lp.c[j])
-            col_map.append((j, 1.0, 0.0))
-            a_cols.append(-col)
-            c_std.append(-lp.c[j])
-            col_map.append((j, -1.0, 0.0))
+    rows = lp.shape[0]
+    slack_rows = np.flatnonzero([s == LE for s in lp.senses])
+    slack = np.zeros((rows, slack_rows.size))
+    slack[slack_rows, np.arange(slack_rows.size)] = 1.0
+    A_std = np.hstack([lp.A, slack])
+    c_std = np.concatenate([lp.c, np.zeros(slack_rows.size)])
 
-    A1 = np.column_stack(a_cols) if a_cols else np.zeros((rows, 0))
-    all_rows = [A1]
-    all_b = [b]
-    senses = list(lp.senses)
-    for col_idx, rhs in extra_rows:
-        r = np.zeros(A1.shape[1])
-        r[col_idx] = 1.0
-        all_rows.append(r[None, :])
-        all_b.append(np.array([rhs]))
-        senses.append(LE)
-    A2 = np.vstack(all_rows)
-    b2 = np.concatenate(all_b)
-    n_rows = A2.shape[0]
-
-    # slack columns turn every row into an equality
-    slack_cols = []
-    slack_sign = np.zeros(n_rows)
-    for i, s in enumerate(senses):
-        if s == LE:
-            slack_sign[i] = 1.0
-        elif s == GE:
-            slack_sign[i] = -1.0
-    for i in range(n_rows):
-        if slack_sign[i] != 0.0:
-            col = np.zeros(n_rows)
-            col[i] = slack_sign[i]
-            slack_cols.append(col)
-            col_map.append(None)
-            c_std.append(0.0)
-    A3 = np.column_stack([A2] + [c[:, None] for c in slack_cols]) if slack_cols else A2
-
-    row_sign = np.ones(n_rows)
-    neg = b2 < 0.0
+    row_sign = np.ones(rows)
+    neg = lp.b < 0.0
     row_sign[neg] = -1.0
-    A3[neg] *= -1.0
-    b3 = b2.copy()
-    b3[neg] *= -1.0
-    return A3, b3, np.asarray(c_std), col_map, row_sign, rows
+    A_std[neg] *= -1.0
+    b_std = lp.b.copy()
+    b_std[neg] *= -1.0
+    return A_std, b_std, c_std, slack_rows, row_sign
 
 
 def _solve_lp_once(lp: LinearProgram, refresh: int, bland_from_start: bool) -> LpSolution:
-    A_std, b_std, c_std, col_map, row_sign, n_rows_orig = _to_standard_form(lp)
-    rows = A_std.shape[0]
-    n_struct = A_std.shape[1]
+    A_std, b_std, c_std, slack_rows, row_sign = _to_standard_form(lp)
+    rows, n_struct = A_std.shape
+    n_x = lp.shape[1]
 
-    # initial basis: a +1 slack where available, otherwise an artificial column
+    # initial basis: the slack of each unflipped <= row, otherwise an artificial column
     basis = np.full(rows, -1, dtype=int)
-    for j, mapping in enumerate(col_map):
-        if mapping is None:
-            col = A_std[:, j]
-            i = int(np.argmax(np.abs(col)))
-            if col[i] == 1.0 and basis[i] == -1:
-                basis[i] = j
-    art_cols = []
-    for i in range(rows):
-        if basis[i] == -1:
-            col = np.zeros(rows)
-            col[i] = 1.0
-            art_cols.append(col)
-            basis[i] = n_struct + len(art_cols) - 1
-    n_art = len(art_cols)
-    if n_art:
-        A_full = np.column_stack([A_std] + [c[:, None] for c in art_cols])
-    else:
-        A_full = A_std
+    unflipped = row_sign[slack_rows] > 0.0
+    basis[slack_rows[unflipped]] = n_x + np.flatnonzero(unflipped)
+    art_rows = np.flatnonzero(basis < 0)
+    n_art = art_rows.size
+    basis[art_rows] = n_struct + np.arange(n_art)
+    A_full = np.hstack([A_std, np.eye(rows)[:, art_rows]])
     cols = A_full.shape[1]
 
     sx = _Simplex(A_full, b_std, n_struct, refresh=refresh,
@@ -366,14 +298,10 @@ def _solve_lp_once(lp: LinearProgram, refresh: int, bland_from_start: bool) -> L
     x_basic = np.linalg.solve(A_full[:, sx.basis], b_std)
     x_std = np.zeros(cols)
     x_std[sx.basis] = x_basic
-    x = np.zeros(lp.shape[1])
-    for j, mapping in enumerate(col_map):
-        if mapping is not None:
-            var, sign, base = mapping
-            x[var] += sign * x_std[j] + base
+    x = x_std[:n_x] + 0.0  # + 0.0 keeps -0.0 out of x and the reports
 
     y_std = np.linalg.solve(A_full[:, sx.basis].T, c_phase2[sx.basis])
-    y = row_sign[:n_rows_orig] * y_std[:n_rows_orig]
+    y = row_sign * y_std
     objective = float(lp.c @ x)
     _certify(lp, x, y, objective)
     return LpSolution(status="optimal", x=x, y=y, objective=objective)
@@ -396,42 +324,28 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, objective: float) -> None:
     """KKT certificate recomputed from the original data, absolute tolerances."""
-    Ax = lp.A @ x
-    for i, s in enumerate(lp.senses):
-        r = Ax[i] - lp.b[i]
-        if s == LE and r > PRIMAL_TOL:
-            raise NumericalBreakdownError(f"primal residual {r:.3e} on row {i} (<=)")
-        if s == GE and r < -PRIMAL_TOL:
-            raise NumericalBreakdownError(f"primal residual {r:.3e} on row {i} (>=)")
-        if s == EQ and abs(r) > PRIMAL_TOL:
-            raise NumericalBreakdownError(f"primal residual {r:.3e} on row {i} (=)")
-        if s == LE and y[i] > DUAL_TOL:
-            raise NumericalBreakdownError(f"dual sign violation {y[i]:.3e} on row {i} (<=)")
-        if s == GE and y[i] < -DUAL_TOL:
-            raise NumericalBreakdownError(f"dual sign violation {y[i]:.3e} on row {i} (>=)")
-    if np.any(x < lp.lower - PRIMAL_TOL) or np.any(x > lp.upper + PRIMAL_TOL):
+    le = np.array([s == LE for s in lp.senses], dtype=bool)
+    r = lp.A @ x - lp.b
+    bad = np.flatnonzero(np.where(le, r > PRIMAL_TOL, np.abs(r) > PRIMAL_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericalBreakdownError(f"primal residual {r[i]:.3e} on row {i} ({lp.senses[i]})")
+    bad = np.flatnonzero(le & (y > DUAL_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericalBreakdownError(f"dual sign violation {y[i]:.3e} on row {i} (<=)")
+    if np.any(x < -PRIMAL_TOL):
         raise NumericalBreakdownError("bound violation in primal solution")
 
+    # reduced costs: nonnegative where x sits at its zero bound, zero elsewhere
     z = lp.c - lp.A.T @ y
+    at_zero = x <= 10 * PRIMAL_TOL
+    bad = np.flatnonzero(np.where(at_zero, z < -DUAL_TOL, np.abs(z) > DUAL_TOL))
+    if bad.size:
+        j = bad[0]
+        where = "at zero" if at_zero[j] else "on interior"
+        raise NumericalBreakdownError(f"reduced cost {z[j]:.3e} {where} variable {j}")
     dual_obj = float(lp.b @ y)
-    act = 10 * PRIMAL_TOL
-    for j in range(x.size):
-        at_lower = math.isfinite(lp.lower[j]) and x[j] <= lp.lower[j] + act
-        at_upper = math.isfinite(lp.upper[j]) and x[j] >= lp.upper[j] - act
-        zj = float(z[j])
-        if at_lower and at_upper:
-            dual_obj += lp.lower[j] * zj
-        elif at_lower:
-            if zj < -DUAL_TOL:
-                raise NumericalBreakdownError(f"reduced cost {zj:.3e} at lower bound, variable {j}")
-            dual_obj += lp.lower[j] * max(zj, 0.0)
-        elif at_upper:
-            if zj > DUAL_TOL:
-                raise NumericalBreakdownError(f"reduced cost {zj:.3e} at upper bound, variable {j}")
-            dual_obj += lp.upper[j] * min(zj, 0.0)
-        else:
-            if abs(zj) > DUAL_TOL:
-                raise NumericalBreakdownError(f"reduced cost {zj:.3e} on interior variable {j}")
     if abs(objective - dual_obj) > GAP_TOL:
         raise NumericalBreakdownError(
             f"duality gap {objective - dual_obj:.3e} exceeds {GAP_TOL:.0e}"

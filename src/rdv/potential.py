@@ -20,6 +20,7 @@ from .core import (
     Measure,
     TIE_TOL,
     ValueInterval,
+    _check_index,
 )
 
 
@@ -33,8 +34,8 @@ def _check_measure(space: KernelSpace, mu: Measure) -> None:
 def potential_at(space: KernelSpace, mu: Measure, x: int) -> float:
     """Potential of ``mu`` at point index ``x``: sum_y k(x, y) mu(y)."""
     _check_measure(space, mu)
-    xi = int(x)
-    if not (0 <= xi < space.m):
+    xi = _check_index(x, "x")
+    if xi >= space.m:
         raise IndexOutOfRangeError(f"point index {x} out of range for {space.m} points")
     return float(space.kernel[xi] @ mu.weights)
 
@@ -64,10 +65,10 @@ class PotentialProfile:
 def profile(space: KernelSpace, mu: Measure, L: Sequence[int]) -> PotentialProfile:
     """Evaluate the potential of ``mu`` on every point of ``L``."""
     _check_measure(space, mu)
-    idx = tuple(int(i) for i in L)
+    idx = tuple(_check_index(i, "evaluation set") for i in L)
     if not idx:
         raise EmptySubsetError("profile over an empty evaluation set")
-    if min(idx) < 0 or max(idx) >= space.m:
+    if max(idx) >= space.m:
         raise IndexOutOfRangeError(f"evaluation set index out of range for {space.m} points")
     values = space.kernel[list(idx), :] @ mu.weights
     lo = float(values.min())

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelSpace, Measure, RdvError, SubsetPair, dual_kernel
+from .core import (
+    DimensionMismatchError,
+    KernelSpace,
+    Measure,
+    RdvError,
+    SubsetPair,
+    dual_kernel,
+)
 from .energy import frostman_check, wiener_energy, wolf_relations
 from .minimax import average_interval, elton_measures, inequality_chain
 from .spaces import circle, generate, hypercube, random_graph, save_space
@@ -198,9 +205,12 @@ def _check_transitive(name: str, space: KernelSpace) -> tuple[bool, str]:
 
 def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
               max_points: int = DEFAULT_MAX_POINTS) -> SuiteReport:
-    """Run one named suite over seeds 0..seeds-1."""
+    """Run one named suite over seeds 0..seeds-1 (at least one seed, at least 3 points)."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
+    if seeds < 1 or max_points < 3:
+        raise DimensionMismatchError(
+            f"a suite needs seeds >= 1 and max_points >= 3; got {seeds} and {max_points}")
     outcomes = []
     for seed in range(seeds):
         space = instance_space(seed, max_points)

@@ -277,6 +277,16 @@ class TestVerify:
         replayed, _ = load_space_file(str(tmp_path / "failed_duality_0.json"))
         assert replayed.m == 3
 
+    @pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seeds", "-1"],
+                                       ["--max-points", "2"], ["--max-points", "1"]])
+    def test_bad_sizes_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "sum.json"
+        assert main(["verify", "--suite", "all", *flags, "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "error[DimensionMismatch]" in captured.err
+        assert "pass" not in captured.out
+        assert not out.exists()
+
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nonsense"])

@@ -13,29 +13,40 @@ from rdv import (
     IndexOutOfRangeError,
     KernelSpace,
     NonFiniteEntryError,
+    NumericalBreakdownError,
+    SubsetPair,
     generate,
     hypercube,
     random_graph,
 )
+from rdv.minimax import level_program
 from rdv.optimize import (
     LinearProgram,
+    _certify,
     _enumerate_supports,
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
     solve_lp,
 )
+from rdv.suites import instance_pairs, instance_space
 
 from oracles import grid_energy
 
 
-def _lp(c, A, senses, b, **kw):
+def _lp(c, A, senses, b):
     return LinearProgram(
         c=np.asarray(c, dtype=float),
         A=np.asarray(A, dtype=float),
         senses=tuple(senses),
         b=np.asarray(b, dtype=float),
-        **kw,
     )
+
+
+def _boxed(c, A, senses, b, ub):
+    """The LP with the box x <= ub written as extra <= rows."""
+    n = len(c)
+    return _lp(c, np.vstack([A, np.eye(n)]), tuple(senses) + ("<=",) * n,
+               np.concatenate([b, np.full(n, ub)]))
 
 
 class TestLpBasics:
@@ -47,7 +58,6 @@ class TestLpBasics:
                 A=[[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [1.0, 1.0, 0.0]],
                 senses=("<=", "<=", "="),
                 b=[0.0, 0.0, 1.0],
-                lower=np.array([0.0, 0.0, -np.inf]),
             )
         )
         assert sol.status == "optimal"
@@ -69,21 +79,6 @@ class TestLpBasics:
         sol = solve_lp(_lp([-1.0], [[0.0]], ("<=",), [1.0]))
         assert sol.status == "unbounded"
         assert math.isnan(sol.objective)
-
-    def test_free_variable_with_ge_row(self):
-        sol = solve_lp(
-            _lp([1.0], [[1.0]], (">=",), [-2.0], lower=np.array([-np.inf]))
-        )
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(-2.0, abs=1e-12)
-
-    def test_finite_upper_bound(self):
-        sol = solve_lp(
-            _lp([-1.0], [[0.0]], ("<=",), [1.0], upper=np.array([7.0]))
-        )
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(-7.0, abs=1e-12)
-        assert sol.x[0] == pytest.approx(7.0, abs=1e-12)
 
     def test_equality_rows(self):
         sol = solve_lp(
@@ -127,7 +122,7 @@ class TestLpBasics:
             lambda: _lp([1.0, 2.0], [[1.0]], ("<=",), [1.0]),
             lambda: _lp([1.0], [[1.0]], ("<=", "<="), [1.0]),
             lambda: _lp([1.0], [[1.0]], ("<",), [1.0]),
-            lambda: _lp([1.0], [[1.0]], ("<=",), [1.0], lower=np.array([2.0]), upper=np.array([1.0])),
+            lambda: _lp([1.0], [[1.0]], (">=",), [1.0]),
         ],
     )
     def test_shape_validation(self, bad):
@@ -148,13 +143,13 @@ class TestLpDuality:
             x0 = rng.dirichlet(np.ones(n))
             b = A @ x0 + rng.uniform(0.0, 1.0, size=rows)
             c = rng.normal(size=n)
-            lp = _lp(c, A, ("<=",) * rows, b, upper=np.full(n, 2.0))
+            lp = _boxed(c, A, ("<=",) * rows, b, 2.0)
             sol = solve_lp(lp)
             assert sol.status == "optimal"
             # feasibility of the returned vertex
             assert np.all(A @ sol.x <= b + 1e-9)
             assert np.all(sol.x >= -1e-9) and np.all(sol.x <= 2.0 + 1e-9)
-            # dual signs for <= rows of a minimization
+            # dual signs for <= rows of a minimization, box rows included
             assert np.all(sol.y <= 1e-9)
 
     def test_agrees_with_reference_solver(self):
@@ -167,7 +162,7 @@ class TestLpDuality:
             x0 = rng.dirichlet(np.ones(n))
             b = (A @ x0 + rng.uniform(0.0, 1.0, size=rows)).round(3)
             c = rng.normal(size=n).round(3)
-            lp = _lp(c, A, ("<=",) * rows, b, upper=np.full(n, 1.5))
+            lp = _boxed(c, A, ("<=",) * rows, b, 1.5)
             sol = solve_lp(lp)
             ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0.0, 1.5)] * n, method="highs")
             assert sol.status == "optimal" and ref.status == 0, f"trial {trial}"
@@ -182,7 +177,7 @@ class TestLpDuality:
             x0 = rng.dirichlet(np.ones(n))
             b = (A @ x0).round(6)
             c = rng.normal(size=n).round(3)
-            lp = _lp(c, A, ("=", "="), b, upper=np.full(n, 3.0))
+            lp = _boxed(c, A, ("=", "="), b, 3.0)
             sol = solve_lp(lp)
             ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, 3.0)] * n, method="highs")
             if ref.status != 0:
@@ -190,6 +185,68 @@ class TestLpDuality:
                 continue
             assert sol.status == "optimal", f"trial {trial}"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+
+
+class TestCertificate:
+    """Each KKT check of the certificate, just past and just inside its tolerance.
+
+    LP: minimize x0 + 2 x1 subject to x0 <= 2 and x0 + x1 = 1; optimum
+    x = (1, 0), y = (0, 1), objective 1.
+    """
+
+    LP = _lp([1.0, 2.0], [[1.0, 0.0], [1.0, 1.0]], ("<=", "="), [2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "x, y, objective, match",
+        [
+            ([2.0 + 2e-9, -1.0 - 2e-9], [0.0, 1.0], 0.0, r"primal residual .* \(<=\)"),
+            ([1.0, 2e-9], [0.0, 1.0], 1.0, r"primal residual .* \(=\)"),
+            ([1.0 - 2e-9, 0.0], [0.0, 1.0], 1.0, r"primal residual .* \(=\)"),
+            ([1.0, 0.0], [2e-9, 1.0], 1.0, "dual sign"),
+            ([1.0 + 2e-9, -2e-9], [0.0, 1.0], 1.0, "bound violation"),
+            ([1.0, 0.0], [-1.0 - 2e-9, 2.0 + 2e-9], 1.0, "reduced cost"),
+            ([1.0, 0.0], [-2e-9, 1.0], 1.0, "reduced cost"),
+            ([1.0, 0.0], [0.0, 1.0 + 2e-9], 1.0, "reduced cost"),
+            ([1.0, 0.0], [0.0, 1.0], 1.0 + 2e-8, "duality gap"),
+            ([1.0, 0.0], [0.0, 1.0], 1.0 - 2e-8, "duality gap"),
+        ],
+    )
+    def test_violation_raises(self, x, y, objective, match):
+        with pytest.raises(NumericalBreakdownError, match=match):
+            _certify(self.LP, np.array(x), np.array(y), objective)
+
+    @pytest.mark.parametrize(
+        "x, y, objective",
+        [
+            ([1.0, 0.0], [0.0, 1.0], 1.0),
+            ([1.0, 5e-10], [0.0, 1.0], 1.0),
+            ([1.0, 0.0], [5e-10, 1.0], 1.0),
+            ([1.0 + 5e-10, -5e-10], [0.0, 1.0], 1.0),
+            ([1.0, 0.0], [-5e-10, 1.0], 1.0),
+            ([1.0, 0.0], [0.0, 1.0], 1.0 + 5e-9),
+        ],
+    )
+    def test_within_tolerance_passes(self, x, y, objective):
+        _certify(self.LP, np.array(x), np.array(y), objective)
+
+
+class TestLevelProgramsAgainstReference:
+    """Every LP the program builds, against scipy's HiGHS on the same data."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("roof, floor", [(True, False), (False, True), (True, True)])
+    def test_objective_matches_highs(self, seed, roof, floor):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        space = instance_space(seed)
+        nested, general = instance_pairs(space.m, seed)
+        for pair in (SubsetPair.full(space.m), nested, general):
+            lp = level_program(space, pair, roof, floor)
+            le = np.array([s == "<=" for s in lp.senses])
+            sol = solve_lp(lp)
+            ref = linprog(lp.c, A_ub=lp.A[le], b_ub=lp.b[le], A_eq=lp.A[~le],
+                          b_eq=lp.b[~le], bounds=(0.0, None), method="highs")
+            assert sol.status == "optimal" and ref.status == 0, pair
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-9), pair
 
 
 class TestQuadraticRoutes:

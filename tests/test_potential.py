@@ -41,6 +41,16 @@ class TestPotentialAt:
         with pytest.raises(DimensionMismatchError):
             potential_at(k3, Measure.uniform(4), 0)
 
+    @pytest.mark.parametrize("x", [1.5, 0.7, np.float64(2.25)])
+    def test_non_integer_index_rejected(self, k3, x):
+        with pytest.raises(IndexOutOfRangeError, match="non-integer"):
+            potential_at(k3, Measure.uniform(3), x)
+
+    def test_integral_float_and_numpy_indices_accepted(self, g3):
+        mu = Measure(np.array([0.25, 0.25, 0.5]))
+        for x in (1.0, np.int64(1), np.float64(1.0)):
+            assert potential_at(g3, mu, x) == potential_at(g3, mu, 1)
+
 
 class TestEnergy:
     def test_metric_dirac_has_zero_energy(self, k3):
@@ -116,6 +126,19 @@ class TestProfile:
     def test_out_of_range(self, k3):
         with pytest.raises(IndexOutOfRangeError):
             profile(k3, Measure.uniform(3), [0, 5])
+        with pytest.raises(IndexOutOfRangeError):
+            profile(k3, Measure.uniform(3), [0, -1])
+
+    @pytest.mark.parametrize("L", [[0.7, 2.9], [0, 1.5], [np.float64(0.5)]])
+    def test_non_integer_index_rejected(self, k3, L):
+        with pytest.raises(IndexOutOfRangeError, match="non-integer"):
+            profile(k3, Measure.uniform(3), L)
+
+    def test_order_and_duplicates_kept(self, g3):
+        prof = profile(g3, Measure.dirac(3, 0), [2, 0, 2.0, 1])
+        assert prof.L == (2, 0, 2, 1)
+        assert np.array_equal(prof.values, g3.kernel[[2, 0, 2, 1], 0])
+        assert prof.argmax == (2, 2)
 
 
 class TestLinearity:

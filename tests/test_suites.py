@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rdv import load_space_file, run_suite, run_suites
+from rdv import DimensionMismatchError, load_space_file, run_suite, run_suites
 from rdv.suites import (
     SUITE_NAMES,
     instance_pairs,
@@ -48,6 +48,20 @@ class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("everything")
+
+    @pytest.mark.parametrize("seeds, max_points", [(0, 8), (-2, 8), (4, 2), (4, 1), (4, -5)])
+    def test_bad_sizes_rejected(self, seeds, max_points):
+        # no seed is a vacuous pass; fewer than 3 points breaks the size cycle
+        for suite in SUITE_NAMES:
+            with pytest.raises(DimensionMismatchError):
+                run_suite(suite, seeds=seeds, max_points=max_points)
+        with pytest.raises(DimensionMismatchError):
+            run_suites("all", seeds=seeds, max_points=max_points)
+
+    def test_smallest_sizes_run(self):
+        report = run_suite("duality", seeds=1, max_points=3)
+        assert report.counts == (1, 1)
+        assert report.outcomes[0].space.m == 3
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_small_run_passes(self, suite):
