@@ -1,11 +1,14 @@
 """Tabulate rendezvous numbers of discretized spaces against continuum limits.
 
-Doubles the point count on a classical space and prints, per row, the exact
-LP value, the distance to the continuum limit, and the ratio of successive
-errors (a ratio near 4 indicates quadratic convergence in the mesh size).
-The circle limit is 4/pi times the radius; interval grids sit exactly at
-half the diameter for every resolution, so their error column is a solver
-sanity check rather than a discretization study.
+Doubles the point count on a classical space and prints, per row, the
+rendezvous number, the distance to the continuum limit, and the ratio of
+successive errors (a ratio near 4 indicates quadratic convergence in the
+mesh size).  Both families have an invariant measure (uniform on the circle,
+the two endpoints on the interval), so ``rendezvous_number`` reads r from
+its potential, proved constant to within 1e-8 rounding included, and
+solves no LP.  The circle limit is 4/pi times the radius; interval grids sit
+exactly at half the diameter for every resolution, so their error column is
+a sanity check rather than a discretization study.
 
 Usage: python scripts/grid_convergence.py [family] [max_m]
        family in {circle, interval}, default circle; default max_m 128.

@@ -105,11 +105,12 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
                    dual_constant: Optional[float] = None) -> tuple[AnalysisReport, int]:
     """Full analysis of one space/pair; returns (report, exit code).
 
-    Each LP, and each QP apart from the converse check's energy on H, is
-    solved once and handed to every reader.  Two second solves stay on
-    purpose, as independent checks: the lower minimax value is its own LP
-    beside the upper one, and the maximal energy's dual route (C minus the
-    dual kernel's minimal energy) is its own QP beside the direct one.
+    Each LP and QP is solved once and handed to every reader.  Two second
+    solves stay on purpose, as independent checks: the lower minimax value
+    is its own LP beside the upper one, and the maximal energy's dual route
+    (C minus the dual kernel's minimal energy) is its own QP beside the
+    direct one.  Where an invariant measure settles a pair with H = L (see
+    ``average_interval``), that pair needs no LP at all.
     """
     pair.check_range(space.m)
     full = SubsetPair.full(space.m)
@@ -125,7 +126,8 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     nt = negative_type_test(space)
     chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap, table=table,
                              average=avg)
-    conv = converse_check(space, pair, average=avg, invariance=inv)
+    conv = converse_check(space, pair, average=avg, invariance=inv,
+                          max_energy=me if is_full else None)
     fr = frostman_check(dual, range(space.m), eq.measure, frostman_tol, w=eq.value)
 
     avg_full = avg if is_full else average_interval(space, full)

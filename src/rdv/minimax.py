@@ -6,6 +6,12 @@ Both are linear programs over the probability simplex.  For H = L the two
 values coincide (up to solver tolerance) and the common value is the
 rendezvous number of the subspace; a persistent gap there is reported as
 a hard failure, never averaged away.
+
+For H = L an invariant measure, one whose potential is constant on L,
+settles both values without an LP: ``invariant_candidate`` tries the
+uniform measure and the normalized solution of K[H, H] z = 1, and accepts
+one only when its oscillation, rounding error included, is proved below
+``INVARIANCE_TOL``.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    MEASURE_NEG_TOL,
     KernelSpace,
     Measure,
     SubsetPair,
@@ -24,8 +31,11 @@ from .core import (
 )
 from .chebyshev import ChebyshevTable, check_n_max, chebyshev_table
 from .optimize import EQ, LE, LinearProgram, solve_lp
+from .potential import profile
 
 GAP_UNIQUE_TOL = 1e-8
+INVARIANCE_TOL = 1e-8
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
@@ -71,6 +81,50 @@ def q_lower_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]
     return float(sol.x[h]), Measure.from_subvector(space.m, pair.H, sol.x[:h])
 
 
+def _certified_invariant(space: KernelSpace, pair: SubsetPair,
+                         z: np.ndarray) -> Optional[Measure]:
+    """z / sum(z) as a measure on H = L, if its potential is provably near constant.
+
+    Weights within 1e-9 of zero, relative to the largest, are snapped to
+    zero; any other negative weight rejects z.  K and mu are nonnegative, so
+    each computed potential is off by at most gamma_h max(K mu), with
+    gamma_h = h u / (1 - h u) the rounding bound of a dot product of h
+    nonzero terms (Higham, 2002).  The computed oscillation plus twice that
+    must be at most ``INVARIANCE_TOL``.
+    """
+    if not np.all(np.isfinite(z)):
+        return None
+    z = np.where(np.abs(z) <= MEASURE_NEG_TOL * np.abs(z).max(), 0.0, z)
+    if np.any(z < 0.0):
+        return None
+    mu = Measure.from_subvector(space.m, pair.H, z / z.sum())
+    levels = profile(space, mu, pair.L).interval
+    hu = len(pair.H) * _UNIT_ROUNDOFF
+    return mu if levels.width + 2.0 * hu / (1.0 - hu) * levels.hi <= INVARIANCE_TOL else None
+
+
+def invariant_candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
+    """A measure on H with provably constant potential on L = H, or None.
+
+    Tries the uniform measure (exact on vertex-transitive spaces such as the
+    circle and the hypercube), then the normalized solution of
+    K[H, H] z = 1 (the two endpoints on an interval grid).  For H != L, or
+    when both miss, returns None and the LPs decide.
+    """
+    if pair.H != pair.L:
+        return None
+    pair.check_range(space.m)
+    ones = np.ones(len(pair.H))
+    mu = _certified_invariant(space, pair, ones)
+    if mu is not None:
+        return mu
+    try:
+        z = np.linalg.solve(space.kernel[np.ix_(pair.H, pair.H)], ones)
+    except np.linalg.LinAlgError:
+        return None
+    return _certified_invariant(space, pair, z)
+
+
 @dataclass(frozen=True)
 class AverageResult:
     """Upper and lower minimax values with their optimal measures.
@@ -78,7 +132,9 @@ class AverageResult:
     ``interval`` is the set of simultaneously achievable average levels;
     it collapses to ``unique_point`` when the two values agree within
     1e-8, and is flagged empty when the lower value strictly exceeds the
-    upper one (possible for general subset pairs).
+    upper one (possible for general subset pairs).  When an invariant
+    measure settled the values, ``mu_opt`` and ``nu_opt`` are that one
+    measure, the same object.
     """
 
     q_upper: float
@@ -92,12 +148,31 @@ class AverageResult:
 def average_interval(space: KernelSpace, pair: SubsetPair) -> AverageResult:
     """Both minimax values over one subset pair.
 
-    For H = L the values must agree within 1e-8 (the interval is a single
-    point there); any larger discrepancy raises ``UniquenessViolatedError``
-    rather than returning a fudged answer.
+    For H = L, an ``invariant_candidate`` mu settles both values without an
+    LP.  K is symmetric, so every measure nu on H has
+    max K nu >= <nu, K mu> >= min K mu and min K nu <= <mu, K nu> <= max K mu:
+    both values lie in [min K mu, max K mu], which is returned, with mu as
+    the measure of both sides.  Otherwise both LPs are solved.  For H = L
+    the values must agree within 1e-8 (the interval is a single point
+    there); any larger discrepancy raises ``UniquenessViolatedError`` rather
+    than returning a fudged answer.
     """
+    mu = invariant_candidate(space, pair)
+    if mu is None:
+        return _lp_average(space, pair)
+    levels = profile(space, mu, pair.L).interval
+    return _average(space, pair, levels.hi, levels.lo, mu, mu)
+
+
+def _lp_average(space: KernelSpace, pair: SubsetPair) -> AverageResult:
+    """``average_interval`` from the two LPs, never from an invariant measure."""
     qu, mu = q_value(space, pair)
     ql, nu = q_lower_value(space, pair)
+    return _average(space, pair, qu, ql, mu, nu)
+
+
+def _average(space: KernelSpace, pair: SubsetPair, qu: float, ql: float,
+             mu: Measure, nu: Measure) -> AverageResult:
     gap = qu - ql
     unique = 0.5 * (qu + ql) if abs(gap) <= GAP_UNIQUE_TOL else None
     if pair.H == pair.L and unique is None:
@@ -139,11 +214,16 @@ class EltonMeasures:
     residual_lower: float
 
 
-def elton_measures(space: KernelSpace, subset: Optional[Sequence[int]] = None) -> EltonMeasures:
-    """Measures witnessing the rendezvous value from both sides on H = L."""
+def elton_measures(space: KernelSpace, subset: Optional[Sequence[int]] = None,
+                   average: Optional[AverageResult] = None) -> EltonMeasures:
+    """Measures witnessing the rendezvous value from both sides on H = L.
+
+    ``average`` is the caller's ``average_interval`` on that pair, or its LP
+    route; it is solved here when not given.
+    """
     idx = tuple(range(space.m)) if subset is None else tuple(subset)
     pair = SubsetPair(idx, idx)
-    avg = average_interval(space, pair)
+    avg = average_interval(space, pair) if average is None else average
     r = float(avg.unique_point)
     rows = list(pair.L)
     pot_mu = space.kernel[rows, :] @ avg.mu_opt.weights
@@ -201,13 +281,16 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
     scan.  When H = L it also serves the swapped side.  ``average`` is the
     caller's ``average_interval(space, pair)``: the lower value is read from
     it, and so is the upper value for nested pairs, which for H = L is also
-    the swapped value.  Only H != L solves the swapped LP.
+    the swapped value.  Only H != L solves the swapped LP.  When not given,
+    ``average_interval`` is solved for nested pairs, and only the lower
+    value's LP for the others.
     """
     check_n_max(n_max)
     pair.check_range(space.m)
+    if average is None and pair.nested:
+        average = average_interval(space, pair)
     if average is None:
-        ql, _ = q_lower_value(space, pair)
-        q_upper = q_value(space, pair)[0] if pair.nested else None
+        ql, q_upper = q_lower_value(space, pair)[0], None
     else:
         ql = average.q_lower
         q_upper = average.q_upper if pair.nested else None

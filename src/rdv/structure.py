@@ -2,7 +2,9 @@
 
 A measure on H is invariant for the pair (H, L) when its potential is
 constant across L.  The least achievable potential oscillation is itself a
-linear program; invariance means that minimum is (numerically) zero.
+linear program; invariance means that minimum is (numerically) zero.  For
+H = L the program is skipped when ``minimax.invariant_candidate`` proves a
+uniform or linear-solve measure invariant.
 Negative type is decided spectrally: the centered kernel must be negative
 semidefinite, which is exactly the statement that no sum-zero charge has
 positive energy.
@@ -10,12 +12,18 @@ positive energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .core import KernelSpace, Measure, SubsetPair
-from .minimax import AverageResult, average_interval, level_program
+from .minimax import (
+    INVARIANCE_TOL,
+    AverageResult,
+    average_interval,
+    invariant_candidate,
+    level_program,
+)
 from .optimize import (
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
@@ -23,7 +31,9 @@ from .optimize import (
 )
 from .spectral import recenter_unit, sum_zero_definiteness
 
-INVARIANCE_TOL = 1e-8
+if TYPE_CHECKING:
+    from .energy import MaxEnergyResult
+
 AGREEMENT_TOL = 1e-7
 NEGATIVE_TYPE_TOL = 1e-10
 _EPS_SLACK = 1e-9
@@ -61,13 +71,24 @@ def invariant_measure(space: KernelSpace, pair: SubsetPair,
                       average: Optional[AverageResult] = None) -> InvarianceResult:
     """Search for a measure on H whose potential is constant on L.
 
-    ``average`` is the caller's ``average_interval(space, pair)``; it is
-    solved here when needed and not given.
+    For H = L an ``invariant_candidate`` is taken when there is one, with its
+    computed oscillation as ``gap``; otherwise the invariance LP decides.
+    ``average`` is the caller's ``average_interval(space, pair)``: when an
+    invariant measure settled it, that measure is reused.  It is solved here
+    when needed and not given.
     """
-    gap, measure = min_invariance_gap(space, pair)
+    if average is None:
+        measure = invariant_candidate(space, pair)
+    else:
+        measure = average.mu_opt if average.mu_opt is average.nu_opt else None
+    gap = None
+    if measure is None:
+        gap, measure = min_invariance_gap(space, pair)
     pot = space.kernel[list(pair.L), :] @ measure.weights
-    mid = 0.5 * (float(pot.max()) + float(pot.min()))
-    residual = 0.5 * (float(pot.max()) - float(pot.min()))
+    hi, lo = float(pot.max()), float(pot.min())
+    gap = hi - lo if gap is None else gap
+    mid = 0.5 * (hi + lo)
+    residual = 0.5 * (hi - lo)
     found = gap <= INVARIANCE_TOL
     constant = mid if found else None
     matches = None
@@ -195,7 +216,8 @@ class ConverseReport:
 
 def converse_check(space: KernelSpace, pair: SubsetPair,
                    average: Optional[AverageResult] = None,
-                   invariance: Optional[InvarianceResult] = None) -> ConverseReport:
+                   invariance: Optional[InvarianceResult] = None,
+                   max_energy: Optional["MaxEnergyResult"] = None) -> ConverseReport:
     """When an invariant measure exists and the kernel has the right sign
     structure, the unique average level must equal the extremal energy.
 
@@ -206,6 +228,9 @@ def converse_check(space: KernelSpace, pair: SubsetPair,
     asserts nothing.  ``average`` and ``invariance`` are the caller's
     ``average_interval(space, pair)`` and ``invariant_measure(space, pair)``;
     each is solved here when not given, the average only once.
+    ``max_energy`` is the caller's ``maximal_energy(space)`` for a pair on
+    all points; the metric form reads its value instead of solving the
+    maximal energy on H again.
     """
     pair.check_range(space.m)
     sub = space.kernel[np.ix_(pair.H, pair.H)]
@@ -251,7 +276,8 @@ def converse_check(space: KernelSpace, pair: SubsetPair,
         if failed_w:
             wolf_form = ConverseForm(False, tuple(failed_w), None, None, None, None)
         else:
-            e = maximize_quadratic_on_simplex(space, pair.H).value
+            e = (maximize_quadratic_on_simplex(space, pair.H).value
+                 if max_energy is None else max_energy.value)
             r = float(avg.unique_point)
             inv_energy = float(inv.measure.weights @ space.kernel @ inv.measure.weights)
             residual = max(abs(r - e), abs(inv_energy - e))

@@ -208,24 +208,25 @@ class TestSolveOnce:
         space = generate(circle(8))
         report, code = build_analysis(space, SubsetPair.full(8), n_max=2)
         assert code == EXIT_OK
-        # LPs: q, q_lower and the invariance LP.  QPs: the direct maximal
-        # energy, the dual kernel's minimal energy (w_dual and the dual
-        # route), w on H, and the converse check's maximal energy on H, which
-        # repeats the direct one.
-        assert calls == {"lp": 3, "qp": 4}
+        # No LP: the uniform measure is invariant on the circle, so it settles
+        # q, q_lower and the invariance check.  QPs: the direct maximal energy
+        # (also read by the converse check), the dual kernel's minimal energy
+        # (w_dual and the dual route) and w on H.
+        assert calls == {"lp": 0, "qp": 3}
         assert report.verdicts["wolf_invariant_when_equal"] is True
 
     def test_nested_pair(self, calls):
         space = generate(circle(8))
         report, _ = build_analysis(space, SubsetPair((0, 2, 4, 6), tuple(range(8))), n_max=2)
         # q, q_lower and invariance on the pair; q on the swapped pair for the
-        # chain; q, q_lower and invariance on the full pair, the last because
-        # r equals the maximal energy on the circle.
+        # chain.  The full pair, whose invariance r = E brings in, has an
+        # invariant measure (the uniform one) and needs no LP.
         assert report.parameters["wolf_equality_applicable"] is True
-        assert calls == {"lp": 7, "qp": 3}
+        assert calls == {"lp": 4, "qp": 3}
 
     @pytest.mark.parametrize("desc, equality, lp", [
-        (interval_grid(8), True, 7),
+        # the full grid's invariant measure (the two endpoints) needs no LP
+        (interval_grid(8), True, 4),
         # strict gap r < E: the full pair's invariance LP is never read
         (random_graph(6, 0.5, 3), False, 6),
     ])

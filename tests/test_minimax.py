@@ -180,7 +180,10 @@ class TestAverageInterval:
         assert avg.interval.empty
         assert avg.unique_point is None
 
-    def test_equal_pair_gap_is_hard_error(self, k3, monkeypatch):
+    def test_equal_pair_gap_is_hard_error(self, monkeypatch):
+        # a space without an invariant-measure candidate, so the two LPs run
+        space = generate(random_graph(6, 0.5, 3))
+        assert minimax.invariant_candidate(space, SubsetPair.full(6)) is None
         real = minimax.q_value
 
         def skewed(space, pair):
@@ -189,7 +192,7 @@ class TestAverageInterval:
 
         monkeypatch.setattr(minimax, "q_value", skewed)
         with pytest.raises(UniquenessViolatedError) as e:
-            average_interval(k3, SubsetPair.full(3))
+            average_interval(space, SubsetPair.full(6))
         assert e.value.code == "UniquenessViolated"
 
 

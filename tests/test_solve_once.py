@@ -1,9 +1,10 @@
 """Precomputed arguments: a result passed in equals the one solved inside.
 
 ``invariant_measure``, ``converse_check``, ``inequality_chain``,
-``maximal_energy`` and ``frostman_check`` accept a solve the caller already
-has; ``wolf_relations`` shares its own solves.  Every field of every result,
-measures included, must match the plain call bit for bit.
+``elton_measures``, ``maximal_energy`` and ``frostman_check`` accept a solve
+the caller already has; ``wolf_relations`` shares its own solves.  Every
+field of every result, measures included, must match the plain call bit for
+bit.
 """
 import dataclasses
 
@@ -16,6 +17,7 @@ from rdv import (
     circle,
     converse_check,
     dual_kernel,
+    elton_measures,
     frostman_check,
     generate,
     hypercube,
@@ -76,6 +78,15 @@ def test_pair_readers(space, pair, constant):
     assert_same(converse_check(space, pair, average=avg, invariance=inv),
                 converse_check(space, pair))
     assert_same(inequality_chain(space, pair, average=avg), inequality_chain(space, pair))
+
+
+@pytest.mark.parametrize("space, pair, constant",
+                         [c for c in CASES if not c.id.endswith(("nested", "general"))])
+def test_full_pair_readers(space, pair, constant):
+    avg = average_interval(space, pair)
+    assert_same(elton_measures(space, average=avg), elton_measures(space))
+    assert_same(converse_check(space, pair, max_energy=maximal_energy(space, constant)),
+                converse_check(space, pair))
 
 
 @pytest.mark.parametrize("space, pair, constant", CASES)

@@ -2,9 +2,18 @@
 import numpy as np
 import pytest
 
-from rdv import DimensionMismatchError, load_space_file, run_suite, run_suites
+from rdv import (
+    DimensionMismatchError,
+    circle,
+    generate,
+    load_space_file,
+    run_suite,
+    run_suites,
+)
+import rdv.minimax as minimax_mod
 from rdv.suites import (
     SUITE_NAMES,
+    _check_duality,
     instance_pairs,
     instance_space,
     vertex_transitive_family,
@@ -72,6 +81,23 @@ class TestRunSuite:
         assert good == total
         expected = 12 + (10 if suite == "quasi" else 0)
         assert total == expected
+
+    def test_duality_solves_two_lps_per_seed(self, monkeypatch):
+        calls = []
+        real = minimax_mod.solve_lp
+
+        def counted(lp):
+            calls.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(minimax_mod, "solve_lp", counted)
+        assert run_suite("duality", seeds=6).passed
+        assert len(calls) == 12
+        # on a circle the uniform measure would settle the pair without an
+        # LP; the check still compares the two LP values
+        calls.clear()
+        ok, detail = _check_duality(generate(circle(6)))
+        assert ok and len(calls) == 2, detail
 
     def test_outcome_names_and_details(self):
         report = run_suite("wolf", seeds=5)
