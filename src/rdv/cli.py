@@ -34,10 +34,10 @@ from .spaces import (
     save_space,
     write_text,
 )
+from .spectral import DEFINITENESS_TOL
 from .structure import (
     AGREEMENT_TOL,
     INVARIANCE_TOL,
-    NEGATIVE_TYPE_TOL,
     converse_check,
     invariant_measure,
     negative_type_test,
@@ -206,7 +206,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "invariance": INVARIANCE_TOL,
         "agreement": AGREEMENT_TOL,
         "frostman": frostman_tol,
-        "negative_type": NEGATIVE_TYPE_TOL,
+        "negative_type": DEFINITENESS_TOL,
     }
     report = AnalysisReport(space_name=space.name, parameters=parameters,
                             scalars=scalars, measures=measures,

@@ -35,7 +35,7 @@ from .optimize import (
     minimize_quadratic_on_simplex,
 )
 from .spectral import sum_zero_definiteness
-from .structure import NEGATIVE_TYPE_TOL, invariant_measure
+from .structure import invariant_measure
 
 FROSTMAN_TOL = 1e-6
 DUAL_MATCH_TOL = 1e-7
@@ -148,7 +148,7 @@ def maximal_energy(space: KernelSpace,
     direct = maximize_quadratic_on_simplex(space, tuple(range(space.m)))
     certified_metric = bool(
         space.is_metric
-        and sum_zero_definiteness(space.kernel, NEGATIVE_TYPE_TOL)["nsd"]
+        and sum_zero_definiteness(space.kernel)["nsd"]
     )
     dual_constant = dual_value = dual_gap = None
     if certified_metric or space.m <= QP_ENUM_LIMIT:

@@ -24,13 +24,14 @@ from .core import (
     MEASURE_NEG_TOL,
     KernelSpace,
     Measure,
+    NumericalBreakdownError,
     SubsetPair,
     TIE_TOL,
     UniquenessViolatedError,
     ValueInterval,
 )
 from .chebyshev import ChebyshevTable, check_n_max, chebyshev_table
-from .optimize import EQ, LE, LinearProgram, solve_lp
+from .optimize import EQ, LE, LinearProgram, LpSolution, solve_lp
 from .potential import profile
 
 GAP_UNIQUE_TOL = 1e-8
@@ -67,17 +68,28 @@ def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
     return LinearProgram(c=c, A=A, senses=senses, b=b)
 
 
+def solve_level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
+                        floor: bool) -> LpSolution:
+    """Solve ``level_program``.  It is always feasible and bounded (K >= 0),
+    so any status but optimal is a numerical breakdown."""
+    sol = solve_lp(level_program(space, pair, roof, floor))
+    if sol.status != "optimal":
+        raise NumericalBreakdownError(
+            f"level LP returned {sol.status}; a level program is feasible and bounded")
+    return sol
+
+
 def q_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
     """Smallest achievable worst-case potential on L for measures on H."""
     h = len(pair.H)
-    sol = solve_lp(level_program(space, pair, roof=True, floor=False))
+    sol = solve_level_program(space, pair, roof=True, floor=False)
     return float(sol.x[h]), Measure.from_subvector(space.m, pair.H, sol.x[:h])
 
 
 def q_lower_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
     """Largest achievable guaranteed potential on L for measures on H."""
     h = len(pair.H)
-    sol = solve_lp(level_program(space, pair, roof=False, floor=True))
+    sol = solve_level_program(space, pair, roof=False, floor=True)
     return float(sol.x[h]), Measure.from_subvector(space.m, pair.H, sol.x[:h])
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+# The one zero threshold of every sum-zero definiteness decision
 DEFINITENESS_TOL = 1e-10
 
 
@@ -22,30 +23,18 @@ def centered(matrix: np.ndarray) -> np.ndarray:
     return k - row_mean[:, None] - row_mean[None, :] + total
 
 
-def centered_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of the centered matrix."""
-    return np.linalg.eigh(centered(matrix))
-
-
 def sum_zero_definiteness(matrix: np.ndarray, tol: float = DEFINITENESS_TOL) -> dict:
     """Classify the quadratic form on the sum-zero subspace.
 
-    Returns a dict with the extreme eigenvalues of the centered matrix, the
-    associated eigenvectors, and flags ``psd`` / ``nsd`` using ``tol`` as the
-    zero threshold.  Both flags hold together only when the form vanishes on
-    the subspace.
+    Returns a dict with the extreme eigenvalues of the centered matrix and
+    flags ``psd`` / ``nsd`` using ``tol`` as the zero threshold.  Both flags
+    hold together only when the form vanishes on the subspace.  Eigenvalues
+    only: ``structure.negative_type_test`` decomposes with vectors itself.
     """
-    vals, vecs = centered_spectrum(matrix)
-    lam_min = float(vals[0])
-    lam_max = float(vals[-1])
-    return {
-        "lam_min": lam_min,
-        "lam_max": lam_max,
-        "vec_min": vecs[:, 0].copy(),
-        "vec_max": vecs[:, -1].copy(),
-        "psd": lam_min >= -tol,
-        "nsd": lam_max <= tol,
-    }
+    vals = np.linalg.eigvalsh(centered(matrix))
+    lam_min, lam_max = float(vals[0]), float(vals[-1])
+    return {"lam_min": lam_min, "lam_max": lam_max,
+            "psd": lam_min >= -tol, "nsd": lam_max <= tol}
 
 
 def recenter_unit(vector: np.ndarray) -> np.ndarray:

@@ -140,7 +140,7 @@ def _check_chain(space: KernelSpace, seed: int) -> tuple[bool, str]:
 def _check_frostman(space: KernelSpace) -> tuple[bool, str]:
     dual, _ = dual_kernel(space)
     eq = wiener_energy(dual)
-    rep = frostman_check(dual, range(space.m), eq.measure)
+    rep = frostman_check(dual, range(space.m), eq.measure, w=eq.value)
     ok = rep.verdict_a and rep.verdict_b and rep.verdict_c
     detail = "w={:.6g} A={} B={} C={} ({})".format(
         rep.w_value, rep.verdict_a, rep.verdict_b, rep.verdict_c, eq.certificate)

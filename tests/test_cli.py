@@ -182,6 +182,13 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == EXIT_INPUT
         assert "error[MetricViolation]" in capsys.readouterr().err
 
+    def test_level_lp_breakdown_is_typed(self, capsys):
+        # radius 1e10: the dense simplex reports the q LP infeasible
+        assert main(["analyze", "circle(8,chord,1e10)"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error[NumericalBreakdown] level LP returned infeasible" in err
+        assert "Traceback" not in err
+
 
 class TestSolveOnce:
     """``build_analysis`` solves each LP of an analysis once; QP counts are pinned too."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rdv import (
     KernelSpace,
     Measure,
+    NumericalBreakdownError,
     SubsetPair,
     UniquenessViolatedError,
     average_interval,
@@ -18,6 +19,7 @@ from rdv import (
     hypercube,
     inequality_chain,
     interval_grid,
+    min_invariance_gap,
     profile,
     q_lower_value,
     q_value,
@@ -25,6 +27,7 @@ from rdv import (
     rendezvous_number,
     validate_kernel,
 )
+from rdv.optimize import LpSolution
 import rdv.minimax as minimax
 
 from oracles import circle_rendezvous_closed_form, grid_minimax, hypercube_rendezvous
@@ -55,6 +58,24 @@ class TestLevelProgram:
         assert np.array_equal(lp.b, np.eye(rows)[-1])
         assert np.array_equal(lp.lower, np.zeros(len(c)))
         assert np.array_equal(lp.upper, np.full(len(c), np.inf))
+
+
+class TestLevelFailure:
+    """A level program is feasible and bounded; any other status is a breakdown."""
+
+    @pytest.fixture(params=["infeasible", "unbounded"])
+    def status(self, request, monkeypatch):
+        def failing(lp):
+            return LpSolution(status=request.param, x=None, y=None, objective=np.nan)
+
+        monkeypatch.setattr(minimax, "solve_lp", failing)
+        return request.param
+
+    @pytest.mark.parametrize("solve", [q_value, q_lower_value, min_invariance_gap])
+    def test_typed_error(self, status, solve):
+        space = generate(random_graph(5, 0.5, 2))
+        with pytest.raises(NumericalBreakdownError, match=f"level LP returned {status}"):
+            solve(space, SubsetPair((0, 1, 2), (2, 3, 4)))
 
 
 class TestFrozenValues:

@@ -11,6 +11,7 @@ from rdv import (
     run_suites,
 )
 import rdv.minimax as minimax_mod
+import rdv.optimize as optimize_mod
 from rdv.suites import (
     SUITE_NAMES,
     _check_duality,
@@ -98,6 +99,19 @@ class TestRunSuite:
         calls.clear()
         ok, detail = _check_duality(generate(circle(6)))
         assert ok and len(calls) == 2, detail
+
+    def test_frostman_solves_one_qp_per_seed(self, monkeypatch):
+        calls = []
+        real = optimize_mod._quadratic_extremum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize_mod, "_quadratic_extremum", counted)
+        assert run_suite("frostman", seeds=7).passed
+        # the dual kernel's minimal energy, read by frostman_check as its w
+        assert len(calls) == 7
 
     def test_outcome_names_and_details(self):
         report = run_suite("wolf", seeds=5)
