@@ -65,19 +65,28 @@ def check_n_max(n_max: int) -> None:
 
 def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
                 ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
-    """Both order-n constants with their witnesses, from one pass over the multisets."""
+    """Both order-n constants with their witnesses, from one pass over the multisets.
+
+    The pass runs once per space, pair and order; the cap is checked on
+    every call.
+    """
     if n < 1:
         raise DimensionMismatchError(f"multiset order must be at least 1, got {n}")
     pair.check_range(space.m)
-    H, L = pair.H, pair.L
     limit = DEFAULT_ENUM_CAP if cap is None else int(cap)
-    required = multiset_count(len(H), n)
+    required = multiset_count(len(pair.H), n)
     if required > limit:
         raise EnumerationCapExceededError(
-            f"order {n} over {len(H)} points needs {required} multisets; cap is {limit}",
+            f"order {n} over {len(pair.H)} points needs {required} multisets; cap is {limit}",
             cap=limit,
             required=required,
         )
+    return space.memo(("order_pass", pair, n), lambda: _scan(space, pair, n))
+
+
+def _scan(space: KernelSpace, pair: SubsetPair, n: int
+          ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
+    H, L = pair.H, pair.L
     # Row i holds the kernel from H[i] to every point of L.
     rows = np.ascontiguousarray(space.kernel[np.ix_(L, H)].T)
     # The two gathered operands of a chunk share the cell budget.

@@ -23,7 +23,7 @@ from .energy import (
     maximal_energy,
     wiener_energy,
 )
-from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain
+from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain, rendezvous_number
 from .report import AnalysisReport
 from .spaces import (
     SpaceDescriptor,
@@ -84,7 +84,7 @@ def _parse_generator_spec(text: str) -> Optional[SpaceDescriptor]:
             radius = float(args[2]) if len(args) > 2 else 1.0
             return SpaceDescriptor(kind=kind, m=int(args[0]), metric=metric, radius=radius)
         if kind == "hypercube":
-            return SpaceDescriptor(kind=kind, m=1 << int(args[0]), dim=int(args[0]))
+            return SpaceDescriptor(kind=kind, dim=int(args[0]))
         edge_prob = float(args[1]) if len(args) > 1 else 0.5
         seed = int(args[2]) if len(args) > 2 else 0
         return SpaceDescriptor(kind=kind, m=int(args[0]), edge_prob=edge_prob, seed=seed)
@@ -105,41 +105,32 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
                    dual_constant: Optional[float] = None) -> tuple[AnalysisReport, int]:
     """Full analysis of one space/pair; returns (report, exit code).
 
-    Each LP and QP is solved once and handed to every reader.  Two second
-    solves stay on purpose, as independent checks: the lower minimax value
-    is its own LP beside the upper one, and the maximal energy's dual route
-    (C minus the dual kernel's minimal energy) is its own QP beside the
-    direct one.  Where an invariant measure settles a pair with H = L (see
-    ``average_interval``), that pair needs no LP at all.
+    Every solve is cached on its space, so the readers below share each LP,
+    QP, scan and spectrum.  Two second solves stay on purpose, as
+    independent checks: the lower minimax value is its own LP beside the
+    upper one, and the maximal energy's dual route (C minus the dual
+    kernel's minimal energy) is its own QP beside the direct one.  Where an
+    invariant measure settles a pair with H = L (see ``average_interval``),
+    that pair needs no LP at all.
     """
     pair.check_range(space.m)
-    full = SubsetPair.full(space.m)
-    is_full = pair.H == pair.L == full.H
-
     table = chebyshev_table(space, pair, n_max, enum_cap)
     avg = average_interval(space, pair)
     dual, C = dual_kernel(space, dual_constant)
     eq = wiener_energy(dual)
-    me = maximal_energy(space, dual_constant, dual_minimum=eq)
+    me = maximal_energy(space, dual_constant)
     w_pair = wiener_energy(space, pair.H)
-    inv = invariant_measure(space, pair, average=avg)
+    inv = invariant_measure(space, pair)
     nt = negative_type_test(space)
-    chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap, table=table,
-                             average=avg)
-    conv = converse_check(space, pair, average=avg, invariance=inv,
-                          max_energy=me if is_full else None)
-    fr = frostman_check(dual, range(space.m), eq.measure, frostman_tol, w=eq.value)
+    chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap)
+    conv = converse_check(space, pair)
+    fr = frostman_check(dual, range(space.m), eq.measure, frostman_tol)
 
-    avg_full = avg if is_full else average_interval(space, full)
-    r = float(avg_full.unique_point)
+    r = rendezvous_number(space)
     wolf_upper = bool(r <= me.value + ORDER_TOL)
     wolf_equality = bool(abs(r - me.value) <= EQUALITY_TOL)
-    if not wolf_equality:
-        wolf_invariant = True
-    elif is_full:
-        wolf_invariant = bool(inv.found)
-    else:
-        wolf_invariant = bool(invariant_measure(space, full, average=avg_full).found)
+    wolf_invariant = (not wolf_equality
+                      or bool(invariant_measure(space, SubsetPair.full(space.m)).found))
 
     scalars = {
         "r": r,
@@ -247,7 +238,7 @@ def cmd_generate(args) -> int:
         raise SchemaError(f"unknown generator kind {args.kind!r}")
     m = args.m if args.m is not None else 0
     if kind == "hypercube":
-        desc = SpaceDescriptor(kind=kind, m=1 << args.dim, dim=args.dim)
+        desc = SpaceDescriptor(kind=kind, dim=args.dim)
     elif kind == "circle":
         desc = SpaceDescriptor(kind=kind, m=m, metric=args.metric, radius=args.radius)
     elif kind == "random_graph":

@@ -125,6 +125,8 @@ class KernelSpace:
 
     ``is_metric`` records whether the kernel satisfies the metric axioms; it
     is set by :func:`validate_kernel` and forced to false on dual kernels.
+    A space is immutable, so every solve on it is a function of its
+    arguments alone: :meth:`memo` keeps each result for the space's lifetime.
     """
 
     name: str
@@ -142,6 +144,7 @@ class KernelSpace:
             )
         object.__setattr__(self, "kernel", _as_readonly(k))
         object.__setattr__(self, "points", tuple(str(p) for p in self.points))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def m(self) -> int:
@@ -149,6 +152,16 @@ class KernelSpace:
 
     def max_entry(self) -> float:
         return float(np.max(self.kernel)) if self.m else 0.0
+
+    def memo(self, key: tuple, compute):
+        """``compute()``, run once per ``key`` (a solve and all its arguments).
+
+        A compute that raises stores nothing.  The result is shared by every
+        caller and must not be mutated.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 def _check_index(i: int, what: str) -> int:
@@ -402,7 +415,8 @@ def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[Kern
     ``constant`` defaults to the largest kernel entry (the diameter for a
     metric).  The transform is an involution when the subtraction is exact,
     and exchanges upper and lower potential problems.  The result is never
-    flagged as a metric (its diagonal is ``constant``).
+    flagged as a metric (its diagonal is ``constant``).  One constant gives
+    one dual space per space, so the solves on it are shared too.
     """
     top = space.max_entry()
     c = top if constant is None else float(constant)
@@ -410,8 +424,8 @@ def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[Kern
         raise NonFiniteEntryError(f"dual constant must be finite, got {c!r}")
     if c < top:
         raise ConstantTooSmallError(f"dual constant {c!r} is below the largest kernel entry {top!r}")
-    dual = c - space.kernel
-    return (
-        KernelSpace(name=f"dual({space.name})", points=space.points, kernel=dual, is_metric=False),
-        c,
-    )
+    dual = space.memo(("dual_kernel", c), lambda: KernelSpace(
+        name=f"dual({space.name})", points=space.points, kernel=c - space.kernel,
+        is_metric=False,
+    ))
+    return dual, c

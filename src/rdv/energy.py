@@ -34,6 +34,7 @@ from .optimize import (
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
 )
+# not called here; perfbench's binding test pins it until its repin
 from .spectral import sum_zero_definiteness
 from .structure import invariant_measure
 
@@ -77,18 +78,13 @@ class FrostmanReport:
 
 
 def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
-                   tol: float = FROSTMAN_TOL, w: Optional[float] = None) -> FrostmanReport:
-    """Test the three maximum-principle statements for ``mu`` on H.
-
-    ``w`` is the caller's minimal energy over H, ``wiener_energy(space, H).value``;
-    it is solved here when not given.
-    """
+                   tol: float = FROSTMAN_TOL) -> FrostmanReport:
+    """Test the three maximum-principle statements for ``mu`` on H."""
     subset = list(check_subset(H, space.m))
     if mu.weights.shape[0] != space.m:
         raise DimensionMismatchError(
             f"measure has {mu.weights.shape[0]} weights, space has {space.m} points")
-    if w is None:
-        w = wiener_energy(space, subset).value
+    w = wiener_energy(space, subset).value
     pot = space.kernel[subset, :] @ mu.weights
     in_subset = set(subset)
     support = [i for i in mu.support() if i in in_subset]
@@ -132,28 +128,22 @@ class MaxEnergyResult:
     dual_checked: bool
 
 
-def maximal_energy(space: KernelSpace,
-                   constant: Optional[float] = None,
-                   dual_minimum: Optional[EnergyResult] = None) -> MaxEnergyResult:
+def maximal_energy(space: KernelSpace, constant: Optional[float] = None) -> MaxEnergyResult:
     """Maximal energy over all probability measures, with dual cross check.
 
     The dual route (reflecting the minimal energy of C - k) is computed
     whenever the agreement is certifiable or the space is small enough to
     enumerate exactly; the agreement assertion itself is armed only for
     metric kernels of negative type, where both routes carry global
-    certificates.  ``dual_minimum`` is the caller's
-    ``wiener_energy(dual_kernel(space, constant)[0])``; the dual route
-    solves it when not given.  The direct route is always its own solve.
+    certificates.  The direct route's router certifies the concave route
+    exactly when the kernel is of negative type, so its certificate decides.
     """
     direct = maximize_quadratic_on_simplex(space, tuple(range(space.m)))
-    certified_metric = bool(
-        space.is_metric
-        and sum_zero_definiteness(space.kernel)["nsd"]
-    )
+    certified_metric = bool(space.is_metric and direct.certificate == "global_concave_max")
     dual_constant = dual_value = dual_gap = None
     if certified_metric or space.m <= QP_ENUM_LIMIT:
         dual_space, C = dual_kernel(space, constant)
-        dual_min = wiener_energy(dual_space) if dual_minimum is None else dual_minimum
+        dual_min = wiener_energy(dual_space)
         dual_constant = C
         dual_value = C - dual_min.value
         dual_gap = abs(direct.value - dual_value)
@@ -212,31 +202,25 @@ def _equality_side(space: KernelSpace, average: AverageResult, w: float) -> Opti
 
 def wolf_relations(space: KernelSpace,
                    constant: Optional[float] = None) -> WolfReport:
-    """Verify w <= r <= E and the equality/invariance implications.
-
-    Each kernel, the original and its dual C - k, gets one minimax solve,
-    read for r, the invariance check and the equality side; the dual
-    kernel's minimal energy also serves the dual route of E.
-    """
+    """Verify w <= r <= E and the equality/invariance implications."""
     full = SubsetPair.full(space.m)
     avg = average_interval(space, full)
     r = float(avg.unique_point)
     dual_space, C = dual_kernel(space, constant)
-    dual_min = wiener_energy(dual_space)
-    e = maximal_energy(space, constant, dual_minimum=dual_min)
+    e = maximal_energy(space, constant)
     w = wiener_energy(space).value
     avg_dual = average_interval(dual_space, full)
     r_dual = float(avg_dual.unique_point)
-    w_dual = dual_min.value
+    w_dual = wiener_energy(dual_space).value
 
     equality_applicable = abs(r - e.value) <= EQUALITY_TOL
     invariant_found = None
     if equality_applicable:
-        invariant_found = invariant_measure(space, full, average=avg).found
+        invariant_found = invariant_measure(space, full).found
     dual_equality_applicable = abs(r_dual - (C - w)) <= EQUALITY_TOL
     dual_invariant_found = None
     if dual_equality_applicable:
-        dual_invariant_found = invariant_measure(dual_space, full, average=avg_dual).found
+        dual_invariant_found = invariant_measure(dual_space, full).found
 
     return WolfReport(
         r=r,

@@ -30,7 +30,7 @@ from .core import (
     UniquenessViolatedError,
     ValueInterval,
 )
-from .chebyshev import ChebyshevTable, check_n_max, chebyshev_table
+from .chebyshev import check_n_max, chebyshev_table
 from .optimize import EQ, LE, LinearProgram, LpSolution, solve_lp
 from .potential import profile
 
@@ -70,9 +70,11 @@ def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
 
 def solve_level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
                         floor: bool) -> LpSolution:
-    """Solve ``level_program``.  It is always feasible and bounded (K >= 0),
-    so any status but optimal is a numerical breakdown."""
-    sol = solve_lp(level_program(space, pair, roof, floor))
+    """Solve ``level_program``, once per space and arguments.  It is always
+    feasible and bounded (K >= 0), so any status but optimal is a numerical
+    breakdown."""
+    sol = space.memo(("level_program", pair, roof, floor),
+                     lambda: solve_lp(level_program(space, pair, roof, floor)))
     if sol.status != "optimal":
         raise NumericalBreakdownError(
             f"level LP returned {sol.status}; a level program is feasible and bounded")
@@ -120,12 +122,17 @@ def invariant_candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measur
 
     Tries the uniform measure (exact on vertex-transitive spaces such as the
     circle and the hypercube), then the normalized solution of
-    K[H, H] z = 1 (the two endpoints on an interval grid).  For H != L, or
-    when both miss, returns None and the LPs decide.
+    K[H, H] z = 1 (the two endpoints on an interval grid), once per space
+    and pair.  For H != L, or when both miss, returns None and the LPs
+    decide.
     """
     if pair.H != pair.L:
         return None
     pair.check_range(space.m)
+    return space.memo(("invariant_candidate", pair), lambda: _candidate(space, pair))
+
+
+def _candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
     ones = np.ones(len(pair.H))
     mu = _certified_invariant(space, pair, ones)
     if mu is not None:
@@ -226,16 +233,15 @@ class EltonMeasures:
     residual_lower: float
 
 
-def elton_measures(space: KernelSpace, subset: Optional[Sequence[int]] = None,
-                   average: Optional[AverageResult] = None) -> EltonMeasures:
-    """Measures witnessing the rendezvous value from both sides on H = L.
-
-    ``average`` is the caller's ``average_interval`` on that pair, or its LP
-    route; it is solved here when not given.
-    """
+def elton_measures(space: KernelSpace, subset: Optional[Sequence[int]] = None) -> EltonMeasures:
+    """Measures witnessing the rendezvous value from both sides on H = L."""
     idx = tuple(range(space.m)) if subset is None else tuple(subset)
     pair = SubsetPair(idx, idx)
-    avg = average_interval(space, pair) if average is None else average
+    return _elton(space, pair, average_interval(space, pair))
+
+
+def _elton(space: KernelSpace, pair: SubsetPair, avg: AverageResult) -> EltonMeasures:
+    """The separating pair of ``avg``, an average interval on H = L."""
     r = float(avg.unique_point)
     rows = list(pair.L)
     pot_mu = space.kernel[rows, :] @ avg.mu_opt.weights
@@ -283,37 +289,25 @@ class ChainReport:
 
 
 def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
-                     cap: Optional[int] = None,
-                     table: Optional[ChebyshevTable] = None,
-                     average: Optional[AverageResult] = None) -> ChainReport:
+                     cap: Optional[int] = None) -> ChainReport:
     """Verify the two-sided sandwich of minimax values at tolerance 1e-8.
 
-    ``table`` is the caller's ``chebyshev_table(space, pair, n, cap)`` for
-    some ``n >= n_max``; its orders up to ``n_max`` are used instead of a new
-    scan.  When H = L it also serves the swapped side.  ``average`` is the
-    caller's ``average_interval(space, pair)``: the lower value is read from
-    it, and so is the upper value for nested pairs, which for H = L is also
-    the swapped value.  Only H != L solves the swapped LP.  When not given,
-    ``average_interval`` is solved for nested pairs, and only the lower
-    value's LP for the others.
+    Nested pairs read both values from ``average_interval``; for H = L the
+    upper value is also the swapped one, and the table serves both sides.
+    Other pairs need only the lower value's LP and the swapped upper one.
     """
     check_n_max(n_max)
     pair.check_range(space.m)
-    if average is None and pair.nested:
+    if pair.nested:
         average = average_interval(space, pair)
-    if average is None:
-        ql, q_upper = q_lower_value(space, pair)[0], None
+        ql, q_upper = average.q_lower, average.q_upper
     else:
-        ql = average.q_lower
-        q_upper = average.q_upper if pair.nested else None
+        ql, q_upper = q_lower_value(space, pair)[0], None
     qs = q_upper if pair.H == pair.L else q_value(space, pair.swapped())[0]
-    if table is None:
-        table = chebyshev_table(space, pair, n_max, cap)
+    table = chebyshev_table(space, pair, n_max, cap)
     swapped = table if pair.H == pair.L else chebyshev_table(space, pair.swapped(), n_max, cap)
-    lows = [(n, v) for n, v in zip(table.n_values, table.lower) if n <= n_max]
-    highs = [(n, v) for n, v in zip(swapped.n_values, swapped.upper) if n <= n_max]
-    cheb_lower = max((v for _, v in lows), default=0.0)
-    cheb_upper = min((v for _, v in highs), default=float("inf"))
+    cheb_lower = max(table.lower, default=0.0)
+    cheb_upper = min(swapped.upper, default=float("inf"))
     res_lo = ql - cheb_lower
     res_hi = cheb_upper - qs
     eq_res = abs(qs - ql)
@@ -326,8 +320,8 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
     )
     return ChainReport(
         pair=pair,
-        orders_lower=tuple(n for n, _ in lows),
-        orders_upper=tuple(n for n, _ in highs),
+        orders_lower=table.n_values,
+        orders_upper=swapped.n_values,
         q_lower=ql,
         q_swapped=qs,
         cheb_lower=cheb_lower,

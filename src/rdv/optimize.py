@@ -496,15 +496,31 @@ def _enumerate_supports(Q: np.ndarray, sign: float):
     return best_w, sign * best_val, tuple(notes)
 
 
+def subset_definiteness(space: KernelSpace, idx: tuple[int, ...]) -> dict:
+    """``sum_zero_definiteness`` of K[idx, idx], once per space and subset.
+
+    ``idx`` is a checked subset, as ``check_subset`` returns it.
+    """
+    return space.memo(("sum_zero_definiteness", idx),
+                      lambda: sum_zero_definiteness(space.kernel[np.ix_(idx, idx)]))
+
+
 def _quadratic_extremum(space: KernelSpace, H: Sequence[int], maximize: bool,
                         gap_tol: float, max_iter: int) -> EnergyResult:
+    """The extremum over measures on H, solved once per space and arguments."""
     idx = check_subset(H, space.m)
+    return space.memo(("quadratic_extremum", idx, maximize, gap_tol, max_iter),
+                      lambda: _solve_extremum(space, idx, maximize, gap_tol, max_iter))
+
+
+def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
+                    gap_tol: float, max_iter: int) -> EnergyResult:
     Q = space.kernel[np.ix_(idx, idx)]
     h = len(idx)
     sign = -1.0 if maximize else 1.0
     M = sign * Q
 
-    defin = sum_zero_definiteness(Q)
+    defin = subset_definiteness(space, idx)
     certified = defin["nsd"] if maximize else defin["psd"]
     notes: tuple[str, ...] = ()
     if certified:

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     DisconnectedAfterRetriesError,
     KernelSpace,
+    NonFiniteEntryError,
     ParseError,
     SchemaError,
     SubsetPair,
@@ -67,8 +68,10 @@ class SpaceDescriptor:
                 raise SchemaError(f"circle metric must be chord or arc, got {self.metric!r}")
             if not (self.radius > 0):
                 raise SchemaError(f"circle radius must be positive, got {self.radius!r}")
-        if self.kind == "hypercube" and self.dim < 0:
+        if self.dim < 0:
             raise SchemaError(f"hypercube dimension must be nonnegative, got {self.dim}")
+        if self.seed < 0:
+            raise SchemaError(f"random seed must be nonnegative, got {self.seed}")
         if self.kind == "random_graph" and not (0.0 < self.edge_prob <= 1.0):
             raise SchemaError(f"edge probability must lie in (0, 1], got {self.edge_prob!r}")
 
@@ -150,7 +153,8 @@ def generate(desc: SpaceDescriptor, cap: Optional[int] = None) -> KernelSpace:
     """Build the kernel space described by ``desc``.
 
     Generated kernels are metric by construction; the expensive axiom scan
-    is skipped here and exercised by the validation tests instead.
+    is skipped here and exercised by the validation tests instead.  A kernel
+    that overflows (a circle of huge radius) raises ``NonFiniteEntryError``.
     """
     limit = point_cap(cap)
     if desc.kind == "hypercube":
@@ -176,6 +180,8 @@ def generate(desc: SpaceDescriptor, cap: Optional[int] = None) -> KernelSpace:
         name = f"random_graph({m},p={desc.edge_prob:g},seed={desc.seed})"
         labels = tuple(str(i) for i in range(m))
 
+    if not np.all(np.isfinite(kernel)):
+        raise NonFiniteEntryError(f"{name} has a non-finite kernel entry")
     is_metric = m == 1 or bool(np.all(kernel + np.eye(m) > 0))
     return KernelSpace(name=name, points=labels, kernel=kernel, is_metric=is_metric)
 

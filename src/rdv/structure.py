@@ -12,7 +12,7 @@ positive energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +28,11 @@ from .optimize import (
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
     solve_lp,  # not called here; perfbench's binding test pins it until its repin
+    subset_definiteness,
 )
-from .spectral import DEFINITENESS_TOL, centered, recenter_unit, sum_zero_definiteness
-
-if TYPE_CHECKING:
-    from .energy import MaxEnergyResult
+from .spectral import DEFINITENESS_TOL, centered, recenter_unit
+# not called here; perfbench's binding test pins it until its repin
+from .spectral import sum_zero_definiteness
 
 AGREEMENT_TOL = 1e-7
 _EPS_SLACK = 1e-9
@@ -66,20 +66,13 @@ class InvarianceResult:
     average_matches: Optional[bool]
 
 
-def invariant_measure(space: KernelSpace, pair: SubsetPair,
-                      average: Optional[AverageResult] = None) -> InvarianceResult:
+def invariant_measure(space: KernelSpace, pair: SubsetPair) -> InvarianceResult:
     """Search for a measure on H whose potential is constant on L.
 
     For H = L an ``invariant_candidate`` is taken when there is one, with its
     computed oscillation as ``gap``; otherwise the invariance LP decides.
-    ``average`` is the caller's ``average_interval(space, pair)``: when an
-    invariant measure settled it, that measure is reused.  It is solved here
-    when needed and not given.
     """
-    if average is None:
-        measure = invariant_candidate(space, pair)
-    else:
-        measure = average.mu_opt if average.mu_opt is average.nu_opt else None
+    measure = invariant_candidate(space, pair)
     gap = None
     if measure is None:
         gap, measure = min_invariance_gap(space, pair)
@@ -92,7 +85,7 @@ def invariant_measure(space: KernelSpace, pair: SubsetPair,
     constant = mid if found else None
     matches = None
     if found:
-        avg = average_interval(space, pair) if average is None else average
+        avg = average_interval(space, pair)
         matches = bool(
             abs(avg.q_upper - mid) <= AGREEMENT_TOL and abs(avg.q_lower - mid) <= AGREEMENT_TOL
         )
@@ -203,10 +196,7 @@ class ConverseReport:
     wolf_form: Optional[ConverseForm]
 
 
-def converse_check(space: KernelSpace, pair: SubsetPair,
-                   average: Optional[AverageResult] = None,
-                   invariance: Optional[InvarianceResult] = None,
-                   max_energy: Optional["MaxEnergyResult"] = None) -> ConverseReport:
+def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
     """When an invariant measure exists and the kernel has the right sign
     structure, the unique average level must equal the extremal energy.
 
@@ -214,18 +204,12 @@ def converse_check(space: KernelSpace, pair: SubsetPair,
     against the minimal energy over H; the metric (negative-type) form,
     evaluated for H = L, compares it against the maximal energy.  A branch
     whose hypotheses fail is reported not-applicable, with reasons, and
-    asserts nothing.  ``average`` and ``invariance`` are the caller's
-    ``average_interval(space, pair)`` and ``invariant_measure(space, pair)``;
-    each is solved here when not given, the average only once.
-    ``max_energy`` is the caller's ``maximal_energy(space)`` for a pair on
-    all points; the metric form reads its value instead of solving the
-    maximal energy on H again.
+    asserts nothing.
     """
     pair.check_range(space.m)
-    sub = space.kernel[np.ix_(pair.H, pair.H)]
-    defin = sum_zero_definiteness(sub)
-    avg = average_interval(space, pair) if average is None else average
-    inv = invariant_measure(space, pair, average=avg) if invariance is None else invariance
+    defin = subset_definiteness(space, pair.H)
+    avg = average_interval(space, pair)
+    inv = invariant_measure(space, pair)
 
     failed = []
     if not defin["psd"]:
@@ -265,8 +249,7 @@ def converse_check(space: KernelSpace, pair: SubsetPair,
         if failed_w:
             wolf_form = ConverseForm(False, tuple(failed_w), None, None, None, None)
         else:
-            e = (maximize_quadratic_on_simplex(space, pair.H).value
-                 if max_energy is None else max_energy.value)
+            e = maximize_quadratic_on_simplex(space, pair.H).value
             r = float(avg.unique_point)
             inv_energy = float(inv.measure.weights @ space.kernel @ inv.measure.weights)
             residual = max(abs(r - e), abs(inv_energy - e))

@@ -22,7 +22,7 @@ from .core import (
     dual_kernel,
 )
 from .energy import frostman_check, wiener_energy, wolf_relations
-from .minimax import _lp_average, elton_measures, inequality_chain
+from .minimax import _elton, _lp_average, inequality_chain
 from .spaces import circle, generate, hypercube, random_graph, save_space
 from .structure import (
     INVARIANCE_TOL,
@@ -107,9 +107,10 @@ class SuiteReport:
 def _check_duality(space: KernelSpace) -> tuple[bool, str]:
     # The LP route even where an invariant measure would settle the pair:
     # the gap then compares two separate LP solves, not a measure with itself.
-    avg = _lp_average(space, SubsetPair.full(space.m))
+    full = SubsetPair.full(space.m)
+    avg = _lp_average(space, full)
     gap = abs(avg.q_upper - avg.q_lower)
-    elton = elton_measures(space, average=avg)
+    elton = _elton(space, full, avg)
     ok = (
         gap <= 1e-8
         and avg.unique_point is not None
@@ -140,7 +141,7 @@ def _check_chain(space: KernelSpace, seed: int) -> tuple[bool, str]:
 def _check_frostman(space: KernelSpace) -> tuple[bool, str]:
     dual, _ = dual_kernel(space)
     eq = wiener_energy(dual)
-    rep = frostman_check(dual, range(space.m), eq.measure, w=eq.value)
+    rep = frostman_check(dual, range(space.m), eq.measure)
     ok = rep.verdict_a and rep.verdict_b and rep.verdict_c
     detail = "w={:.6g} A={} B={} C={} ({})".format(
         rep.w_value, rep.verdict_a, rep.verdict_b, rep.verdict_c, eq.certificate)

@@ -67,6 +67,19 @@ class TestGenerate:
         assert main(["generate", "moebius", "--m", "5"]) == EXIT_INPUT
         assert "error[SchemaError]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "random(5,0.5,-1)"], "SchemaError"),
+        (["generate", "random", "--m", "5", "--seed", "-1"], "SchemaError"),
+        (["generate", "hypercube", "--dim", "-1"], "SchemaError"),
+        (["generate", "circle", "--m", "3", "--radius", "inf"], "NonFiniteEntry"),
+        (["generate", "circle", "--m", "3", "--radius", "1e308"], "NonFiniteEntry"),
+        (["analyze", "circle(4,chord,inf)"], "NonFiniteEntry"),
+    ])
+    def test_bad_generator_input_is_typed(self, capsys, argv, code):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error[{code}]" in err and "Traceback" not in err
+
     def test_cap_flag(self, capsys):
         assert main(["generate", "grid", "--m", "10", "--cap", "5"]) == EXIT_INPUT
         assert "error[TooLarge]" in capsys.readouterr().err
@@ -208,7 +221,7 @@ class TestSolveOnce:
 
         count(minimax_mod, "solve_lp", "lp")
         count(structure_mod, "solve_lp", "lp")
-        count(optimize_mod, "_quadratic_extremum", "qp")
+        count(optimize_mod, "_solve_extremum", "qp")
         return counts
 
     def test_full_pair(self, calls):

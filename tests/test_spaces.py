@@ -9,6 +9,7 @@ from rdv import (
     AnalysisReport,
     DisconnectedAfterRetriesError,
     MetricViolationError,
+    NonFiniteEntryError,
     ParseError,
     SchemaError,
     TooLargeError,
@@ -87,6 +88,12 @@ class TestCircle:
         k = generate(circle(9)).kernel
         for i in range(9):
             assert np.array_equal(np.roll(k[0], i), k[i])
+
+    @pytest.mark.parametrize("radius", [math.inf, 1e308])
+    def test_overflowing_radius_is_rejected(self, radius):
+        # 2 r sin(0) is inf * 0 = nan on the diagonal
+        with pytest.raises(NonFiniteEntryError):
+            generate(circle(3, radius=radius))
 
     def test_name_mentions_parameters(self):
         assert generate(circle(4, "arc", 2.5)).name == "circle(4,arc,r=2.5)"
@@ -198,6 +205,7 @@ class TestDescriptorValidation:
             lambda: random_graph(0),
             lambda: random_graph(4, edge_prob=0.0),
             lambda: random_graph(4, edge_prob=1.5),
+            lambda: random_graph(4, seed=-1),
         ],
     )
     def test_rejected_parameters(self, bad):

@@ -78,11 +78,17 @@ class TestEigenvectorCalls:
     def test_full_pair_analysis(self, calls, spec):
         space = instance_space(5) if spec == "random" else generate(spec)
         report, _ = build_analysis(space, SubsetPair.full(space.m), n_max=2)
-        # eigh: negative_type_test, for its witness.  eigvalsh: the three QP
-        # routers (direct maximal energy, the dual kernel's minimal energy,
-        # w on H), the maximal-energy dual gate and the converse hypotheses.
-        assert calls == {"eigh": 1, "eigvalsh": 5}
+        # eigh: negative_type_test, for its witness.  eigvalsh: one spectrum
+        # per kernel, the space's (both of its QP routers and the converse
+        # hypotheses) and the dual kernel's (its minimal energy's router).
+        assert calls == {"eigh": 1, "eigvalsh": 2}
         assert report.tolerances["negative_type"] == DEFINITENESS_TOL
+
+    def test_subset_pair_analysis(self, calls):
+        # the spectrum of K[H, H] serves w's router and the converse hypotheses
+        space = generate(circle(12))
+        build_analysis(space, SubsetPair((0, 3, 6, 9), tuple(range(12))), n_max=2)
+        assert calls == {"eigh": 1, "eigvalsh": 3}
 
     def test_definiteness_reads_no_eigenvector(self, monkeypatch):
         def no_vectors(*args, **kwargs):

@@ -102,13 +102,13 @@ class TestRunSuite:
 
     def test_frostman_solves_one_qp_per_seed(self, monkeypatch):
         calls = []
-        real = optimize_mod._quadratic_extremum
+        real = optimize_mod._solve_extremum
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(optimize_mod, "_quadratic_extremum", counted)
+        monkeypatch.setattr(optimize_mod, "_solve_extremum", counted)
         assert run_suite("frostman", seeds=7).passed
         # the dual kernel's minimal energy, read by frostman_check as its w
         assert len(calls) == 7
