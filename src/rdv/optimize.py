@@ -13,7 +13,9 @@ routes, picked by the curvature of the kernel on the sum-zero subspace:
 a certified conditional-gradient method (away steps, exact line search,
 periodic exact solves on the current support), exhaustive stationary-point
 enumeration over supports for up to 14 points, and a multistart heuristic
-that only claims a bound.
+that only claims a bound.  The enumeration solves the supports of one size
+as stacked KKT systems and replays the near-best ones one at a time, so
+its result is exactly that of solving every support on its own.
 """
 from __future__ import annotations
 
@@ -48,6 +50,11 @@ _REFRESH = 64
 QP_GAP_TOL = 1e-10
 QP_MAX_ITER = 100_000
 QP_ENUM_LIMIT = 14
+_ENUM_CHUNK = 512
+# _polish_support accepts a support when its KKT residual is at most
+# _RESID_TOL * (1 + max|M|) and its lowest weight at least -_WEIGHT_TOL
+_RESID_TOL = 1e-8
+_WEIGHT_TOL = 1e-10
 
 LE, EQ = "<=", "="
 
@@ -395,9 +402,9 @@ def _polish_support(M: np.ndarray, support: np.ndarray, h: int):
     if not np.all(np.isfinite(w_s)):
         return None
     resid = M[np.ix_(support, support)] @ w_s - sol[s]
-    if np.max(np.abs(resid)) > 1e-8 * (1.0 + np.max(np.abs(M))):
+    if np.max(np.abs(resid)) > _RESID_TOL * (1.0 + np.max(np.abs(M))):
         return None
-    if np.min(w_s) < -1e-10:
+    if np.min(w_s) < -_WEIGHT_TOL:
         return None
     w = np.zeros(h)
     w[support] = np.clip(w_s, 0.0, None)
@@ -471,17 +478,82 @@ def _away_fw_minimize(M: np.ndarray, gap_tol: float, max_iter: int, start: np.nd
     return best, _fw_gap(M, best), max_iter
 
 
+def _solve_stack(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on a stack of systems; singular ones give NaN rows.
+
+    A system is singular when its LU meets an exact zero pivot, which is when
+    a single ``solve`` raises; ``slogdet`` runs that same LU and reports it
+    as sign 0.
+    """
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full(kkt.shape[:2], np.nan)
+        regular = np.linalg.slogdet(kkt)[0] != 0
+        sol[regular] = np.linalg.solve(kkt[regular], rhs)
+        return sol
+
+
 def _enumerate_supports(Q: np.ndarray, sign: float):
-    """Exact extremum via stationary points of every support, plus vertices."""
+    """Exact extremum via stationary points of every support, plus vertices.
+
+    Supports are visited by size, then lexicographically, and each chunk of
+    at most ``_ENUM_CHUNK`` supports of one size is one stacked KKT solve.
+    A vectorized filter accepts or rejects a support when it is clear of
+    ``_polish_support``'s thresholds by a factor of two; the supports in
+    between are replayed through ``_polish_support``.  The supports whose
+    stacked value is within ``1e-9 * (1 + max|M|)`` of the smallest are
+    replayed too, and the tie rule runs on their replayed points in visiting
+    order, so measure, value and notes are those of solving every support
+    on its own.
+    """
     h = Q.shape[0]
     M = sign * Q
-    best_w = None
-    best_val = math.inf
-    notes = []
+    scale = 1.0 + np.max(np.abs(M))
+    resid_tol = _RESID_TOL * scale
+    # [[M, -1], [1, 0]]: indexing it with a support plus index h gives that
+    # support's KKT matrix
+    bordered = np.zeros((h + 1, h + 1))
+    bordered[:h, :h] = M
+    bordered[:h, h] = -1.0
+    bordered[h, :h] = 1.0
+    accepted = []  # (supports, stacked values) per chunk, in visiting order
     skipped = 0
     for size in range(1, h + 1):
-        for subset in itertools.combinations(range(h), size):
-            support = np.array(subset, dtype=int)
+        combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(h), size)),
+                             dtype=np.intp).reshape(-1, size)
+        rhs = np.zeros(size + 1)
+        rhs[size] = 1.0
+        for start in range(0, len(combos), _ENUM_CHUNK):
+            S = combos[start:start + _ENUM_CHUNK]
+            idx = np.hstack([S, np.full((len(S), 1), h)])
+            kkt = bordered[idx[:, :, None], idx[:, None, :]]
+            M_S = kkt[:, :size, :size]
+            sol = _solve_stack(kkt, rhs)
+            w_s = sol[:, :size]
+            with np.errstate(invalid="ignore"):
+                resid = np.abs(np.einsum("nij,nj->ni", M_S, w_s) - sol[:, size:]).max(axis=1)
+                low = w_s.min(axis=1)
+                finite = np.isfinite(w_s).all(axis=1)
+                keep = finite & (resid <= 0.5 * resid_tol) & (low >= -0.5 * _WEIGHT_TOL)
+                unsure = (finite & ~keep & ~(resid > 2.0 * resid_tol)
+                          & ~(low < -2.0 * _WEIGHT_TOL))
+            for i in np.flatnonzero(unsure):
+                keep[i] = _polish_support(M, S[i], h) is not None
+            skipped += len(S) - int(keep.sum())
+            w = np.clip(w_s[keep], 0.0, None)
+            w /= w.sum(axis=1, keepdims=True)
+            accepted.append((S[keep], np.einsum("ni,nij,nj->n", w, M_S[keep], w)))
+
+    # The tie rule looks 1e-15 and 1e-12 apart.  A support more than 1e-9
+    # above the best can neither win nor tie, and with under 2**14 values in
+    # that band some empty 1e-15 window walls it off from the ones that
+    # decide, so leaving it out changes nothing.
+    cutoff = min(vals.min() for _, vals in accepted if vals.size) + 1e-9 * scale
+    best_w = None
+    best_val = math.inf
+    for supports, vals in accepted:
+        for support in supports[vals <= cutoff]:
             w = _polish_support(M, support, h)
             if w is None:
                 skipped += 1
@@ -491,6 +563,7 @@ def _enumerate_supports(Q: np.ndarray, sign: float):
                 best_w, best_val = w, val
             elif abs(val - best_val) <= 1e-12 and best_w is not None and tuple(w) < tuple(best_w):
                 best_w = w
+    notes = []
     if skipped:
         notes.append(f"skipped {skipped} singular or infeasible support systems")
     return best_w, sign * best_val, tuple(notes)

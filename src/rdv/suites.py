@@ -86,7 +86,7 @@ class SuiteOutcome:
     name: str
     passed: bool
     detail: str
-    space: KernelSpace
+    space: KernelSpace | None  # the failing space, for dump_failures; None on a pass
 
 
 @dataclass(frozen=True)
@@ -234,15 +234,15 @@ def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
         except RdvError as exc:
             ok, detail = False, f"error[{exc.code}] {exc}"
         outcomes.append(SuiteOutcome(suite=suite, name=name, passed=ok,
-                                     detail=detail, space=space))
+                                     detail=detail, space=None if ok else space))
     if suite == "quasi":
         for fam_name, fam_space in vertex_transitive_family():
             try:
                 ok, detail = _check_transitive(fam_name, fam_space)
             except RdvError as exc:
                 ok, detail = False, f"error[{exc.code}] {exc}"
-            outcomes.append(SuiteOutcome(suite=suite, name=f"{suite}[{fam_name}]",
-                                         passed=ok, detail=detail, space=fam_space))
+            outcomes.append(SuiteOutcome(suite=suite, name=f"{suite}[{fam_name}]", passed=ok,
+                                         detail=detail, space=None if ok else fam_space))
     return SuiteReport(suite=suite, outcomes=tuple(outcomes))
 
 

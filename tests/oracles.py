@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms than the
 package: brute-force grids over the probability simplex instead of LPs,
 pure-Python tuple scans and the old itertools scan instead of the
-incremental multiset pass, random sum-zero probes instead of
-eigendecompositions, and closed forms / quadrature for the classical spaces.
+incremental multiset pass, one KKT solve per support instead of stacked
+solves, random sum-zero probes instead of eigendecompositions, and closed
+forms / quadrature for the classical spaces.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from rdv.chebyshev import ChebyshevWitness, DEFAULT_ENUM_CAP, multiset_count
 from rdv.core import DimensionMismatchError, EnumerationCapExceededError
+from rdv.optimize import _polish_support
 
 
 @lru_cache(maxsize=None)
@@ -185,3 +187,33 @@ def max_sum_zero_energy_probe(kernel: np.ndarray, trials: int = 400,
             continue
         best = max(best, float(c @ kernel @ c) / nrm)
     return best
+
+
+def enumerate_supports_loop(Q: np.ndarray, sign: float):
+    """Exact extremum via stationary points of every support, plus vertices.
+
+    The one-support-at-a-time loop that ``optimize._enumerate_supports`` ran
+    before it solved each support size as stacked systems; kept verbatim as
+    the differential reference for measure, value and notes.
+    """
+    h = Q.shape[0]
+    M = sign * Q
+    best_w = None
+    best_val = math.inf
+    notes = []
+    skipped = 0
+    for size in range(1, h + 1):
+        for subset in itertools.combinations(range(h), size):
+            support = np.array(subset, dtype=int)
+            w = _polish_support(M, support, h)
+            if w is None:
+                skipped += 1
+                continue
+            val = float(w @ M @ w)
+            if val < best_val - 1e-15:
+                best_w, best_val = w, val
+            elif abs(val - best_val) <= 1e-12 and best_w is not None and tuple(w) < tuple(best_w):
+                best_w = w
+    if skipped:
+        notes.append(f"skipped {skipped} singular or infeasible support systems")
+    return best_w, sign * best_val, tuple(notes)

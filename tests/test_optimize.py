@@ -21,6 +21,8 @@ from rdv import (
 )
 from rdv.minimax import level_program
 from rdv.optimize import (
+    _ENUM_CHUNK,
+    QP_ENUM_LIMIT,
     LinearProgram,
     _certify,
     _enumerate_supports,
@@ -28,9 +30,10 @@ from rdv.optimize import (
     minimize_quadratic_on_simplex,
     solve_lp,
 )
+from rdv.spectral import sum_zero_definiteness
 from rdv.suites import instance_pairs, instance_space
 
-from oracles import grid_energy
+from oracles import enumerate_supports_loop, grid_energy
 
 
 def _lp(c, A, senses, b):
@@ -346,3 +349,116 @@ class TestQuadraticAgainstGrid:
         # and a grid this fine cannot be far from the true extrema
         assert top.value <= hi_grid + 5.0 / denom
         assert bottom.value >= lo_grid - 5.0 / denom
+
+
+def _twin(kernel: np.ndarray) -> np.ndarray:
+    """The kernel with point 1 replaced by a copy of point 0."""
+    k = kernel.copy()
+    k[1] = k[0]
+    k[:, 1] = k[:, 0]
+    return k
+
+
+def _boundary_kernel(weight: float) -> np.ndarray:
+    """Three points whose support {0, 1} solves to weights (weight, 1 - weight)."""
+    # M_S = [[0, 1], [1, x]] gives w_0 = (x - 1) / (x - 2); solve for x
+    x = (1.0 - 2.0 * weight) / (1.0 - weight)
+    return np.array([[0.0, 1.0, 2.0], [1.0, x, 2.0], [2.0, 2.0, 0.0]])
+
+
+def _differential_kernels():
+    # the loop takes about 0.7 s at 14 points, so the largest sizes get one
+    # seed and only the plain kernel
+    for m in range(3, QP_ENUM_LIMIT + 1):
+        for seed in (0, 1, 2) if m <= 11 else (0,):
+            k = generate(random_graph(m, 0.5, seed)).kernel
+            yield f"random({m},{seed})", k
+            if m <= 12:
+                yield f"random({m},{seed})*1e6", k * 1e6
+                yield f"dual random({m},{seed})", 2.0 * k.max() - k
+    for seed in range(200):
+        space = instance_space(seed)
+        yield f"instance {seed}", space.kernel
+    rng = np.random.default_rng(5)
+    for m in range(3, 11):
+        a = rng.normal(size=(m, m))
+        yield f"symmetric({m})", a + a.T
+    yield "twin random(14,3)", _twin(generate(random_graph(14, 0.5, 3)).kernel)
+    # supports whose lowest weight falls between the filter's two thresholds
+    for weight in (-0.3e-10, -0.7e-10, -1.5e-10, -3e-10):
+        yield f"boundary {weight}", _boundary_kernel(weight)
+
+
+class TestBatchedEnumeration:
+    """The stacked enumeration against the one-support-at-a-time loop."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_equals_loop_bit_for_bit(self, sign):
+        for name, kernel in _differential_kernels():
+            w, value, notes = _enumerate_supports(kernel, sign)
+            w_ref, value_ref, notes_ref = enumerate_supports_loop(kernel, sign)
+            assert w.tobytes() == w_ref.tobytes(), name
+            assert value == value_ref, name
+            assert notes == notes_ref, name
+
+    def test_boundary_supports_follow_the_loop(self):
+        # {0, 1} and {0, 1, 2} solve to a lowest weight between the filter's
+        # thresholds, so _polish_support decides them: kept at -0.7e-10 and
+        # -0.47e-10, dropped at -1.5e-10 and -1.0000001e-10 (its own bound
+        # is -1e-10)
+        assert _enumerate_supports(_boundary_kernel(-0.7e-10), 1.0)[2] == ()
+        assert _enumerate_supports(_boundary_kernel(-1.5e-10), 1.0)[2] == (
+            "skipped 2 singular or infeasible support systems",)
+
+    def test_zero_diagonal_minimum_is_the_last_dirac(self):
+        # every Dirac has energy 0; the tie rule keeps the lexicographically
+        # smallest weight vector, the Dirac at the last point of H
+        checked = 0
+        for m in range(3, QP_ENUM_LIMIT + 1):
+            for seed in range(4):
+                space = generate(random_graph(m, 0.5, seed))
+                if sum_zero_definiteness(space.kernel)["nsd"]:
+                    continue  # of negative type
+                res = minimize_quadratic_on_simplex(space, range(m))
+                assert res.value == 0.0
+                assert res.certificate == "enumerated_exact"
+                assert res.measure.support() == (m - 1,)
+                checked += 1
+        assert checked >= 20
+
+    def test_exact_tie_in_the_maximum(self):
+        # the pairs {0, 1} and {2, 3} both reach 3/2; {0, 1} comes first,
+        # but (0, 0, 1/2, 1/2) is the lexicographically smaller weight vector
+        k = np.ones((4, 4)) - np.eye(4)
+        k[0, 1] = k[1, 0] = k[2, 3] = k[3, 2] = 3.0
+        space = KernelSpace("tie", ("a", "b", "c", "d"), k, False)
+        res = maximize_quadratic_on_simplex(space, range(4))
+        assert res.certificate == "enumerated_exact"
+        assert res.value == 1.5
+        assert res.measure.weights.tolist() == [0.0, 0.0, 0.5, 0.5]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_singular_chunks_cost_two_stacked_solves(self, monkeypatch, sign):
+        kernel = _twin(generate(random_graph(14, 0.5, 3)).kernel)
+        h = kernel.shape[0]
+        calls = {"stacked": 0, "single": 0, "slogdet": 0}
+        solve, slogdet = np.linalg.solve, np.linalg.slogdet
+
+        def spy_solve(a, b):
+            calls["stacked" if a.ndim == 3 else "single"] += 1
+            return solve(a, b)
+
+        def spy_slogdet(a):
+            calls["slogdet"] += 1
+            return slogdet(a)
+
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        monkeypatch.setattr(np.linalg, "slogdet", spy_slogdet)
+        _, _, notes = _enumerate_supports(kernel, sign)
+        chunks = sum(-(-math.comb(h, size) // _ENUM_CHUNK) for size in range(1, h + 1))
+        assert notes  # the twin supports are singular
+        assert 1 <= calls["slogdet"] <= chunks
+        assert calls["stacked"] <= 2 * chunks
+        # one-system solves only replay the near-best supports: at most the
+        # h tied Diracs of the minimum
+        assert calls["single"] <= h

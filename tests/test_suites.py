@@ -12,6 +12,7 @@ from rdv import (
 )
 import rdv.minimax as minimax_mod
 import rdv.optimize as optimize_mod
+import rdv.suites as suites_mod
 from rdv.suites import (
     SUITE_NAMES,
     _check_duality,
@@ -68,10 +69,25 @@ class TestRunSuite:
         with pytest.raises(DimensionMismatchError):
             run_suites("all", seeds=seeds, max_points=max_points)
 
-    def test_smallest_sizes_run(self):
+    def test_smallest_sizes_run(self, monkeypatch):
+        sizes = []
+
+        def check(space):
+            sizes.append(space.m)
+            return _check_duality(space)
+
+        monkeypatch.setattr(suites_mod, "_check_duality", check)
         report = run_suite("duality", seeds=1, max_points=3)
         assert report.counts == (1, 1)
-        assert report.outcomes[0].space.m == 3
+        assert sizes == [3]
+
+    def test_only_failing_outcomes_keep_their_space(self, monkeypatch):
+        monkeypatch.setattr(suites_mod, "_check_duality",
+                            lambda space: (space.m != 4, "synthetic"))
+        report = run_suite("duality", seeds=3)
+        assert [o.passed for o in report.outcomes] == [True, False, True]
+        assert [o.space for o in report.outcomes[::2]] == [None, None]
+        assert np.array_equal(report.outcomes[1].space.kernel, instance_space(1).kernel)
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_small_run_passes(self, suite):
