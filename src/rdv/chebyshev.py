@@ -2,14 +2,17 @@
 
 The order-n constant maximizes, over size-n multisets from H, the smallest
 averaged kernel sum seen from L; the dual constant minimizes the largest
-one.  One pass over all multisets (combinations with replacement) in
-lexicographic order yields both, vectorized in chunks of at most
-``_CHUNK_CELLS`` float64 cells, with a hard cap on the enumeration size.
-Multiset witnesses are the lexicographically smallest optimizers.
+one.  One pass over all multisets (combinations with replacement) yields
+both, with a hard cap on the enumeration size.  The pass keeps the sums of
+order n - 2 in a table ordered by largest index (colex), and forms every
+sum with second-largest index b by one broadcast add over the table's first
+columns and the indices c >= b; no multiset tuples or index arrays are
+built.  The table and every block of sums stay within ``_CHUNK_CELLS``
+float64 cells.  Multiset witnesses are the lexicographically smallest
+optimizers.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +29,9 @@ from .core import (
 )
 
 DEFAULT_ENUM_CAP = 2_000_000
-_CHUNK_CELLS = 4_000_000
+# Cells (float64) of the largest temporary of a pass: 2 MB, enough for the
+# order-2 table of 64 points (2,080 columns of 64).
+_CHUNK_CELLS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,14 @@ def check_n_max(n_max: int) -> None:
         raise DimensionMismatchError(f"largest multiset order must be at least 1, got {n_max}")
 
 
+def _enum_limit(cap: Optional[int]) -> int:
+    """The multiset cap in force; one below 1 would admit no order at all."""
+    limit = DEFAULT_ENUM_CAP if cap is None else int(cap)
+    if limit < 1:
+        raise DimensionMismatchError(f"multiset enumeration cap must be at least 1, got {limit}")
+    return limit
+
+
 def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
                 ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
     """Both order-n constants with their witnesses, from one pass over the multisets.
@@ -73,7 +86,7 @@ def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
     if n < 1:
         raise DimensionMismatchError(f"multiset order must be at least 1, got {n}")
     pair.check_range(space.m)
-    limit = DEFAULT_ENUM_CAP if cap is None else int(cap)
+    limit = _enum_limit(cap)
     required = multiset_count(len(pair.H), n)
     if required > limit:
         raise EnumerationCapExceededError(
@@ -87,63 +100,230 @@ def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
 def _scan(space: KernelSpace, pair: SubsetPair, n: int
           ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
     H, L = pair.H, pair.L
-    # Row i holds the kernel from H[i] to every point of L.
-    rows = np.ascontiguousarray(space.kernel[np.ix_(L, H)].T)
-    # The two gathered operands of a chunk share the cell budget.
-    chunk = max(1, _CHUNK_CELLS // (2 * len(L)))
+    # Column i holds the kernel from H[i] to every point of L.  L leads, so the
+    # reductions over L run elementwise across contiguous slabs.
+    cols = np.ascontiguousarray(space.kernel[np.ix_(L, H)])
+    # counts[j][x]: multisets of order j with largest index at most x.
+    counts = [np.ones(len(H), dtype=np.int64)]
+    for _ in range(n - 2):
+        counts.append(np.cumsum(counts[-1]))
     lo = hi = None
-    for prefix, tails, sums in _sum_chunks(rows, n, chunk):
+    for sums, invalid, locate in _blocks(cols, n, counts):
         # Divide before comparing: sums that differ can tie once divided by n.
-        inner = sums.min(axis=1) / n
-        j = int(np.argmax(inner))
-        if lo is None or inner[j] > lo[0]:
-            lo = (float(inner[j]), prefix + tuple(int(t[j]) for t in tails))
-        inner = sums.max(axis=1) / n
-        j = int(np.argmin(inner))
-        if hi is None or inner[j] < hi[0]:
-            hi = (float(inner[j]), prefix + tuple(int(t[j]) for t in tails))
-    return (lo[0], _witness(rows, pair, lo[1], dual=False),
-            hi[0], _witness(rows, pair, hi[1], dual=True))
+        inner = sums.min(axis=0)
+        inner /= n
+        if invalid is not None:
+            inner[invalid] = -np.inf
+        lo = _keep(lo, inner, locate, larger=True)
+        inner = sums.max(axis=0)
+        inner /= n
+        if invalid is not None:
+            inner[invalid] = np.inf
+        hi = _keep(hi, inner, locate, larger=False)
+    return (lo[0], _witness(cols, pair, _multiset(counts, lo[1]), dual=False),
+            hi[0], _witness(cols, pair, _multiset(counts, hi[1]), dual=True))
 
 
-def _sum_chunks(rows: np.ndarray, n: int, chunk: int):
-    """Kernel sums of all order-n multisets, in lexicographic order.
+def _keep(best, inner: np.ndarray, locate, larger: bool):
+    """The better of ``best`` and this block's optimum, as ``(value, key)``.
 
-    Yields ``(prefix, tails, sums)``: row j of ``sums`` belongs to the multiset
-    ``prefix + (t[j] for t in tails)``.  Every sum accumulates left to right
-    from 0.0, ``((0 + k_a1) + k_a2) + ... + k_an``, like numpy's own sum over
-    fewer than eight terms.  For each prefix of order n - 2 the sums with the
-    next index b are formed once; the pairs b <= c then add ``k_c``, at most
-    ``chunk`` multisets at a time.
+    Blocks do not come in lexicographic order, so an exact tie goes to the
+    smaller key, which orders multisets lexicographically: the first
+    optimizer of a scan in lexicographic order.
     """
-    h = rows.shape[0]
+    first = int(inner.argmax() if larger else inner.argmin())
+    value = float(inner.flat[first])
+    if best is not None and (value < best[0] if larger else value > best[0]):
+        return best
+    key = locate(inner, first)
+    if best is None or value != best[0] or key < best[1]:
+        return value, key
+    return best
+
+
+def _blocks(cols: np.ndarray, n: int, counts: list):
+    """Kernel sums of all order-n multisets, in blocks of bounded size.
+
+    Yields ``(sums, invalid, locate)``.  ``sums`` holds L on its first axis;
+    ``invalid`` is ``None`` or masks the cells of ``sums[0]`` that are no
+    multiset; ``locate(inner, first)`` maps a reduction ``inner`` of ``sums``
+    over L and the flat position of its first optimum to the key
+    (``_multiset``) of the lexicographically smallest multiset whose cell
+    ties with it.  Every sum accumulates left to right from 0.0,
+    ``((0 + k_a1) + k_a2) + ... + k_an``.
+
+    The sums of order k = n - 2 sit in a table in colex order (by largest
+    index first), so those with largest index at most b are its first
+    ``counts[k][b]`` columns.  For each second-largest index b, one broadcast
+    add forms ``(T[q] + k_b) + k_c`` for every such prefix q and every
+    c >= b.  Consecutive b merge into one masked block while it fits; a b too
+    large for one block splits along q and c.  A table larger than
+    ``_CHUNK_CELLS`` is replaced by the largest order that fits, and each
+    chunk of prefixes is filled from it (``_fill``).
+    """
+    n_l, h = cols.shape
+    # Blocks get a quarter of the budget: at 2**17 cells they raised the peak
+    # RSS of a random(40) analysis by 1.3 MB, at 2**16 not measurably.
+    budget = max(1, _CHUNK_CELLS // 4)
     if n == 1:
-        for s in range(0, h, chunk):
-            c = np.arange(s, min(s + chunk, h))
-            yield (), (c,), 0.0 + rows[c]
+        width = max(1, budget // n_l)
+        for c0 in range(0, h, width):
+            # positions follow the index, so the first optimum is the smallest
+            yield 0.0 + cols[:, c0:c0 + width], None, lambda inner, first, c0=c0: (c0 + first,)
         return
-    b_all, c_all = np.triu_indices(h)
-    for prefix in itertools.combinations_with_replacement(range(h), n - 2):
-        last = prefix[-1] if prefix else 0
-        heads = _prefix_sum(rows, prefix) + rows[last:]
-        # pairs with b < last precede the first pair (last, last)
-        for s in range(last * h - last * (last - 1) // 2, b_all.size, chunk):
-            b, c = b_all[s:s + chunk], c_all[s:s + chunk]
-            sums = heads[b - last]
-            sums += rows[c]
-            yield prefix, (b, c), sums
+    k = n - 2
+    t = 0
+    while t < k and n_l * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
+        t += 1
+    table = _colex_table(cols, t, counts)
+    lex = _lex_ranks(counts, np.arange(table.shape[1])) if t == k else None
+    last = counts[k]
+    b = 0
+    while b < h:
+        b1 = b + 1
+        if t == k:
+            while b1 < h and n_l * (b1 + 1 - b) * int(last[b1]) * (h - b) <= budget:
+                b1 += 1
+        if b1 > b + 1:
+            nq, nc = int(last[b1 - 1]), h - b
+            heads = table[:, None, :nq] + cols[:, b:b1, None]
+            # Cells with q >= counts[k][b] or c < b hold no multiset.  For
+            # order 2 a cell (b, c) with c < b holds the sum of (c, b) exactly,
+            # because addition commutes, so it needs no mask.
+            invalid = None if k == 0 else (
+                (np.arange(nq) >= last[b:b1, None])[:, :, None]
+                | (np.arange(nc) < np.arange(b1 - b)[:, None])[:, None, :])
+            yield (heads[:, :, :, None] + cols[:, None, None, b:], invalid,
+                   _locator(counts, lex, (b1 - b, nq, nc), b, 0, b, False, True))
+        else:
+            nq, nc = int(last[b]), h - b
+            width = max(1, min(nc, budget // n_l))
+            rows = max(1, budget // (n_l * width))
+            for r0 in range(0, nq, rows):
+                r1 = min(r0 + rows, nq)
+                prefix = table[:, r0:r1] if t == k else _fill(cols, table, t, counts, k, r0, r1)
+                heads = prefix + cols[:, b, None]
+                for c0 in range(b, h, width):
+                    c1 = min(c0 + width, h)
+                    # the longer axis goes innermost, where numpy's loops run
+                    q_last = r1 - r0 >= c1 - c0
+                    if q_last:
+                        sums = heads[:, None, None, :] + cols[:, None, c0:c1, None]
+                    else:
+                        sums = heads[:, None, :, None] + cols[:, None, None, c0:c1]
+                    yield sums, None, _locator(counts, lex, sums.shape[1:], b, r0, c0,
+                                               q_last, False)
+        b = b1
 
 
-def _prefix_sum(rows: np.ndarray, multiset: tuple[int, ...]) -> np.ndarray:
-    total = np.zeros(rows.shape[1])
+def _colex_table(cols: np.ndarray, t: int, counts: list) -> np.ndarray:
+    """Sums of all order-t multisets in colex order, one column each, built
+    one order at a time."""
+    table = np.zeros((cols.shape[0], 1)) if t == 0 else cols + 0.0
+    for j in range(2, t + 1):
+        table = _fill(cols, table, j - 1, counts, j, 0, int(counts[j][-1]))
+    return table
+
+
+def _fill(cols: np.ndarray, table: np.ndarray, t: int, counts: list, k: int,
+          r0: int, r1: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sums of the order-k multisets of colex ranks r0..r1-1, from the order-t table.
+
+    The multisets with largest index x are those of order k - 1 with largest
+    index at most x, plus x; their sums add ``k_x`` last.
+    """
+    if out is None:
+        out = np.empty((cols.shape[0], r1 - r0))
+    if k == t:
+        out[...] = table[:, r0:r1]
+        return out
+    x = int(np.searchsorted(counts[k], r0, side="right"))
+    pos = 0
+    while r0 < r1:
+        end, size = int(counts[k][x]), int(counts[k - 1][x])
+        stop = min(end, r1)
+        part = out[:, pos:pos + stop - r0]
+        _fill(cols, table, t, counts, k - 1, r0 - (end - size), stop - (end - size), part)
+        part += cols[:, x, None]
+        pos += stop - r0
+        r0 = stop
+        x += 1
+    return out
+
+
+def _locator(counts: list, lex: Optional[np.ndarray], shape: tuple, b0: int, r0: int,
+             c0: int, q_last: bool, merged: bool):
+    """``locate`` of a block with axes (b, q, c), or (b, c, q) with ``q_last``;
+    its keys are ``(lex rank of the prefix, b, c, colex rank of the prefix)``."""
+    def locate(inner: np.ndarray, first: int) -> tuple[int, int, int, int]:
+        if len(counts) == 1:
+            # Order 2: the first optimum is the smallest multiset.  Its cells
+            # run in lexicographic order, and a cell (b, c) with c < b has its
+            # twin (c, b) in an earlier row of the same block.
+            j, _, c = np.unravel_index(first, shape)
+            return 0, b0 + int(j), c0 + int(c), 0
+        pos = np.flatnonzero(inner == inner.flat[first])
+        j, q, c = np.unravel_index(pos, shape)
+        if q_last:
+            q, c = c, q
+        b, rank, c = b0 + j, r0 + q, c0 + c
+        if merged:
+            keep = (rank < counts[-1][b]) & (c >= b)
+            b, rank, c = b[keep], rank[keep], c[keep]
+        order = lex[rank] if lex is not None else _lex_ranks(counts, rank)
+        i = np.lexsort((c, b, order))[0]
+        return int(order[i]), int(b[i]), int(c[i]), int(rank[i])
+    return locate
+
+
+def _unrank(counts: list, ranks):
+    """Indices a_1 <= ... <= a_k of the order-k multisets of these colex ranks
+    (an array each, or a scalar each for a scalar rank), k = len(counts) - 1."""
+    indices = []
+    for i in range(len(counts) - 1, 0, -1):
+        # the largest index x is the first with more multisets up to x than the rank
+        x = np.searchsorted(counts[i], ranks, side="right")
+        indices.append(x)
+        ranks = ranks - (counts[i][x] - counts[i - 1][x])
+    return indices[::-1]
+
+
+def _lex_ranks(counts: list, ranks: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of the order-k multisets of these colex ranks.
+
+    Before a multiset a come those that agree with it up to a_(i-1) and
+    have a smaller i-th index; with m = k - i indices left, ending in
+    x >= a_(i-1), they number C(h - x + m, m + 1) summed over x from a_(i-1)
+    to a_i - 1 (hockey stick), i.e. ``counts[m + 1][h - 1 - x]`` differences.
+    """
+    k, h = len(counts) - 1, len(counts[0])
+    lex = np.zeros(len(ranks), dtype=np.int64)
+    prev = np.zeros(len(ranks), dtype=np.int64)
+    for i, a in enumerate(_unrank(counts, ranks), start=1):
+        tail = counts[k - i + 1]
+        lex += tail[h - 1 - prev] - tail[h - 1 - a]
+        prev = a
+    return lex
+
+
+def _multiset(counts: list, key: tuple) -> tuple[int, ...]:
+    """The multiset of a key from ``_blocks``: ``(c,)`` or ``(lex, b, c, rank)``."""
+    if len(key) == 1:
+        return key
+    _, b, c, rank = key
+    return tuple(int(a) for a in _unrank(counts, rank)) + (b, c)
+
+
+def _prefix_sum(cols: np.ndarray, multiset: tuple[int, ...]) -> np.ndarray:
+    total = np.zeros(cols.shape[0])
     for a in multiset:
-        total = total + rows[a]
+        total = total + cols[:, a]
     return total
 
 
-def _witness(rows: np.ndarray, pair: SubsetPair, multiset: tuple[int, ...],
+def _witness(cols: np.ndarray, pair: SubsetPair, multiset: tuple[int, ...],
              dual: bool) -> ChebyshevWitness:
-    avg = _prefix_sum(rows, multiset) / len(multiset)
+    avg = _prefix_sum(cols, multiset) / len(multiset)
     row = int(np.argmax(avg)) if dual else int(np.argmin(avg))
     return ChebyshevWitness(points=tuple(pair.H[i] for i in multiset), extremal=pair.L[row])
 
@@ -189,7 +369,7 @@ def chebyshev_table(space: KernelSpace, pair: SubsetPair, n_max: int,
                     cap: Optional[int] = None) -> ChebyshevTable:
     """Table of orders 1..n_max, skipping orders whose scan would blow the cap."""
     check_n_max(n_max)
-    limit = DEFAULT_ENUM_CAP if cap is None else int(cap)
+    limit = _enum_limit(cap)
     ns, lows, highs, lw, uw, skipped = [], [], [], [], [], []
     for n in range(1, n_max + 1):
         if multiset_count(len(pair.H), n) > limit:

@@ -2,10 +2,10 @@
 
 Everything here is deliberately written with different algorithms than the
 package: brute-force grids over the probability simplex instead of LPs,
-pure-Python tuple scans and the old itertools scan instead of the
-incremental multiset pass, one KKT solve per support instead of stacked
-solves, random sum-zero probes instead of eigendecompositions, and closed
-forms / quadrature for the classical spaces.
+pure-Python tuple scans, the old itertools scan and the prefix-loop pass
+instead of the colex-table multiset pass, one KKT solve per support instead
+of stacked solves, random sum-zero probes instead of eigendecompositions,
+and closed forms / quadrature for the classical spaces.
 """
 from __future__ import annotations
 
@@ -144,6 +144,77 @@ def chebyshev_scan(space, pair, n: int, cap=None, dual: bool = False):
         extremal=L[row],
     )
     return best_val, witness
+
+
+# The prefix-loop scan that computed both order-n constants in one pass
+# before the colex table and its broadcast blocks replaced it; kept verbatim
+# (names aside) as the bit-for-bit differential reference.
+PREFIX_LOOP_CHUNK_CELLS = 4_000_000
+
+
+def chebyshev_prefix_loop(space, pair, n: int):
+    """(M_n, witness, dual M_n, witness) by one pass with a Python loop over
+    every order-(n - 2) prefix; no cap check."""
+    H, L = pair.H, pair.L
+    # Row i holds the kernel from H[i] to every point of L.
+    rows = np.ascontiguousarray(space.kernel[np.ix_(L, H)].T)
+    # The two gathered operands of a chunk share the cell budget.
+    chunk = max(1, PREFIX_LOOP_CHUNK_CELLS // (2 * len(L)))
+    lo = hi = None
+    for prefix, tails, sums in _prefix_loop_chunks(rows, n, chunk):
+        # Divide before comparing: sums that differ can tie once divided by n.
+        inner = sums.min(axis=1) / n
+        j = int(np.argmax(inner))
+        if lo is None or inner[j] > lo[0]:
+            lo = (float(inner[j]), prefix + tuple(int(t[j]) for t in tails))
+        inner = sums.max(axis=1) / n
+        j = int(np.argmin(inner))
+        if hi is None or inner[j] < hi[0]:
+            hi = (float(inner[j]), prefix + tuple(int(t[j]) for t in tails))
+    return (lo[0], _prefix_loop_witness(rows, pair, lo[1], dual=False),
+            hi[0], _prefix_loop_witness(rows, pair, hi[1], dual=True))
+
+
+def _prefix_loop_chunks(rows: np.ndarray, n: int, chunk: int):
+    """Kernel sums of all order-n multisets, in lexicographic order.
+
+    Yields ``(prefix, tails, sums)``: row j of ``sums`` belongs to the multiset
+    ``prefix + (t[j] for t in tails)``.  Every sum accumulates left to right
+    from 0.0, ``((0 + k_a1) + k_a2) + ... + k_an``, like numpy's own sum over
+    fewer than eight terms.  For each prefix of order n - 2 the sums with the
+    next index b are formed once; the pairs b <= c then add ``k_c``, at most
+    ``chunk`` multisets at a time.
+    """
+    h = rows.shape[0]
+    if n == 1:
+        for s in range(0, h, chunk):
+            c = np.arange(s, min(s + chunk, h))
+            yield (), (c,), 0.0 + rows[c]
+        return
+    b_all, c_all = np.triu_indices(h)
+    for prefix in itertools.combinations_with_replacement(range(h), n - 2):
+        last = prefix[-1] if prefix else 0
+        heads = _prefix_loop_sum(rows, prefix) + rows[last:]
+        # pairs with b < last precede the first pair (last, last)
+        for s in range(last * h - last * (last - 1) // 2, b_all.size, chunk):
+            b, c = b_all[s:s + chunk], c_all[s:s + chunk]
+            sums = heads[b - last]
+            sums += rows[c]
+            yield prefix, (b, c), sums
+
+
+def _prefix_loop_sum(rows: np.ndarray, multiset: tuple[int, ...]) -> np.ndarray:
+    total = np.zeros(rows.shape[1])
+    for a in multiset:
+        total = total + rows[a]
+    return total
+
+
+def _prefix_loop_witness(rows: np.ndarray, pair, multiset: tuple[int, ...],
+                         dual: bool) -> ChebyshevWitness:
+    avg = _prefix_loop_sum(rows, multiset) / len(multiset)
+    row = int(np.argmax(avg)) if dual else int(np.argmin(avg))
+    return ChebyshevWitness(points=tuple(pair.H[i] for i in multiset), extremal=pair.L[row])
 
 
 def circle_rendezvous_closed_form(m: int, radius: float = 1.0) -> float:

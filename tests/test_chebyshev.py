@@ -1,5 +1,7 @@
 """Order-n multiset constants: exact scans, witnesses, caps, and bounds."""
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +21,15 @@ from rdv import (
     generate,
     hypercube,
     inequality_chain,
+    interval_grid,
     multiset_count,
     random_graph,
     rendezvous_n,
 )
 import rdv.chebyshev as chebyshev
 
-from oracles import chebyshev_brute, chebyshev_scan, dual_chebyshev_brute
+from oracles import chebyshev_brute, chebyshev_prefix_loop, chebyshev_scan, dual_chebyshev_brute
+from rdv.core import validate_kernel
 
 
 class TestTwoPointTable:
@@ -161,6 +165,18 @@ class TestCaps:
         with pytest.raises(IndexOutOfRangeError):
             chebyshev_n(t2, SubsetPair((0,), (5,)), 1)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_must_be_positive(self, t2, cap):
+        # a cap below 1 would skip every order and leave the chain vacuous
+        pair = SubsetPair.full(2)
+        calls = (lambda: chebyshev_table(t2, pair, 3, cap=cap),
+                 lambda: chebyshev_limit_bounds(t2, pair, 3, cap=cap),
+                 lambda: chebyshev_n(t2, pair, 1, cap=cap),
+                 lambda: inequality_chain(t2, pair, 3, cap=cap))
+        for call in calls:
+            with pytest.raises(DimensionMismatchError, match="cap must be at least 1"):
+                call()
+
 
 class TestIntervalShape:
     def test_disjoint_pair_can_cross(self, t2):
@@ -291,3 +307,109 @@ class TestAgainstOldScan:
             pair = SubsetPair((3,), L)
             for n in range(1, 6):
                 self.assert_same(space, pair, n)
+
+
+def _twin(m: int, seed: int):
+    """A random graph kernel with point 1 replaced by a copy of point 0."""
+    k = generate(random_graph(m, 0.5, seed)).kernel.copy()
+    k[1] = k[0]
+    k[:, 1] = k[:, 0]
+    return validate_kernel(k, name=f"twin{m}")
+
+
+def _prefix_loop_cases():
+    yield from _old_scan_cases()
+    # integer sums: many exact ties between multisets
+    for dim in (3, 4, 5):
+        space = generate(hypercube(dim))
+        yield space, SubsetPair.full(space.m)
+    for m in range(7, 17):
+        for metric in ("chord", "arc"):
+            yield generate(circle(m, metric)), SubsetPair.full(m)
+    twin = _twin(9, 3)
+    yield twin, SubsetPair.full(9)
+    yield twin, SubsetPair((0, 1, 4, 6), (0, 1, 2, 3, 8))
+    space = generate(random_graph(7, 0.5, 2))
+    for pair in (SubsetPair(tuple(range(7)), (3,)), SubsetPair((0, 2, 5), (4,)),
+                 SubsetPair((1, 3, 4, 6), (0, 2, 5)), SubsetPair((2,), (0, 1, 6))):
+        yield space, pair
+
+
+# Sums (multisets times |L|) above which a case is left out of the orders
+# 1-9 sweep: the loop reference then takes too long for the tier-1 suite.
+_LOOP_CELLS = 200_000
+
+
+class TestAgainstPrefixLoop:
+    """The colex-table pass reproduces the prefix-loop pass to the bit."""
+
+    @staticmethod
+    def assert_same(space, pair, n):
+        assert chebyshev._scan(space, pair, n) == chebyshev_prefix_loop(space, pair, n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_orders_one_to_nine(self, n):
+        checked = 0
+        for space, pair in _prefix_loop_cases():
+            if multiset_count(len(pair.H), n) * len(pair.L) <= _LOOP_CELLS:
+                self.assert_same(space, pair, n)
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("desc, n", [(circle(64), 4), (hypercube(6), 4),
+                                         (interval_grid(101), 3)])
+    def test_benchmark_spaces(self, desc, n):
+        space = generate(desc)
+        self.assert_same(space, SubsetPair.full(space.m), n)
+
+    @pytest.mark.parametrize("cells", [1, 100, 5000])
+    def test_small_budgets(self, monkeypatch, cells):
+        # split blocks, merged blocks and prefixes filled from a lower-order table
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", cells)
+        cases = [(generate(hypercube(4)), SubsetPair.full(16)),
+                 (generate(circle(12, "arc")), SubsetPair.full(12)),
+                 (_twin(9, 3), SubsetPair((0, 1, 4, 6), (0, 1, 2, 3, 8))),
+                 (generate(random_graph(7, 0.5, 2)), SubsetPair(tuple(range(7)), (3,)))]
+        for space, pair in cases:
+            for n in range(1, 7):
+                if multiset_count(len(pair.H), n) * len(pair.L) <= _LOOP_CELLS // 4:
+                    self.assert_same(space, pair, n)
+
+
+class TestColexRanks:
+    @pytest.mark.parametrize("h, k", [(1, 3), (4, 0), (4, 1), (5, 3), (3, 6)])
+    def test_unrank_and_lex_ranks(self, h, k):
+        # colex order sorts by the largest index first
+        lex = list(itertools.combinations_with_replacement(range(h), k))
+        colex = sorted(lex, key=lambda a: a[::-1])
+        counts = [np.ones(h, dtype=np.int64)]
+        for _ in range(k):
+            counts.append(np.cumsum(counts[-1]))
+        ranks = np.arange(len(colex))
+        indices = chebyshev._unrank(counts, ranks)
+        assert [tuple(int(i[r]) for i in indices) for r in ranks] == colex
+        assert chebyshev._lex_ranks(counts, ranks).tolist() == [lex.index(a) for a in colex]
+
+
+class TestMemoryBound:
+    """One pass allocates a fixed multiple of the cell budget, beside its input."""
+
+    @staticmethod
+    def assert_bounded(space, n):
+        tracemalloc.start()
+        try:
+            chebyshev._scan(space, SubsetPair.full(space.m), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table and the blocks of sums, plus the |L| x |H| kernel columns
+        assert peak <= 8 * (3 * chebyshev._CHUNK_CELLS + space.m * space.m)
+
+    def test_high_order_small_h(self):
+        # the order-38 table alone would hold 111,930 x 5 cells
+        assert multiset_count(5, 38) * 5 > chebyshev._CHUNK_CELLS
+        self.assert_bounded(generate(random_graph(5, 0.5, 3)), 40)
+
+    def test_wide_order_two(self):
+        # one block for all 33,153 pairs of 257 points would hold 8.5M cells
+        self.assert_bounded(generate(interval_grid(257)), 2)

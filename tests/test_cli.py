@@ -166,6 +166,14 @@ class TestAnalyze:
         assert "error[DimensionMismatch]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_enum_cap_rejected(self, tmp_path, capsys, cap):
+        # a cap below 1 would skip every order and still write verdicts
+        out = tmp_path / "rep.json"
+        assert main(["analyze", "circle(6)", "--enum-cap", cap, "--out", str(out)]) == EXIT_INPUT
+        assert "error[DimensionMismatch]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.json")]) == EXIT_INPUT
         assert "error[IoError]" in capsys.readouterr().err
