@@ -1,8 +1,8 @@
 """Command-line front end: analyze spaces, generate instances, run suites.
 
 Exit codes: 0 on success, 1 on input or I/O errors, 2 on hard verdict
-failures (non-unique average level, dual-route mismatch, a violated
-inequality chain, or any failing verification suite) so CI can tell
+failures (non-unique average level, a violated inequality chain, or any
+failing verification suite, a dual-route mismatch included) so CI can tell
 "math broke" apart from "bad invocation".
 """
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .suites import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERDICT = 2
-_HARD_CODES = {"UniquenessViolated", "DualMismatch"}
+_HARD_CODES = {"UniquenessViolated"}
 
 _KIND_ALIASES = {
     "interval_grid": "interval_grid",
@@ -106,12 +106,14 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     """Full analysis of one space/pair; returns (report, exit code).
 
     Every solve is cached on its space, so the readers below share each LP,
-    QP, scan and spectrum.  Two second solves stay on purpose, as
-    independent checks: the lower minimax value is its own LP beside the
-    upper one, and the maximal energy's dual route (C minus the dual
-    kernel's minimal energy) is its own QP beside the direct one.  Where an
-    invariant measure settles a pair with H = L (see ``average_interval``),
-    that pair needs no LP at all.
+    QP, scan and spectrum.  The dual kernel's minimal energy (``w_dual``,
+    ``equilibrium_dual`` and the maximal energy's dual route) is read from
+    the maximal energy through C, with no QP of its own.  One second solve
+    stays on purpose, as an independent check: the lower minimax value is
+    its own LP beside the upper one.  The dual route's independent check
+    (``energy.dual_route_check``) runs in ``rdv verify --suite wolf``.
+    Where an invariant measure settles a pair with H = L (see
+    ``average_interval``), that pair needs no LP at all.
     """
     pair.check_range(space.m)
     table = chebyshev_table(space, pair, n_max, enum_cap)

@@ -9,6 +9,7 @@ consumes these types.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -127,6 +128,8 @@ class KernelSpace:
     is set by :func:`validate_kernel` and forced to false on dual kernels.
     A space is immutable, so every solve on it is a function of its
     arguments alone: :meth:`memo` keeps each result for the space's lifetime.
+    :attr:`reflection` links a space that :func:`dual_kernel` built to its
+    primal.
     """
 
     name: str
@@ -145,6 +148,7 @@ class KernelSpace:
         object.__setattr__(self, "kernel", _as_readonly(k))
         object.__setattr__(self, "points", tuple(str(p) for p in self.points))
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_reflection", None)
 
     @property
     def m(self) -> int:
@@ -162,6 +166,18 @@ class KernelSpace:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    @property
+    def reflection(self) -> Optional[tuple["KernelSpace", float]]:
+        """``(primal, C)`` when :func:`dual_kernel` built this space as C - primal.
+
+        None on any other space, and on a dual that outlived its primal.
+        """
+        if self._reflection is None:
+            return None
+        ref, c = self._reflection
+        primal = ref()
+        return None if primal is None else (primal, c)
 
 
 def _check_index(i: int, what: str) -> int:
@@ -416,7 +432,13 @@ def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[Kern
     metric).  The transform is an involution when the subtraction is exact,
     and exchanges upper and lower potential problems.  The result is never
     flagged as a metric (its diagonal is ``constant``).  One constant gives
-    one dual space per space, so the solves on it are shared too.
+    one dual space per space, so the solves on it are shared too.  The dual
+    records ``(space, constant)`` as its :attr:`~KernelSpace.reflection`, so
+    its energy extrema are read from the primal's opposite ones, not solved
+    again; a ``KernelSpace`` built directly from ``constant - k`` has no
+    such link and solves on its own.  The link back is weak: the primal
+    owns its dual, no reference cycle keeps either alive, and a dual kept
+    after its primal is gone solves on its own too.
     """
     top = space.max_entry()
     c = top if constant is None else float(constant)
@@ -424,8 +446,11 @@ def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[Kern
         raise NonFiniteEntryError(f"dual constant must be finite, got {c!r}")
     if c < top:
         raise ConstantTooSmallError(f"dual constant {c!r} is below the largest kernel entry {top!r}")
-    dual = space.memo(("dual_kernel", c), lambda: KernelSpace(
-        name=f"dual({space.name})", points=space.points, kernel=c - space.kernel,
-        is_metric=False,
-    ))
-    return dual, c
+
+    def reflect() -> KernelSpace:
+        dual = KernelSpace(name=f"dual({space.name})", points=space.points,
+                           kernel=c - space.kernel, is_metric=False)
+        object.__setattr__(dual, "_reflection", (weakref.ref(space), c))
+        return dual
+
+    return space.memo(("dual_kernel", c), reflect), c

@@ -1,10 +1,13 @@
 """Extremal energies, equilibrium measures, and their ties to the rendezvous value.
 
 The minimal energy over probability measures (Wiener energy) and the
-maximal energy are both quadratic programs on the simplex.  The maximal
-energy of a kernel equals the reflection of the minimal energy of its
-dual kernel C - k, which gives an independent route to the same number;
-for metric kernels of negative type the two routes are asserted to agree.
+maximal energy are both quadratic programs on the simplex.  On the
+simplex the dual kernel C - k has energy C minus that of k, so the
+minimal energy of C - k and the maximal energy of k are one problem: the
+dual space that ``dual_kernel`` builds reads its extrema from its
+primal's, with no second solve.  ``dual_route_check`` keeps one
+independent check of that identity, on a copy of C - k built without the
+link, and asserts it for metric kernels of negative type.
 
 Equilibrium (energy-minimizing) measures satisfy a maximum principle:
 their potential is at least the minimal energy everywhere and at most
@@ -111,12 +114,13 @@ def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
 
 @dataclass(frozen=True)
 class MaxEnergyResult:
-    """Maximal energy with the dual-route cross check.
+    """Maximal energy with its dual route.
 
-    ``dual_value`` is C - (minimal energy of the dual kernel); when the
-    kernel is a metric of negative type the direct and dual values are
-    asserted to agree within 1e-7.  ``dual_checked`` records whether the
-    assertion was armed.
+    ``dual_value`` is C - ``w_dual``, with ``w_dual`` the minimal energy of
+    the dual kernel C - k.  That minimum is read from this maximum, so the
+    two agree to rounding; ``dual_gap`` is their distance.
+    ``dual_checked`` records whether ``dual_route_check`` asserts the
+    agreement with an independent solve on this space.
     """
 
     value: float
@@ -129,29 +133,21 @@ class MaxEnergyResult:
 
 
 def maximal_energy(space: KernelSpace, constant: Optional[float] = None) -> MaxEnergyResult:
-    """Maximal energy over all probability measures, with dual cross check.
+    """Maximal energy over all probability measures, with its dual route.
 
-    The dual route (reflecting the minimal energy of C - k) is computed
-    whenever the agreement is certifiable or the space is small enough to
-    enumerate exactly; the agreement assertion itself is armed only for
-    metric kernels of negative type, where both routes carry global
-    certificates.  The direct route's router certifies the concave route
-    exactly when the kernel is of negative type, so its certificate decides.
+    The dual route (reflecting the minimal energy of C - k) is reported
+    whenever the kernel is a metric of negative type or the space is small
+    enough to enumerate exactly.  The direct route's router certifies the
+    concave route exactly when the kernel is of negative type, so its
+    certificate decides.
     """
     direct = maximize_quadratic_on_simplex(space, tuple(range(space.m)))
     certified_metric = bool(space.is_metric and direct.certificate == "global_concave_max")
     dual_constant = dual_value = dual_gap = None
     if certified_metric or space.m <= QP_ENUM_LIMIT:
-        dual_space, C = dual_kernel(space, constant)
-        dual_min = wiener_energy(dual_space)
-        dual_constant = C
-        dual_value = C - dual_min.value
+        dual_space, dual_constant = dual_kernel(space, constant)
+        dual_value = dual_constant - wiener_energy(dual_space).value
         dual_gap = abs(direct.value - dual_value)
-        if certified_metric and dual_gap > DUAL_MATCH_TOL:
-            raise DualMismatchError(
-                "direct maximal energy {:.12g} and dual route {:.12g} disagree "
-                "by {:.3g} on a certified kernel".format(
-                    direct.value, dual_value, dual_gap))
     return MaxEnergyResult(
         value=direct.value,
         measure=direct.measure,
@@ -161,6 +157,29 @@ def maximal_energy(space: KernelSpace, constant: Optional[float] = None) -> MaxE
         dual_gap=dual_gap,
         dual_checked=certified_metric,
     )
+
+
+def dual_route_check(space: KernelSpace, constant: Optional[float] = None) -> float:
+    """|E - (C - w)|, with w the minimal energy of C - k solved on its own.
+
+    The dual space of ``dual_kernel`` reads its minimal energy from the
+    maximal energy, so ``maximal_energy``'s dual route agrees by
+    construction.  Here C - k is a fresh ``KernelSpace`` with no link to
+    this one, so its minimal energy is a QP of its own: an independent check
+    of the reflection identity.  Where ``dual_checked`` holds (a metric of
+    negative type, where both routes carry global certificates) a gap above
+    ``DUAL_MATCH_TOL`` raises ``DualMismatchError``.
+    """
+    e = maximal_energy(space, constant)
+    dual, C = dual_kernel(space, constant)
+    unlinked = KernelSpace(dual.name, dual.points, dual.kernel, is_metric=False)
+    dual_value = C - wiener_energy(unlinked).value
+    gap = abs(e.value - dual_value)
+    if e.dual_checked and gap > DUAL_MATCH_TOL:
+        raise DualMismatchError(
+            "direct maximal energy {:.12g} and dual route {:.12g} disagree "
+            "by {:.3g} on a certified kernel".format(e.value, dual_value, gap))
+    return gap
 
 
 @dataclass(frozen=True)

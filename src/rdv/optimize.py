@@ -15,7 +15,10 @@ periodic exact solves on the current support), exhaustive stationary-point
 enumeration over supports for up to 14 points, and a multistart heuristic
 that only claims a bound.  The enumeration solves the supports of one size
 as stacked KKT systems and replays the near-best ones one at a time, so
-its result is exactly that of solving every support on its own.
+its result is exactly that of solving every support on its own; one
+stacked pass per space and subset serves the maximum and the minimum.
+On a dual space C - k (see ``core.dual_kernel``) nothing is solved: each
+extremum is read from the primal's opposite one.
 """
 from __future__ import annotations
 
@@ -494,27 +497,29 @@ def _solve_stack(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return sol
 
 
-def _enumerate_supports(Q: np.ndarray, sign: float):
-    """Exact extremum via stationary points of every support, plus vertices.
+def _support_pass(Q: np.ndarray):
+    """Every support of Q solved as stacked KKT systems and filtered.
 
     Supports are visited by size, then lexicographically, and each chunk of
     at most ``_ENUM_CHUNK`` supports of one size is one stacked KKT solve.
     A vectorized filter accepts or rejects a support when it is clear of
     ``_polish_support``'s thresholds by a factor of two; the supports in
-    between are replayed through ``_polish_support``.  The supports whose
-    stacked value is within ``1e-9 * (1 + max|M|)`` of the smallest are
-    replayed too, and the tie rule runs on their replayed points in visiting
-    order, so measure, value and notes are those of solving every support
-    on its own.
+    between are replayed through ``_polish_support``.  Returns the accepted
+    supports with their values ``w' Q w``, one pair per chunk in visiting
+    order, and the number of rejected supports.
+
+    The pass serves both signs.  The KKT matrix of -Q is -D kkt(Q) D with
+    D = diag(1, ..., 1, -1), so LU with partial pivoting meets the same
+    pivots, up to sign, and returns the same weights and the negated
+    multiplier: every residual, weight, verdict and value here is that of
+    -Q, up to the sign of the value, bit for bit.
     """
     h = Q.shape[0]
-    M = sign * Q
-    scale = 1.0 + np.max(np.abs(M))
-    resid_tol = _RESID_TOL * scale
-    # [[M, -1], [1, 0]]: indexing it with a support plus index h gives that
+    resid_tol = _RESID_TOL * (1.0 + np.max(np.abs(Q)))
+    # [[Q, -1], [1, 0]]: indexing it with a support plus index h gives that
     # support's KKT matrix
     bordered = np.zeros((h + 1, h + 1))
-    bordered[:h, :h] = M
+    bordered[:h, :h] = Q
     bordered[:h, h] = -1.0
     bordered[h, :h] = 1.0
     accepted = []  # (supports, stacked values) per chunk, in visiting order
@@ -528,32 +533,48 @@ def _enumerate_supports(Q: np.ndarray, sign: float):
             S = combos[start:start + _ENUM_CHUNK]
             idx = np.hstack([S, np.full((len(S), 1), h)])
             kkt = bordered[idx[:, :, None], idx[:, None, :]]
-            M_S = kkt[:, :size, :size]
+            Q_S = kkt[:, :size, :size]
             sol = _solve_stack(kkt, rhs)
             w_s = sol[:, :size]
             with np.errstate(invalid="ignore"):
-                resid = np.abs(np.einsum("nij,nj->ni", M_S, w_s) - sol[:, size:]).max(axis=1)
+                resid = np.abs(np.einsum("nij,nj->ni", Q_S, w_s) - sol[:, size:]).max(axis=1)
                 low = w_s.min(axis=1)
                 finite = np.isfinite(w_s).all(axis=1)
                 keep = finite & (resid <= 0.5 * resid_tol) & (low >= -0.5 * _WEIGHT_TOL)
                 unsure = (finite & ~keep & ~(resid > 2.0 * resid_tol)
                           & ~(low < -2.0 * _WEIGHT_TOL))
             for i in np.flatnonzero(unsure):
-                keep[i] = _polish_support(M, S[i], h) is not None
+                keep[i] = _polish_support(Q, S[i], h) is not None
             skipped += len(S) - int(keep.sum())
             w = np.clip(w_s[keep], 0.0, None)
             w /= w.sum(axis=1, keepdims=True)
-            accepted.append((S[keep], np.einsum("ni,nij,nj->n", w, M_S[keep], w)))
+            accepted.append((S[keep], np.einsum("ni,nij,nj->n", w, Q_S[keep], w)))
+    return tuple(accepted), skipped
 
+
+def _enumerate_supports(Q: np.ndarray, sign: float, stacked=None):
+    """Exact extremum via stationary points of every support, plus vertices.
+
+    ``stacked`` is ``_support_pass(Q)``, computed here when not given; one
+    pass serves both signs.  The supports whose stacked value of
+    ``sign * Q`` is within ``1e-9 * (1 + max|Q|)`` of the smallest are
+    replayed through ``_polish_support``, and the tie rule runs on their
+    replayed points in visiting order, so measure, value and notes are those
+    of solving every support on its own.
+    """
+    accepted, skipped = _support_pass(Q) if stacked is None else stacked
+    h = Q.shape[0]
+    M = sign * Q
     # The tie rule looks 1e-15 and 1e-12 apart.  A support more than 1e-9
     # above the best can neither win nor tie, and with under 2**14 values in
     # that band some empty 1e-15 window walls it off from the ones that
     # decide, so leaving it out changes nothing.
-    cutoff = min(vals.min() for _, vals in accepted if vals.size) + 1e-9 * scale
+    cutoff = (min((sign * vals).min() for _, vals in accepted if vals.size)
+              + 1e-9 * (1.0 + np.max(np.abs(Q))))
     best_w = None
     best_val = math.inf
     for supports, vals in accepted:
-        for support in supports[vals <= cutoff]:
+        for support in supports[sign * vals <= cutoff]:
             w = _polish_support(M, support, h)
             if w is None:
                 skipped += 1
@@ -580,10 +601,41 @@ def subset_definiteness(space: KernelSpace, idx: tuple[int, ...]) -> dict:
 
 def _quadratic_extremum(space: KernelSpace, H: Sequence[int], maximize: bool,
                         gap_tol: float, max_iter: int) -> EnergyResult:
-    """The extremum over measures on H, solved once per space and arguments."""
+    """The extremum over measures on H, solved once per space and arguments.
+
+    On a dual space it is read from the primal's opposite extremum.
+    """
     idx = check_subset(H, space.m)
+    solve = _solve_extremum if space.reflection is None else _reflect_extremum
     return space.memo(("quadratic_extremum", idx, maximize, gap_tol, max_iter),
-                      lambda: _solve_extremum(space, idx, maximize, gap_tol, max_iter))
+                      lambda: solve(space, idx, maximize, gap_tol, max_iter))
+
+
+# the certificate of an extremum of C - k, from that of the opposite one of k
+_REFLECTED_CERTIFICATE = {"global_convex": "global_concave_max",
+                          "global_concave_max": "global_convex"}
+
+
+def _reflect_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
+                      gap_tol: float, max_iter: int) -> EnergyResult:
+    """The extremum on C - k, read from the opposite extremum on k.
+
+    On the simplex mu' (C 11' - K) mu = C - mu' K mu exactly, so the two
+    problems share their optimal measures and their Frank-Wolfe gaps.  The
+    primal's measure is reused and its value evaluated on C - k, as
+    ``_solve_extremum`` does; the concave and convex certificates swap.
+    """
+    primal, C = space.reflection
+    opposite = _quadratic_extremum(primal, idx, not maximize, gap_tol, max_iter)
+    w = opposite.measure.weights
+    source = "minimum" if maximize else "maximum"
+    return EnergyResult(
+        value=float(w @ space.kernel @ w),
+        measure=opposite.measure,
+        certificate=_REFLECTED_CERTIFICATE.get(opposite.certificate, opposite.certificate),
+        gap=opposite.gap,
+        notes=opposite.notes + (f"read from the primal's {source} through C = {C!r}",),
+    )
 
 
 def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
@@ -602,7 +654,8 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         if gap > gap_tol:
             notes = (f"conditional gradient stopped at gap {gap:.3e}",)
     elif h <= QP_ENUM_LIMIT:
-        v, _, notes = _enumerate_supports(Q, sign)
+        stacked = space.memo(("support_pass", idx), lambda: _support_pass(Q))
+        v, _, notes = _enumerate_supports(Q, sign, stacked)
         gap = 0.0
         cert = "enumerated_exact"
     else:

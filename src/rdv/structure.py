@@ -30,7 +30,7 @@ from .optimize import (
     solve_lp,  # not called here; perfbench's binding test pins it until its repin
     subset_definiteness,
 )
-from .spectral import DEFINITENESS_TOL, centered, recenter_unit
+from .spectral import centered, recenter_unit
 # not called here; perfbench's binding test pins it until its repin
 from .spectral import sum_zero_definiteness
 
@@ -158,8 +158,8 @@ class NegativeTypeCertificate:
 
     ``extreme_eigenvalue`` is the largest eigenvalue of the centered
     kernel; the test passes when it is at most 1e-10.  On failure the
-    certificate carries a sum-zero vector whose energy equals that
-    eigenvalue (for the unit vector), a directly checkable witness.
+    certificate carries a sum-zero unit vector whose energy equals that
+    eigenvalue up to rounding, a directly checkable witness.
     """
 
     holds: bool
@@ -169,13 +169,17 @@ class NegativeTypeCertificate:
 
 
 def negative_type_test(space: KernelSpace) -> NegativeTypeCertificate:
-    """Decide whether sum-zero charges always have nonpositive energy."""
-    vals, vecs = np.linalg.eigh(centered(space.kernel))
-    lam_max = float(vals[-1])
-    if lam_max <= DEFINITENESS_TOL:
-        return NegativeTypeCertificate(True, lam_max, None, None)
-    c = recenter_unit(vecs[:, -1])
-    return NegativeTypeCertificate(False, lam_max, c, float(c @ space.kernel @ c))
+    """Decide whether sum-zero charges always have nonpositive energy.
+
+    Verdict and eigenvalue come from the space's cached spectrum, which the
+    QP router reads too; eigenvectors are computed only when the test fails
+    and a witness vector is needed.
+    """
+    defin = subset_definiteness(space, tuple(range(space.m)))
+    if defin["nsd"]:
+        return NegativeTypeCertificate(True, defin["lam_max"], None, None)
+    c = recenter_unit(np.linalg.eigh(centered(space.kernel))[1][:, -1])
+    return NegativeTypeCertificate(False, defin["lam_max"], c, float(c @ space.kernel @ c))
 
 
 @dataclass(frozen=True)

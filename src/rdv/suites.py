@@ -21,7 +21,7 @@ from .core import (
     SubsetPair,
     dual_kernel,
 )
-from .energy import frostman_check, wiener_energy, wolf_relations
+from .energy import dual_route_check, frostman_check, wiener_energy, wolf_relations
 from .minimax import _elton, _lp_average, inequality_chain
 from .spaces import circle, generate, hypercube, random_graph, save_space
 from .structure import (
@@ -150,6 +150,9 @@ def _check_frostman(space: KernelSpace) -> tuple[bool, str]:
 
 def _check_wolf(space: KernelSpace) -> tuple[bool, str]:
     rep = wolf_relations(space)
+    # raises DualMismatchError, a failing outcome, when the maximal energy and
+    # the independently solved dual route disagree on a certified kernel
+    dual_route_check(space)
     ok = (
         rep.upper_ok
         and rep.lower_ok

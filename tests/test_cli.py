@@ -237,10 +237,10 @@ class TestSolveOnce:
         report, code = build_analysis(space, SubsetPair.full(8), n_max=2)
         assert code == EXIT_OK
         # No LP: the uniform measure is invariant on the circle, so it settles
-        # q, q_lower and the invariance check.  QPs: the direct maximal energy
-        # (also read by the converse check), the dual kernel's minimal energy
-        # (w_dual and the dual route) and w on H.
-        assert calls == {"lp": 0, "qp": 3}
+        # q, q_lower and the invariance check.  QPs: the maximal energy (also
+        # read by the converse check, and reflected into the dual kernel's
+        # minimal energy, w_dual and the dual route) and w on H.
+        assert calls == {"lp": 0, "qp": 2}
         assert report.verdicts["wolf_invariant_when_equal"] is True
 
     def test_nested_pair(self, calls):
@@ -250,7 +250,7 @@ class TestSolveOnce:
         # chain.  The full pair, whose invariance r = E brings in, has an
         # invariant measure (the uniform one) and needs no LP.
         assert report.parameters["wolf_equality_applicable"] is True
-        assert calls == {"lp": 4, "qp": 3}
+        assert calls == {"lp": 4, "qp": 2}
 
     @pytest.mark.parametrize("desc, equality, lp", [
         # the full grid's invariant measure (the two endpoints) needs no LP
@@ -262,7 +262,7 @@ class TestSolveOnce:
         space = generate(desc)
         report, _ = build_analysis(space, SubsetPair((0, 1, 2), (3, 5)), n_max=2)
         assert report.parameters["wolf_equality_applicable"] is equality
-        assert calls == {"lp": lp, "qp": 3}
+        assert calls == {"lp": lp, "qp": 2}
 
 
 class TestVerify:

@@ -7,13 +7,17 @@ from rdv import (
     DualMismatchError,
     EmptySubsetError,
     IndexOutOfRangeError,
+    KernelSpace,
     Measure,
     circle,
     dual_kernel,
+    dual_route_check,
     frostman_check,
     generate,
+    hypercube,
     interval_grid,
     maximal_energy,
+    random_graph,
     wiener_energy,
     wolf_relations,
 )
@@ -129,6 +133,26 @@ class TestMaximalEnergy:
         assert res.dual_constant == 5.0
         assert res.dual_value == pytest.approx(res.value, abs=1e-8)
 
+    @pytest.mark.parametrize("desc, certified", [
+        (circle(8), True), (interval_grid(9), True), (hypercube(3), True),
+        (random_graph(12, 0.5, 1), False), (random_graph(40, 0.5, 4), False)])
+    @pytest.mark.parametrize("shift", [None, 1.5])
+    def test_dual_route_matches_an_unlinked_solve(self, desc, certified, shift):
+        # C - k built as a space of its own solves its minimal energy itself
+        space = generate(desc)
+        constant = None if shift is None else space.max_entry() + shift
+        res = maximal_energy(space, constant)
+        assert res.dual_checked is certified
+        dual, C = dual_kernel(space, constant)
+        solved = wiener_energy(KernelSpace(dual.name, dual.points, dual.kernel, False))
+        gap = abs(res.value - (C - solved.value))
+        assert gap <= 1e-12 * (1.0 + C)
+        assert dual_route_check(space, constant) == gap
+        if res.dual_value is not None:
+            assert res.dual_constant == C
+            assert res.dual_value == C - wiener_energy(dual).value
+            assert abs(res.dual_value - (C - solved.value)) <= 1e-12 * (1.0 + C)
+
     def test_certified_disagreement_is_fatal(self, k3, monkeypatch):
         real = energy_mod.minimize_quadratic_on_simplex
 
@@ -144,8 +168,10 @@ class TestMaximalEnergy:
 
         monkeypatch.setattr(energy_mod, "minimize_quadratic_on_simplex", corrupted)
         with pytest.raises(DualMismatchError) as e:
-            maximal_energy(k3)
+            dual_route_check(k3)
         assert e.value.code == "DualMismatch"
+        # off a metric of negative type the gap is only reported
+        assert dual_route_check(generate(random_graph(12, 0.5, 1))) == pytest.approx(1e-3)
 
     def test_against_grid(self, instances100):
         space = instances100[6]

@@ -3,7 +3,8 @@
 ``sum_zero_definiteness`` reads eigenvalues only; its flags must be the ones
 a full ``eigh`` of the centered matrix gives at the same threshold, on the
 kernels of every generator family and on their duals.  Only
-``negative_type_test`` decomposes with eigenvectors, once per analysis.
+``negative_type_test`` decomposes with eigenvectors, and only on a space
+that fails it, for its witness vector.
 """
 import numpy as np
 import pytest
@@ -78,17 +79,28 @@ class TestEigenvectorCalls:
     def test_full_pair_analysis(self, calls, spec):
         space = instance_space(5) if spec == "random" else generate(spec)
         report, _ = build_analysis(space, SubsetPair.full(space.m), n_max=2)
-        # eigh: negative_type_test, for its witness.  eigvalsh: one spectrum
-        # per kernel, the space's (both of its QP routers and the converse
-        # hypotheses) and the dual kernel's (its minimal energy's router).
-        assert calls == {"eigh": 1, "eigvalsh": 2}
+        # Both spaces are of negative type, so no eigh: negative_type_test
+        # needs eigenvectors only for a witness.  eigvalsh: the space's
+        # spectrum, read by both QP routers, the converse hypotheses and
+        # negative_type_test.  The dual kernel's minimal energy is read from
+        # the maximal energy, with no router of its own.
+        assert report.verdicts["negative_type"] is True
+        assert calls == {"eigh": 0, "eigvalsh": 1}
         assert report.tolerances["negative_type"] == DEFINITENESS_TOL
 
     def test_subset_pair_analysis(self, calls):
         # the spectrum of K[H, H] serves w's router and the converse hypotheses
         space = generate(circle(12))
         build_analysis(space, SubsetPair((0, 3, 6, 9), tuple(range(12))), n_max=2)
-        assert calls == {"eigh": 1, "eigvalsh": 3}
+        assert calls == {"eigh": 0, "eigvalsh": 2}
+
+    def test_eigenvectors_only_for_a_witness(self, calls):
+        # a space that fails the negative-type test (circle(64), which
+        # passes, is pinned at 0 above): one eigh, for its witness vector
+        space = generate(random_graph(12, 0.5, 1))
+        report, _ = build_analysis(space, SubsetPair.full(space.m), n_max=2)
+        assert report.verdicts["negative_type"] is False
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
     def test_definiteness_reads_no_eigenvector(self, monkeypatch):
         def no_vectors(*args, **kwargs):
@@ -102,9 +114,12 @@ class TestEigenvectorCalls:
                                        dual_kernel(generate(circle(7)))[0],
                                        generate(random_graph(12, 0.5, 1))])
     def test_negative_type_reads_the_full_decomposition(self, space):
+        # verdict and eigenvalue from the eigenvalues-only spectrum, the
+        # witness from the full decomposition
         vals, vecs = np.linalg.eigh(centered(space.kernel))
         cert = negative_type_test(space)
-        assert cert.extreme_eigenvalue == float(vals[-1])
+        assert cert.extreme_eigenvalue == sum_zero_definiteness(space.kernel)["lam_max"]
+        assert abs(cert.extreme_eigenvalue - vals[-1]) <= 1e-12 * (1.0 + abs(vals[-1]))
         assert cert.holds is bool(vals[-1] <= DEFINITENESS_TOL)
         if not cert.holds:
             c = recenter_unit(vecs[:, -1])
