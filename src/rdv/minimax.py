@@ -24,7 +24,6 @@ from .core import (
     MEASURE_NEG_TOL,
     KernelSpace,
     Measure,
-    NumericalBreakdownError,
     SubsetPair,
     TIE_TOL,
     UniquenessViolatedError,
@@ -48,6 +47,13 @@ def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
     <= 0 (floor) and sum mu = 1.  Objective: minimize t - s.  The roof alone
     gives the upper value, the floor alone the lower value, both together
     the least potential oscillation on L.
+
+    The starting basis is a Dirac vertex: the mass delta_j on H with the
+    least objective (the first on ties), with t and s at its largest and
+    smallest potential.  Its basic columns are mu_j, t, s and the slack of
+    every roof and floor row but the one tight at delta_j (the first
+    argmax, or argmin); with the slacks eliminated the basis has
+    determinant +-1.
     """
     pair.check_range(space.m)
     H, L = pair.H, pair.L
@@ -65,20 +71,17 @@ def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
     senses = (LE,) * (rows - 1) + (EQ,)
     b = np.zeros(rows)
     b[-1] = 1.0
-    return LinearProgram(c=c, A=A, senses=senses, b=b)
+    j = int(np.argmin(sum((sign * KHL).max(axis=0) for sign in signs)))
+    tight = [int(np.argmax(sign * KHL[:, j])) for sign in signs]
+    slacks = [cols + k * l + i for k in range(len(signs)) for i in range(l) if i != tight[k]]
+    return LinearProgram(c=c, A=A, senses=senses, b=b, basis=(j, *range(h, cols), *slacks))
 
 
 def solve_level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
                         floor: bool) -> LpSolution:
-    """Solve ``level_program``, once per space and arguments.  It is always
-    feasible and bounded (K >= 0), so any status but optimal is a numerical
-    breakdown."""
-    sol = space.memo(("level_program", pair, roof, floor),
-                     lambda: solve_lp(level_program(space, pair, roof, floor)))
-    if sol.status != "optimal":
-        raise NumericalBreakdownError(
-            f"level LP returned {sol.status}; a level program is feasible and bounded")
-    return sol
+    """Solve ``level_program`` from its Dirac vertex, once per space and arguments."""
+    return space.memo(("level_program", pair, roof, floor),
+                      lambda: solve_lp(level_program(space, pair, roof, floor)))
 
 
 def q_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:

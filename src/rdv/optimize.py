@@ -1,12 +1,15 @@
 """Self-contained solvers: dense LP and quadratic optimization on the simplex.
 
 The LP solver takes one form, min c @ x over x >= 0 with ``<=`` and ``=``
-rows, which is the form of every level program.  It is a revised primal
-simplex with Dantzig pricing that falls back to Bland's rule for
-guaranteed termination.  Every optimal solution is re-certified against
-the original problem data: primal feasibility, dual feasibility, and
-strong duality, at fixed absolute tolerances.  Vertex solutions keep exact
-zeros, which the equilibrium-measure checks rely on.
+rows, which is the form of every level program, together with a feasible
+starting basis that the caller supplies.  It is one phase of revised primal
+simplex from that basis, with Dantzig pricing that falls back to Bland's
+rule for guaranteed termination; there are no artificial columns.  Every
+optimal solution is re-certified against the original problem data: primal
+feasibility, dual feasibility, and strong duality, at fixed absolute
+tolerances.  A solve either returns a certified optimum or raises a typed
+error.  Vertex solutions keep exact zeros, which the equilibrium-measure
+checks rely on.
 
 Quadratic objectives over the probability simplex are handled by three
 routes, picked by the curvature of the kernel on the sum-zero subspace:
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,13 +69,16 @@ LE, EQ = "<=", "="
 class LinearProgram:
     """Minimize c @ x over x >= 0 subject to rows A @ x <= b or A @ x = b.
 
-    ``senses[i]`` is ``"<="`` or ``"="``.
+    ``senses[i]`` is ``"<="`` or ``"="``.  ``basis`` is a feasible starting
+    basis of the standard form, one column per row: column j < n is x_j and
+    column n + k is the slack of the k-th ``<=`` row, in row order.
     """
 
     c: np.ndarray
     A: np.ndarray
     senses: tuple[str, ...]
     b: np.ndarray
+    basis: tuple[int, ...]
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -95,10 +101,18 @@ class LinearProgram:
             raise CapExceededError(
                 f"LP has {rows} rows x {cols} columns; cap is {LP_SIZE_CAP} per dimension"
             )
+        basis = tuple(int(j) for j in self.basis)
+        std_cols = cols + self.senses.count(LE)
+        one_per_row = len(set(basis)) == len(basis) == rows
+        if not one_per_row or not all(0 <= j < std_cols for j in basis):
+            raise DimensionMismatchError(
+                f"basis must list {rows} distinct standard-form columns in [0, {std_cols})"
+            )
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "senses", tuple(self.senses))
+        object.__setattr__(self, "basis", basis)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -117,65 +131,54 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Outcome of an LP solve.
+    """An optimal LP solution: primal vector, row duals and objective, certified.
 
-    For ``status == "optimal"`` the primal vector, row duals, and objective
-    are set and have passed the independent certificate; otherwise they are
-    ``None``/NaN.
+    ``pivots`` counts the simplex pivots of the solve that returned it, and
+    ``retried`` says whether that solve was the safe-mode retry.
     """
 
-    status: str
-    x: Optional[np.ndarray]
-    y: Optional[np.ndarray]
+    x: np.ndarray
+    y: np.ndarray
     objective: float
-
-
-class _Unbounded(Exception):
-    pass
+    pivots: int
+    retried: bool
 
 
 class _Simplex:
-    """Revised primal simplex on standard-form data (A x = b, x >= 0, b >= 0)."""
+    """Revised primal simplex on standard-form data (A x = b, x >= 0) from a feasible basis."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, n_struct: int,
+    def __init__(self, A: np.ndarray, b: np.ndarray, basis: tuple[int, ...],
                  refresh: int = _REFRESH, bland_from_start: bool = False):
         self.A = A
         self.b = b
         self.rows = A.shape[0]
         self.cols = A.shape[1]
-        self.n_struct = n_struct  # structural + slack columns; the rest are artificial
-        self.basis = np.zeros(self.rows, dtype=int)
-        self.B_inv = np.eye(self.rows)
+        self.basis = np.array(basis, dtype=int)
         self.pivots = 0
         # long degenerate paths on large bases need tighter drift control
         self.refresh = min(refresh, 16) if self.rows > 128 else refresh
         self.bland_from_start = bland_from_start
+        self.refactor()
+        low = float(np.min(self.x_basic(), initial=0.0))
+        if low < -PRIMAL_TOL:
+            raise NumericalBreakdownError(
+                f"starting basis is infeasible: a basic value is {low:.3e}")
 
     def refactor(self) -> None:
         try:
             self.B_inv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError(
-                "basis matrix became singular during simplex pivoting") from exc
+            raise NumericalBreakdownError("simplex basis matrix is singular") from exc
 
     def x_basic(self) -> np.ndarray:
         return self.B_inv @ self.b
 
-    def _leave_row(self, d: np.ndarray, xb: np.ndarray, guard_artificials: bool,
-                   blands: bool) -> Optional[int]:
-        """Ratio test.  None means the direction is unbounded.
-
-        Drift-negative basic values are clamped to zero so the walk cannot
-        leave the feasible region; in phase 2, a basic artificial that the
-        step would increase is swapped out at a zero-length step instead.
-        """
+    def _leave_row(self, d: np.ndarray, xb: np.ndarray, blands: bool) -> int:
+        """Ratio test.  Drift-negative basic values are clamped to zero so the
+        walk cannot leave the feasible region."""
         pos = np.flatnonzero(d > _RATIO_TOL)
-        if guard_artificials:
-            swap = np.flatnonzero((self.basis >= self.n_struct) & (d < -_RATIO_TOL))
-            if swap.size:
-                return int(swap[np.argmax(np.abs(d[swap]))])
         if pos.size == 0:
-            return None
+            raise NumericalBreakdownError("empty ratio test: no row bounds the entering column")
         ratios = np.maximum(xb[pos], 0.0) / d[pos]
         best = float(np.min(ratios))
         tied = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
@@ -184,11 +187,10 @@ class _Simplex:
         # favor the largest pivot element for numerical stability
         return int(tied[np.argmax(d[tied])])
 
-    def run_phase(self, c: np.ndarray, allowed: np.ndarray,
-                  guard_artificials: bool = False) -> None:
-        """Pivot until no allowed column prices out negative (tolerance 1e-10)."""
-        dantzig_limit = self.pivots + 10 * (self.rows + self.cols)
-        hard_cap = self.pivots + 200 * (self.rows + self.cols) + 10_000
+    def run(self, c: np.ndarray) -> None:
+        """Pivot until no column prices out negative (tolerance 1e-10)."""
+        dantzig_limit = 10 * (self.rows + self.cols)
+        hard_cap = 200 * (self.rows + self.cols) + 10_000
         verified = False
         fresh = False
         while True:
@@ -198,7 +200,7 @@ class _Simplex:
                 )
             y = c[self.basis] @ self.B_inv
             reduced = c - y @ self.A
-            candidates = np.flatnonzero(allowed & (reduced < -_STOP_TOL))
+            candidates = np.flatnonzero(reduced < -_STOP_TOL)
             if candidates.size == 0:
                 if verified:
                     if float(self.x_basic().min()) < -10 * _PIVOT_TOL:
@@ -222,9 +224,7 @@ class _Simplex:
             best_piv = 0.0
             for cand in order[:16]:
                 d_cand = self.B_inv @ self.A[:, cand]
-                row = self._leave_row(d_cand, xb, guard_artificials, blands)
-                if row is None:
-                    raise _Unbounded()
+                row = self._leave_row(d_cand, xb, blands)
                 piv = abs(d_cand[row])
                 if piv > best_piv:
                     enter, leave_row, d, best_piv = int(cand), row, d_cand, piv
@@ -248,88 +248,53 @@ class _Simplex:
                 fresh = True
 
 
-def _to_standard_form(lp: LinearProgram):
-    """Rewrite as equality rows with b >= 0: a +1 slack per ``<=`` row, then row flips.
+def _to_standard_form(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """Equality rows: a +1 slack column per ``<=`` row, after the x columns.
 
-    Returns (A_std, b_std, c_std, slack_rows, row_sign).  The columns of
-    A_std are x, then the slack of each row in ``slack_rows``, in order.
+    Returns (A_std, c_std), whose columns are numbered as ``lp.basis`` numbers
+    them.
     """
-    rows = lp.shape[0]
     slack_rows = np.flatnonzero([s == LE for s in lp.senses])
-    slack = np.zeros((rows, slack_rows.size))
+    slack = np.zeros((lp.shape[0], slack_rows.size))
     slack[slack_rows, np.arange(slack_rows.size)] = 1.0
-    A_std = np.hstack([lp.A, slack])
-    c_std = np.concatenate([lp.c, np.zeros(slack_rows.size)])
-
-    row_sign = np.ones(rows)
-    neg = lp.b < 0.0
-    row_sign[neg] = -1.0
-    A_std[neg] *= -1.0
-    b_std = lp.b.copy()
-    b_std[neg] *= -1.0
-    return A_std, b_std, c_std, slack_rows, row_sign
+    return np.hstack([lp.A, slack]), np.concatenate([lp.c, np.zeros(slack_rows.size)])
 
 
-def _solve_lp_once(lp: LinearProgram, refresh: int, bland_from_start: bool) -> LpSolution:
-    A_std, b_std, c_std, slack_rows, row_sign = _to_standard_form(lp)
-    rows, n_struct = A_std.shape
-    n_x = lp.shape[1]
-
-    # initial basis: the slack of each unflipped <= row, otherwise an artificial column
-    basis = np.full(rows, -1, dtype=int)
-    unflipped = row_sign[slack_rows] > 0.0
-    basis[slack_rows[unflipped]] = n_x + np.flatnonzero(unflipped)
-    art_rows = np.flatnonzero(basis < 0)
-    n_art = art_rows.size
-    basis[art_rows] = n_struct + np.arange(n_art)
-    A_full = np.hstack([A_std, np.eye(rows)[:, art_rows]])
-    cols = A_full.shape[1]
-
-    sx = _Simplex(A_full, b_std, n_struct, refresh=refresh,
-                  bland_from_start=bland_from_start)
-    sx.basis = basis
-    sx.refactor()
-
-    allowed = np.ones(cols, dtype=bool)
-    allowed[n_struct:] = False  # artificials may leave but never re-enter
-    try:
-        if n_art:
-            c_phase1 = np.zeros(cols)
-            c_phase1[n_struct:] = 1.0
-            sx.run_phase(c_phase1, allowed)
-            if float(c_phase1[sx.basis] @ sx.x_basic()) > 1e-9:
-                return LpSolution(status="infeasible", x=None, y=None, objective=math.nan)
-        c_phase2 = np.concatenate([c_std, np.zeros(n_art)])
-        sx.run_phase(c_phase2, allowed, guard_artificials=True)
-    except _Unbounded:
-        return LpSolution(status="unbounded", x=None, y=None, objective=math.nan)
-
-    # recover the primal point from an exact basis solve on the original data
-    x_basic = np.linalg.solve(A_full[:, sx.basis], b_std)
-    x_std = np.zeros(cols)
-    x_std[sx.basis] = x_basic
-    x = x_std[:n_x] + 0.0  # + 0.0 keeps -0.0 out of x and the reports
-
-    y_std = np.linalg.solve(A_full[:, sx.basis].T, c_phase2[sx.basis])
-    y = row_sign * y_std
+def _optimum(lp: LinearProgram, sx: _Simplex, c_std: np.ndarray, retried: bool) -> LpSolution:
+    """Run ``sx`` to optimality and certify the basis it ends at."""
+    sx.run(c_std)
+    # recover the primal point and the duals from exact basis solves on the original data
+    B = sx.A[:, sx.basis]
+    x_std = np.zeros(sx.cols)
+    x_std[sx.basis] = np.linalg.solve(B, lp.b)
+    x = x_std[:lp.shape[1]] + 0.0  # + 0.0 keeps -0.0 out of x and the reports
+    y = np.linalg.solve(B.T, c_std[sx.basis])
     objective = float(lp.c @ x)
     _certify(lp, x, y, objective)
-    return LpSolution(status="optimal", x=x, y=y, objective=objective)
+    return LpSolution(x=x, y=y, objective=objective, pivots=sx.pivots, retried=retried)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve an LP; optimal solutions carry independently certified duals.
+    """Solve an LP from its starting basis; the solution carries certified duals.
 
-    The certificate recomputes primal residuals, dual-sign conditions, and
-    the duality gap from the original data and raises
-    ``NumericalBreakdownError`` if any check fails.  A solve that breaks
-    down numerically is retried once in a slow deterministic safe mode
-    (tight refactorization, Bland's rule throughout).
+    The basis is refactorized first, and a basis that is singular, or whose
+    basic values fall below ``-PRIMAL_TOL``, raises
+    ``NumericalBreakdownError``.  One simplex phase then runs from it.  The
+    certificate recomputes primal residuals, dual-sign conditions, and the
+    duality gap from the original data and raises
+    ``NumericalBreakdownError`` if any check fails; so does an empty ratio
+    test, which only an unbounded LP or numerical drift produces.  A solve
+    that breaks down is retried once from the same basis in a slow
+    deterministic safe mode (tight refactorization, Bland's rule
+    throughout), and the solution says so in ``retried``.
     """
+    A_std, c_std = _to_standard_form(lp)
+    first = _Simplex(A_std, lp.b, lp.basis)
     try:
-        return _solve_lp_once(lp, refresh=_REFRESH, bland_from_start=False)
+        return _optimum(lp, first, c_std, retried=False)
     except NumericalBreakdownError:
-        return _solve_lp_once(lp, refresh=8, bland_from_start=True)
+        safe = _Simplex(A_std, lp.b, lp.basis, refresh=8, bland_from_start=True)
+        return _optimum(lp, safe, c_std, retried=True)
 
 
 def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, objective: float) -> None:

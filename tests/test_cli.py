@@ -204,10 +204,10 @@ class TestAnalyze:
         assert "error[MetricViolation]" in capsys.readouterr().err
 
     def test_level_lp_breakdown_is_typed(self, capsys):
-        # radius 1e10: the dense simplex reports the q LP infeasible
+        # radius 1e10: the dense simplex breaks down on the q LP
         assert main(["analyze", "circle(8,chord,1e10)"]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "error[NumericalBreakdown] level LP returned infeasible" in err
+        assert "error[NumericalBreakdown]" in err
         assert "Traceback" not in err
 
 

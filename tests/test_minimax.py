@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rdv import (
     KernelSpace,
     Measure,
-    NumericalBreakdownError,
     SubsetPair,
     UniquenessViolatedError,
     average_interval,
@@ -19,7 +18,7 @@ from rdv import (
     hypercube,
     inequality_chain,
     interval_grid,
-    min_invariance_gap,
+    invariant_measure,
     profile,
     q_lower_value,
     q_value,
@@ -27,7 +26,6 @@ from rdv import (
     rendezvous_number,
     validate_kernel,
 )
-from rdv.optimize import LpSolution
 import rdv.minimax as minimax
 
 from oracles import circle_rendezvous_closed_form, grid_minimax, hypercube_rendezvous
@@ -59,23 +57,27 @@ class TestLevelProgram:
         assert np.array_equal(lp.lower, np.zeros(len(c)))
         assert np.array_equal(lp.upper, np.full(len(c), np.inf))
 
+    # delta on point 0 has potentials (1, 2) on L, delta on point 2 has (3, 0):
+    # point 0 wins each form, the roof tight on row 1, the floor on row 0.
+    # Slack columns follow the x columns in row order.
+    @pytest.mark.parametrize("roof, floor, basis", [
+        (True, False, (0, 2, 3)),
+        (False, True, (0, 2, 4)),
+        (True, True, (0, 2, 3, 4, 7)),
+    ], ids=["roof", "floor", "both"])
+    def test_dirac_basis(self, roof, floor, basis):
+        lp = minimax.level_program(self.SPACE, self.PAIR, roof=roof, floor=floor)
+        assert lp.basis == basis
 
-class TestLevelFailure:
-    """A level program is feasible and bounded; any other status is a breakdown."""
-
-    @pytest.fixture(params=["infeasible", "unbounded"])
-    def status(self, request, monkeypatch):
-        def failing(lp):
-            return LpSolution(status=request.param, x=None, y=None, objective=np.nan)
-
-        monkeypatch.setattr(minimax, "solve_lp", failing)
-        return request.param
-
-    @pytest.mark.parametrize("solve", [q_value, q_lower_value, min_invariance_gap])
-    def test_typed_error(self, status, solve):
-        space = generate(random_graph(5, 0.5, 2))
-        with pytest.raises(NumericalBreakdownError, match=f"level LP returned {status}"):
-            solve(space, SubsetPair((0, 1, 2), (2, 3, 4)))
+    def test_dirac_basis_ties_go_to_the_first_index(self, g3):
+        # On H = L = (0, 2) both Dirac masses have worst potential 1, and the
+        # potential (0, 1) of delta_0 is largest on row 1.
+        ends = SubsetPair((0, 2), (0, 2))
+        assert minimax.level_program(g3, ends, True, False).basis == (0, 2, 3)
+        # On the full space delta_1 has the least worst potential, 0.5, on
+        # rows 0 and 2; row 0 is the tight one.
+        full = SubsetPair.full(3)
+        assert minimax.level_program(g3, full, True, False).basis == (1, 3, 5, 6)
 
 
 class TestFrozenValues:
@@ -96,9 +98,16 @@ class TestFrozenValues:
         # half-spaced path: ends at distance 1, middle at 1/2
         r = rendezvous_number(g3)
         assert r == pytest.approx(0.5, abs=1e-9)
-        qu, mu = q_value(g3, SubsetPair.full(3))
-        assert mu.weights[0] == pytest.approx(0.5, abs=1e-8)
-        assert mu.weights[2] == pytest.approx(0.5, abs=1e-8)
+        # the q LP has two optimal measures, delta_1 and (1/2, 0, 1/2); it
+        # starts at delta_1, already optimal, and stays there
+        full = SubsetPair.full(3)
+        qu, mu = q_value(g3, full)
+        assert qu == 0.5
+        assert mu.weights.tolist() == [0.0, 1.0, 0.0]
+        ends = invariant_measure(g3, full).measure
+        assert ends.weights == pytest.approx([0.5, 0.0, 0.5], abs=1e-8)
+        for measure in (mu, ends):
+            assert (g3.kernel @ measure.weights).max() == pytest.approx(0.5, abs=1e-12)
 
     def test_interval_grid(self):
         for m in (11, 101):

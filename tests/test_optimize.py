@@ -20,6 +20,7 @@ from rdv import (
     random_graph,
 )
 from rdv.minimax import level_program
+import rdv.optimize as optimize_mod
 from rdv.optimize import (
     _ENUM_CHUNK,
     QP_ENUM_LIMIT,
@@ -36,20 +37,22 @@ from rdv.suites import instance_pairs, instance_space
 from oracles import enumerate_supports_loop, grid_energy
 
 
-def _lp(c, A, senses, b):
+def _lp(c, A, senses, b, basis):
     return LinearProgram(
         c=np.asarray(c, dtype=float),
         A=np.asarray(A, dtype=float),
         senses=tuple(senses),
         b=np.asarray(b, dtype=float),
+        basis=basis,
     )
 
 
-def _boxed(c, A, senses, b, ub):
-    """The LP with the box x <= ub written as extra <= rows."""
-    n = len(c)
-    return _lp(c, np.vstack([A, np.eye(n)]), tuple(senses) + ("<=",) * n,
-               np.concatenate([b, np.full(n, ub)]))
+def _boxed(c, A, b, ub):
+    """min c @ x subject to A @ x <= b >= 0 and the box x <= ub as extra rows,
+    started from the slack basis."""
+    n, rows = len(c), len(b) + len(c)
+    return _lp(c, np.vstack([A, np.eye(n)]), ("<=",) * rows,
+               np.concatenate([b, np.full(n, ub)]), tuple(range(n, n + rows)))
 
 
 class TestLpBasics:
@@ -61,27 +64,33 @@ class TestLpBasics:
                 A=[[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [1.0, 1.0, 0.0]],
                 senses=("<=", "<=", "="),
                 b=[0.0, 0.0, 1.0],
+                # the Dirac vertex mu0 = t = 1, slack of row 0 at 1
+                basis=(0, 2, 3),
             )
         )
-        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.5, abs=1e-12)
         assert sol.x[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_knapsack_corner(self):
-        sol = solve_lp(_lp([-1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0]))
-        assert sol.status == "optimal"
+        sol = solve_lp(_lp([-1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0], basis=(2,)))
         assert sol.objective == pytest.approx(-1.0, abs=1e-12)
 
     def test_infeasible(self):
-        sol = solve_lp(_lp([1.0], [[1.0], [-1.0]], ("<=", "<="), [-2.0, 1.0]))
-        assert sol.status == "infeasible"
-        assert sol.x is None and sol.y is None
-        assert math.isnan(sol.objective)
+        # the slack basis of a row with b < 0 starts at a negative slack
+        lp = _lp([1.0], [[1.0], [-1.0]], ("<=", "<="), [-2.0, 1.0], basis=(1, 2))
+        with pytest.raises(NumericalBreakdownError, match="starting basis is infeasible"):
+            solve_lp(lp)
 
     def test_unbounded(self):
-        sol = solve_lp(_lp([-1.0], [[0.0]], ("<=",), [1.0]))
-        assert sol.status == "unbounded"
-        assert math.isnan(sol.objective)
+        # x0 prices out negative, and no row bounds its step
+        lp = _lp([-1.0], [[0.0]], ("<=",), [1.0], basis=(1,))
+        with pytest.raises(NumericalBreakdownError, match="empty ratio test"):
+            solve_lp(lp)
+
+    def test_singular_basis(self):
+        lp = _lp([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], ("=", "="), [1.0, 2.0], basis=(0, 1))
+        with pytest.raises(NumericalBreakdownError, match="singular"):
+            solve_lp(lp)
 
     def test_equality_rows(self):
         sol = solve_lp(
@@ -90,9 +99,10 @@ class TestLpBasics:
                 [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
                 ("=", "="),
                 [1.0, 0.25],
+                # x = (0.25, 0, 0.75), objective 2.5
+                basis=(0, 2),
             )
         )
-        assert sol.status == "optimal"
         # x = (x0, x0 - 1/4, 1.25 - 2 x0): cheapest at x2 = 0, x0 = 0.625
         assert sol.objective == pytest.approx(0.625 + 2 * 0.375, abs=1e-10)
 
@@ -104,9 +114,9 @@ class TestLpBasics:
                 [[1.0, 1.0, 1.0, 1.0]],
                 ("=",),
                 [1.0],
+                basis=(0,),
             )
         )
-        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0, abs=1e-12)
         assert sol.x[0] == 0.0 and sol.x[2] == 0.0 and sol.x[3] == 0.0
 
@@ -117,24 +127,68 @@ class TestLpBasics:
                 np.zeros((1, 10_001)),
                 ("<=",),
                 [1.0],
+                basis=(10_001,),
             )
 
     @pytest.mark.parametrize(
         "bad",
         [
-            lambda: _lp([1.0, 2.0], [[1.0]], ("<=",), [1.0]),
-            lambda: _lp([1.0], [[1.0]], ("<=", "<="), [1.0]),
-            lambda: _lp([1.0], [[1.0]], ("<",), [1.0]),
-            lambda: _lp([1.0], [[1.0]], (">=",), [1.0]),
+            lambda: _lp([1.0, 2.0], [[1.0]], ("<=",), [1.0], basis=(2,)),
+            lambda: _lp([1.0], [[1.0]], ("<=", "<="), [1.0], basis=(1,)),
+            lambda: _lp([1.0], [[1.0]], ("<",), [1.0], basis=(1,)),
+            lambda: _lp([1.0], [[1.0]], (">=",), [1.0], basis=(1,)),
         ],
     )
     def test_shape_validation(self, bad):
         with pytest.raises(DimensionMismatchError):
             bad()
 
+    @pytest.mark.parametrize("basis", [(), (0, 1, 2), (0, 0), (0, 3), (-1, 0)],
+                             ids=["short", "long", "repeated", "past-slacks", "negative"])
+    def test_basis_validation(self, basis):
+        # two columns and one slack: standard-form columns 0, 1, 2
+        with pytest.raises(DimensionMismatchError, match="basis"):
+            _lp([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ("=", "<="), [1.0, 1.0], basis)
+
     def test_nonfinite_data(self):
         with pytest.raises(NonFiniteEntryError):
-            _lp([np.inf], [[1.0]], ("<=",), [1.0])
+            _lp([np.inf], [[1.0]], ("<=",), [1.0], basis=(1,))
+
+
+class TestLpWork:
+    """``LpSolution`` counts its pivots and the safe-mode retry."""
+
+    FORMS = [(True, False), (False, True), (True, True)]
+
+    def test_level_pivots_pinned(self):
+        # From the Dirac vertex: 951 pivots.  Phase 1 plus phase 2 from the
+        # slack-and-artificial start took 723 + 1020 = 1743.
+        total, retried = 0, False
+        for seed in range(100):
+            space = instance_space(seed)
+            for roof, floor in self.FORMS:
+                sol = solve_lp(level_program(space, SubsetPair.full(space.m), roof, floor))
+                total += sol.pivots
+                retried |= sol.retried
+        assert total == 951
+        assert not retried
+
+    def test_safe_mode_retry_is_counted(self, monkeypatch):
+        space = instance_space(3)
+        lp = level_program(space, SubsetPair.full(space.m), True, True)
+        plain = solve_lp(lp)
+        run = optimize_mod._Simplex.run
+
+        def first_breaks(sx, c):
+            if not sx.bland_from_start:
+                raise NumericalBreakdownError("forced breakdown of the first attempt")
+            return run(sx, c)
+
+        monkeypatch.setattr(optimize_mod._Simplex, "run", first_breaks)
+        retried = solve_lp(lp)
+        assert not plain.retried and retried.retried
+        assert retried.pivots > 0
+        assert retried.objective == pytest.approx(plain.objective, abs=1e-12)
 
 
 class TestLpDuality:
@@ -144,11 +198,9 @@ class TestLpDuality:
             n, rows = 6, 4
             A = rng.normal(size=(rows, n))
             x0 = rng.dirichlet(np.ones(n))
-            b = A @ x0 + rng.uniform(0.0, 1.0, size=rows)
+            b = np.abs(A @ x0) + rng.uniform(0.0, 1.0, size=rows)
             c = rng.normal(size=n)
-            lp = _boxed(c, A, ("<=",) * rows, b, 2.0)
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
+            sol = solve_lp(_boxed(c, A, b, 2.0))
             # feasibility of the returned vertex
             assert np.all(A @ sol.x <= b + 1e-9)
             assert np.all(sol.x >= -1e-9) and np.all(sol.x <= 2.0 + 1e-9)
@@ -163,30 +215,11 @@ class TestLpDuality:
             rows = int(rng.integers(1, 6))
             A = rng.normal(size=(rows, n)).round(3)
             x0 = rng.dirichlet(np.ones(n))
-            b = (A @ x0 + rng.uniform(0.0, 1.0, size=rows)).round(3)
+            b = (np.abs(A @ x0) + rng.uniform(0.0, 1.0, size=rows)).round(3)
             c = rng.normal(size=n).round(3)
-            lp = _boxed(c, A, ("<=",) * rows, b, 1.5)
-            sol = solve_lp(lp)
+            sol = solve_lp(_boxed(c, A, b, 1.5))
             ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0.0, 1.5)] * n, method="highs")
-            assert sol.status == "optimal" and ref.status == 0, f"trial {trial}"
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
-
-    def test_equality_duals_match_reference(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = np.random.default_rng(23)
-        for trial in range(20):
-            n = int(rng.integers(3, 7))
-            A = rng.normal(size=(2, n)).round(3)
-            x0 = rng.dirichlet(np.ones(n))
-            b = (A @ x0).round(6)
-            c = rng.normal(size=n).round(3)
-            lp = _boxed(c, A, ("=", "="), b, 3.0)
-            sol = solve_lp(lp)
-            ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, 3.0)] * n, method="highs")
-            if ref.status != 0:
-                assert sol.status != "optimal", f"trial {trial}"
-                continue
-            assert sol.status == "optimal", f"trial {trial}"
+            assert ref.status == 0, f"trial {trial}"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
 
 
@@ -197,7 +230,7 @@ class TestCertificate:
     x = (1, 0), y = (0, 1), objective 1.
     """
 
-    LP = _lp([1.0, 2.0], [[1.0, 0.0], [1.0, 1.0]], ("<=", "="), [2.0, 1.0])
+    LP = _lp([1.0, 2.0], [[1.0, 0.0], [1.0, 1.0]], ("<=", "="), [2.0, 1.0], basis=(0, 2))
 
     @pytest.mark.parametrize(
         "x, y, objective, match",
@@ -234,7 +267,13 @@ class TestCertificate:
 
 
 class TestLevelProgramsAgainstReference:
-    """Every LP the program builds, against scipy's HiGHS on the same data."""
+    """Every LP the program builds, against scipy's HiGHS on the same data.
+
+    Besides the objective, the dual of the sum-mu = 1 row must match HiGHS's
+    equality marginal, and the returned measure must attain the optimum:
+    its worst potential on L for the roof, its best for the floor, their
+    spread for both.
+    """
 
     @pytest.mark.parametrize("seed", range(60))
     @pytest.mark.parametrize("roof, floor", [(True, False), (False, True), (True, True)])
@@ -248,8 +287,12 @@ class TestLevelProgramsAgainstReference:
             sol = solve_lp(lp)
             ref = linprog(lp.c, A_ub=lp.A[le], b_ub=lp.b[le], A_eq=lp.A[~le],
                           b_eq=lp.b[~le], bounds=(0.0, None), method="highs")
-            assert sol.status == "optimal" and ref.status == 0, pair
+            assert ref.status == 0, pair
             assert sol.objective == pytest.approx(ref.fun, abs=1e-9), pair
+            assert sol.y[-1] == pytest.approx(ref.eqlin.marginals[0], abs=1e-9), pair
+            pot = space.kernel[np.ix_(pair.L, pair.H)] @ sol.x[:len(pair.H)]
+            attained = (pot.max() if roof else 0.0) - (pot.min() if floor else 0.0)
+            assert attained == pytest.approx(ref.fun, abs=1e-9), pair
 
 
 class TestQuadraticRoutes:
