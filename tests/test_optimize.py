@@ -222,6 +222,25 @@ class TestLpDuality:
             assert ref.status == 0, f"trial {trial}"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
 
+    def test_equality_duals_match_reference(self):
+        # two '=' rows and the box x <= 3, started from x0, x1 and the box
+        # slacks: b is built from positive x0, x1 so that start is feasible
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(23)
+        for trial in range(20):
+            n = int(rng.integers(3, 7))
+            A = rng.normal(size=(2, n)).round(3)
+            b = (A[:, :2] @ rng.uniform(0.2, 1.0, size=2)).round(6)
+            c = rng.normal(size=n).round(3)
+            sol = solve_lp(_lp(c, np.vstack([A, np.eye(n)]), ("=", "=") + ("<=",) * n,
+                               np.concatenate([b, np.full(n, 3.0)]),
+                               (0, 1) + tuple(range(n, 2 * n))))
+            ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, 3.0)] * n, method="highs")
+            assert ref.status == 0, f"trial {trial}"
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+            assert sol.y[:2] == pytest.approx(ref.eqlin.marginals, abs=1e-7), f"trial {trial}"
+            assert sol.y[2:] == pytest.approx(ref.upper.marginals, abs=1e-7), f"trial {trial}"
+
 
 class TestCertificate:
     """Each KKT check of the certificate, just past and just inside its tolerance.
