@@ -10,6 +10,16 @@ columns and the indices c >= b; no multiset tuples or index arrays are
 built.  The table and every block of sums stay within ``_CHUNK_CELLS``
 float64 cells.  Multiset witnesses are the lexicographically smallest
 optimizers.
+
+On the full pair of a kernel invariant under a group of index permutations
+that acts transitively (the cyclic shift, or the XOR translations of 2^d
+points), every multiset has an image that contains point 0 and the same
+constants, so the pass of order n >= 2 forms only the multisets that
+contain 0: an order-(n - 1) pass over the rest, whose sums start from
+``0 + k_0`` and are thus bit for bit the full pass's sums of those
+multisets.  The lexicographically smallest optimizer contains 0 (see
+``_transitive`` for when rounding keeps it so), so the constants and
+witnesses are the full pass's.  The cap still counts every multiset of H.
 """
 from __future__ import annotations
 
@@ -99,16 +109,21 @@ def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
 
 def _scan(space: KernelSpace, pair: SubsetPair, n: int
           ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
+    """Both order-n constants and witnesses; on a transitive space (see the
+    module docstring) only the multisets that contain point 0 are formed."""
     H, L = pair.H, pair.L
     # Column i holds the kernel from H[i] to every point of L.  L leads, so the
     # reductions over L run elementwise across contiguous slabs.
     cols = np.ascontiguousarray(space.kernel[np.ix_(L, H)])
+    anchored = _transitive(space, pair, n)
+    # The anchored pass forms the rest of each multiset after a first term 0.
+    order, offset = (n - 1, 0.0 + cols[:, :1]) if anchored else (n, None)
     # counts[j][x]: multisets of order j with largest index at most x.
     counts = [np.ones(len(H), dtype=np.int64)]
-    for _ in range(n - 2):
+    for _ in range(order - 2):
         counts.append(np.cumsum(counts[-1]))
     lo = hi = None
-    for sums, invalid, locate in _blocks(cols, n, counts):
+    for sums, invalid, locate in _blocks(cols, order, counts, offset):
         # Divide before comparing: sums that differ can tie once divided by n.
         inner = sums.min(axis=0)
         inner /= n
@@ -120,8 +135,71 @@ def _scan(space: KernelSpace, pair: SubsetPair, n: int
         if invalid is not None:
             inner[invalid] = np.inf
         hi = _keep(hi, inner, locate, larger=False)
-    return (lo[0], _witness(cols, pair, _multiset(counts, lo[1]), dual=False),
-            hi[0], _witness(cols, pair, _multiset(counts, hi[1]), dual=True))
+    head = (0,) if anchored else ()
+    return (lo[0], _witness(cols, pair, head + _multiset(counts, lo[1]), dual=False),
+            hi[0], _witness(cols, pair, head + _multiset(counts, hi[1]), dual=True))
+
+
+def _transitive(space: KernelSpace, pair: SubsetPair, n: int) -> bool:
+    """Whether the order-n pass may form only the multisets that contain
+    point 0 and still give the full pass's constants and witnesses to the bit.
+
+    That needs n >= 2, the full pair of at least two points, and a kernel
+    exactly invariant under a group of index permutations that acts
+    transitively and keeps every sum's rounding:
+
+    - the cyclic shift i -> i + 1 (mod m).  Shifting a multiset down by its
+      smallest index keeps its indices in order, so from the shifted points
+      it has the same sums, term by term; the lexicographically smallest
+      optimizer thus contains 0.
+    - for m = 2^d, every XOR translation i -> i ^ 2^e, on a kernel of
+      integers whose sums of n entries stay within 2^53.  XOR reorders the
+      terms of a sum, which only exact sums do not feel.
+
+    Only views of the kernel are compared; no m x m index array or copy is
+    built.
+    """
+    m = space.m
+    if n < 2 or m < 2 or pair != SubsetPair.full(m):
+        return False
+    return n <= space.memo(("transitive",), lambda: _anchored_orders(space.kernel))
+
+
+def _anchored_orders(k: np.ndarray) -> float:
+    """The largest order whose pass may anchor at point 0, 0 for none."""
+    if _cyclic(k):
+        return math.inf
+    # an XOR-invariant kernel holds K[i, j] = K[0, i ^ j]: row 0 has every entry
+    if not _xor(k) or not np.array_equal(k[0], np.floor(k[0])):
+        return 0
+    return 2.0 ** 53 // max(1.0, float(k[0].max()))
+
+
+def _cyclic(k: np.ndarray) -> bool:
+    """K[i + 1, j + 1] == K[i, j] for all i, j, indices mod m.
+
+    The pairs (i + t, j + t) form cycles, one relation per step, and each
+    cycle has one step from column m - 1 to column 0.  Equality along all
+    other steps implies it there too, so those steps are not compared.
+    """
+    return (np.array_equal(k[1:, 1:], k[:-1, :-1])
+            and np.array_equal(k[0, 1:], k[-1, :-1]))
+
+
+def _xor(k: np.ndarray) -> bool:
+    """K[i ^ p, j ^ p] == K[i, j] for all i, j and every power of two p < m."""
+    m = k.shape[0]
+    if m & (m - 1):
+        return False
+    p = 1
+    while p < m:
+        a = m // (2 * p)
+        # index i = (x * 2 + y) * p + z, and i ^ p flips y
+        blocks = k.reshape(a, 2, p, a, 2, p)
+        if not np.array_equal(blocks, blocks[:, ::-1, :, :, ::-1, :]):
+            return False
+        p *= 2
+    return True
 
 
 def _keep(best, inner: np.ndarray, locate, larger: bool):
@@ -141,7 +219,7 @@ def _keep(best, inner: np.ndarray, locate, larger: bool):
     return best
 
 
-def _blocks(cols: np.ndarray, n: int, counts: list):
+def _blocks(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray] = None):
     """Kernel sums of all order-n multisets, in blocks of bounded size.
 
     Yields ``(sums, invalid, locate)``.  ``sums`` holds L on its first axis;
@@ -150,7 +228,8 @@ def _blocks(cols: np.ndarray, n: int, counts: list):
     over L and the flat position of its first optimum to the key
     (``_multiset``) of the lexicographically smallest multiset whose cell
     ties with it.  Every sum accumulates left to right from 0.0,
-    ``((0 + k_a1) + k_a2) + ... + k_an``.
+    ``((0 + k_a1) + k_a2) + ... + k_an``, or from the column ``offset``
+    (|L| x 1) in place of 0.0.
 
     The sums of order k = n - 2 sit in a table in colex order (by largest
     index first), so those with largest index at most b are its first
@@ -159,7 +238,10 @@ def _blocks(cols: np.ndarray, n: int, counts: list):
     c >= b.  Consecutive b merge into one masked block while it fits; a b too
     large for one block splits along q and c.  A table larger than
     ``_CHUNK_CELLS`` is replaced by the largest order that fits, and each
-    chunk of prefixes is filled from it (``_fill``).
+    chunk of prefixes is filled from it (``_fill``).  In a merged block the
+    cells with c < b hold no multiset; for order 2 from 0.0 they hold the sum
+    of (c, b) exactly, since ``k_b + k_c == k_c + k_b``, and stay unmasked,
+    but after an ``offset`` they are masked like the rest.
     """
     n_l, h = cols.shape
     # Blocks get a quarter of the budget: at 2**17 cells they raised the peak
@@ -169,13 +251,14 @@ def _blocks(cols: np.ndarray, n: int, counts: list):
         width = max(1, budget // n_l)
         for c0 in range(0, h, width):
             # positions follow the index, so the first optimum is the smallest
-            yield 0.0 + cols[:, c0:c0 + width], None, lambda inner, first, c0=c0: (c0 + first,)
+            yield ((0.0 if offset is None else offset) + cols[:, c0:c0 + width], None,
+                   lambda inner, first, c0=c0: (c0 + first,))
         return
     k = n - 2
     t = 0
     while t < k and n_l * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
         t += 1
-    table = _colex_table(cols, t, counts)
+    table = _colex_table(cols, t, counts, offset)
     lex = _lex_ranks(counts, np.arange(table.shape[1])) if t == k else None
     last = counts[k]
     b = 0
@@ -188,9 +271,9 @@ def _blocks(cols: np.ndarray, n: int, counts: list):
             nq, nc = int(last[b1 - 1]), h - b
             heads = table[:, None, :nq] + cols[:, b:b1, None]
             # Cells with q >= counts[k][b] or c < b hold no multiset.  For
-            # order 2 a cell (b, c) with c < b holds the sum of (c, b) exactly,
-            # because addition commutes, so it needs no mask.
-            invalid = None if k == 0 else (
+            # order 2 from 0.0 a cell (b, c) with c < b holds the sum of (c, b)
+            # exactly, because addition commutes, so it needs no mask.
+            invalid = None if k == 0 and offset is None else (
                 (np.arange(nq) >= last[b:b1, None])[:, :, None]
                 | (np.arange(nc) < np.arange(b1 - b)[:, None])[:, None, :])
             yield (heads[:, :, :, None] + cols[:, None, None, b:], invalid,
@@ -216,10 +299,12 @@ def _blocks(cols: np.ndarray, n: int, counts: list):
         b = b1
 
 
-def _colex_table(cols: np.ndarray, t: int, counts: list) -> np.ndarray:
+def _colex_table(cols: np.ndarray, t: int, counts: list,
+                 offset: Optional[np.ndarray] = None) -> np.ndarray:
     """Sums of all order-t multisets in colex order, one column each, built
-    one order at a time."""
-    table = np.zeros((cols.shape[0], 1)) if t == 0 else cols + 0.0
+    one order at a time, starting from ``offset`` (|L| x 1) or 0.0."""
+    start = np.zeros((cols.shape[0], 1)) if offset is None else offset
+    table = start if t == 0 else start + cols
     for j in range(2, t + 1):
         table = _fill(cols, table, j - 1, counts, j, 0, int(counts[j][-1]))
     return table

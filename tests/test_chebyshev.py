@@ -30,6 +30,7 @@ import rdv.chebyshev as chebyshev
 
 from oracles import chebyshev_brute, chebyshev_prefix_loop, chebyshev_scan, dual_chebyshev_brute
 from rdv.core import validate_kernel
+from rdv.suites import vertex_transitive_family
 
 
 class TestTwoPointTable:
@@ -376,6 +377,158 @@ class TestAgainstPrefixLoop:
                     self.assert_same(space, pair, n)
 
 
+def _full_scan(space, pair, n, monkeypatch):
+    """The pass over every multiset, with the transitivity check turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chebyshev, "_transitive", lambda space, pair, n: False)
+        return chebyshev._scan(space, pair, n)
+
+
+def _xor_kernel(row):
+    """The kernel K[i, j] = row[i ^ j] on len(row) = 2^d points."""
+    idx = np.arange(len(row))
+    return validate_kernel(np.asarray(row, dtype=float)[idx[:, None] ^ idx[None, :]],
+                           name="xor")
+
+
+def _circulant(rng, m):
+    """A cyclic kernel K[i, j] = f((j - i) mod m), f(d) = f(m - d), with
+    entries over 16 decades, so that sums round differently in another order."""
+    f = rng.uniform(0, 1, m) * 10.0 ** rng.integers(-8, 9, m)
+    f = np.minimum(f, f[-np.arange(m) % m])
+    idx = np.arange(m)
+    return validate_kernel(f[(idx[None, :] - idx[:, None]) % m], name=f"circulant{m}")
+
+
+def _transitive_cases():
+    for m in range(1, 41):
+        for desc in (circle(m), circle(m, "arc"), circle(m, radius=1e3)):
+            yield generate(desc)
+    for dim in range(7):
+        yield generate(hypercube(dim))
+    rng = np.random.default_rng(7)
+    for m in list(range(3, 13)) * 2:
+        yield _circulant(rng, m)
+    # XOR-invariant integer kernels with no cyclic symmetry
+    for m in (4, 8, 16):
+        yield _xor_kernel(np.r_[0, rng.integers(1, 10 ** 6, m - 1)])
+
+
+class TestAnchoredScan:
+    """On a transitive space the pass over the multisets that contain point 0
+    reproduces the pass over all multisets to the bit."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orders_one_to_six(self, monkeypatch, n):
+        checked = 0
+        for space in _transitive_cases():
+            pair = SubsetPair.full(space.m)
+            if multiset_count(space.m, n) * space.m <= _LOOP_CELLS:
+                assert chebyshev._scan(space, pair, n) == _full_scan(space, pair, n, monkeypatch)
+                checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("cells", [1, 100, 5000])
+    def test_small_budgets(self, monkeypatch, cells):
+        # masked order-2 blocks, split blocks and prefixes filled from a
+        # lower-order table, all after the offset column
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", cells)
+        for desc in (hypercube(4), circle(12, "arc"), circle(9, radius=1e3), circle(10)):
+            space = generate(desc)
+            pair = SubsetPair.full(space.m)
+            for n in range(1, 7):
+                if multiset_count(space.m, n) * space.m <= _LOOP_CELLS // 4:
+                    assert chebyshev._scan(space, pair, n) == _full_scan(space, pair, n,
+                                                                        monkeypatch)
+
+    def test_benchmark_circle_takes_the_anchored_pass(self, monkeypatch):
+        orders = []
+        blocks = chebyshev._blocks
+
+        def record(cols, n, counts, offset=None):
+            orders.append((n, offset is not None))
+            return blocks(cols, n, counts, offset)
+
+        monkeypatch.setattr(chebyshev, "_blocks", record)
+        space = generate(circle(64))
+        chebyshev._scan(space, SubsetPair.full(64), 4)
+        assert orders == [(3, True)]
+
+    def test_cap_counts_every_multiset(self):
+        # the anchored pass forms C(66, 3) multisets, but the cap is on C(67, 4)
+        space = generate(circle(64))
+        needed = multiset_count(64, 4)
+        with pytest.raises(EnumerationCapExceededError) as e:
+            chebyshev_n(space, SubsetPair.full(64), 4, cap=needed - 1)
+        assert e.value.required == needed
+        assert chebyshev_table(space, SubsetPair.full(64), 4, cap=needed - 1).skipped == (4,)
+
+
+def _moved_by_one_ulp(desc):
+    k = generate(desc).kernel.copy()
+    k[0, 2] = k[2, 0] = np.nextafter(k[0, 2], np.inf)
+    return validate_kernel(k, name="moved")
+
+
+def _relabelled(desc):
+    k = generate(desc).kernel
+    order = np.random.default_rng(0).permutation(k.shape[0])
+    return validate_kernel(k[np.ix_(order, order)], name="relabelled")
+
+
+def _xor_invariant_below(m, p, seed):
+    """A random integer kernel on m points, invariant under XOR with each
+    power of two below p but not with p."""
+    k = np.random.default_rng(seed).integers(1, 100, (m, m)).astype(float)
+    k = k + k.T
+    idx = np.arange(m)
+    q = 1
+    while q < p:
+        k = k + k[np.ix_(idx ^ q, idx ^ q)]
+        q *= 2
+    np.fill_diagonal(k, 0.0)
+    return validate_kernel(k, name=f"xor-below-{p}")
+
+
+class TestTransitiveCheck:
+    @pytest.mark.parametrize("name, space", vertex_transitive_family())
+    def test_vertex_transitive_family(self, name, space):
+        assert chebyshev._transitive(space, SubsetPair.full(space.m), 4)
+
+    @pytest.mark.parametrize("desc", [circle(64), hypercube(6), circle(256)])
+    def test_benchmark_spaces(self, desc):
+        space = generate(desc)
+        assert chebyshev._transitive(space, SubsetPair.full(space.m), 4)
+
+    @pytest.mark.parametrize("space", [
+        generate(interval_grid(101)), generate(interval_grid(257)),
+        *(generate(random_graph(m, 0.5, s)) for m in (12, 13, 14, 40) for s in (1, 2, 3, 4)),
+        _moved_by_one_ulp(circle(64)), _moved_by_one_ulp(hypercube(4)),
+        _relabelled(circle(64)), _relabelled(hypercube(4)),
+        _xor_invariant_below(8, 2, 0), _xor_invariant_below(8, 4, 1),
+        _xor_invariant_below(16, 8, 2),
+    ], ids=lambda space: space.name)
+    def test_not_transitive(self, space):
+        assert not chebyshev._transitive(space, SubsetPair.full(space.m), 4)
+
+    def test_only_the_full_pair_from_order_two(self):
+        space = generate(circle(8))
+        pairs = [SubsetPair(H, L) for r in range(1, 9)
+                 for H in itertools.combinations(range(8), r) for L in ((0, 3, 5), H)]
+        for pair in pairs:
+            assert chebyshev._transitive(space, pair, 2) == (pair == SubsetPair.full(8))
+        assert not chebyshev._transitive(space, SubsetPair.full(8), 1)
+        assert not chebyshev._transitive(generate(circle(1)), SubsetPair.full(1), 2)
+
+    def test_xor_needs_exact_sums(self):
+        # XOR reorders the terms of a sum: on tenths the anchored pass could
+        # round differently, on integers up to 2^53 it cannot
+        assert not chebyshev._transitive(_xor_kernel([0, 0.1, 0.2, 0.3]), SubsetPair.full(4), 2)
+        big = _xor_kernel([0, 1, 2 ** 50, 2 ** 51])
+        assert chebyshev._transitive(big, SubsetPair.full(4), 4)
+        assert not chebyshev._transitive(big, SubsetPair.full(4), 5)
+
+
 class TestColexRanks:
     @pytest.mark.parametrize("h, k", [(1, 3), (4, 0), (4, 1), (5, 3), (3, 6)])
     def test_unrank_and_lex_ranks(self, h, k):
@@ -413,3 +566,7 @@ class TestMemoryBound:
     def test_wide_order_two(self):
         # one block for all 33,153 pairs of 257 points would hold 8.5M cells
         self.assert_bounded(generate(interval_grid(257)), 2)
+
+    def test_anchored_order_two(self):
+        # the transitivity check compares views of the kernel, it copies none
+        self.assert_bounded(generate(circle(256)), 2)
