@@ -16,9 +16,11 @@ routes, picked by the curvature of the kernel on the sum-zero subspace:
 a certified conditional-gradient method (away steps, exact line search,
 periodic exact solves on the current support), exhaustive stationary-point
 enumeration over supports for up to 14 points, and a multistart heuristic
-that only claims a bound.  The enumeration solves the supports of one size
-as stacked KKT systems and replays the near-best ones one at a time, so
-its result is exactly that of solving every support on its own; one
+that only claims a bound.  The starts of one multistart share their exact
+support solves, so each distinct support's KKT system is solved once per
+multistart, not once per start.  The enumeration solves the supports of one
+size as stacked KKT systems and replays the near-best ones one at a time,
+so its result is exactly that of solving every support on its own; one
 stacked pass per space and subset serves the maximum and the minimum.
 On a dual space C - k (see ``core.dual_kernel``) nothing is solved: each
 extremum is read from the primal's opposite one.
@@ -339,6 +341,13 @@ class EnergyResult:
     ``enumerated_exact``, ``heuristic_bound``.  ``gap`` is the final
     conditional-gradient duality gap for the certified-gradient routes and
     0 for exact enumeration.
+
+    ``kkt_solves`` counts the one-support KKT solves (``_polish_support``
+    calls) of the Frank-Wolfe routes and ``fw_iterations`` their iterations,
+    both summed over the starts of a multistart.  Both are 0 on an
+    enumerated extremum, which solves its supports as stacked systems and
+    does not count its few one-support replays, and on one read from the
+    opposite extremum of the primal, which solves nothing.
     """
 
     value: float
@@ -346,6 +355,8 @@ class EnergyResult:
     certificate: str
     gap: float
     notes: tuple[str, ...]
+    kkt_solves: int = 0
+    fw_iterations: int = 0
 
 
 def _fw_gap(M: np.ndarray, v: np.ndarray) -> float:
@@ -356,8 +367,9 @@ def _fw_gap(M: np.ndarray, v: np.ndarray) -> float:
 def _polish_support(M: np.ndarray, support: np.ndarray, h: int):
     """Solve the stationarity system on a support: M_S w = lam, sum w = 1."""
     s = support.size
+    M_S = M[np.ix_(support, support)]
     kkt = np.zeros((s + 1, s + 1))
-    kkt[:s, :s] = M[np.ix_(support, support)]
+    kkt[:s, :s] = M_S
     kkt[:s, s] = -1.0
     kkt[s, :s] = 1.0
     rhs = np.zeros(s + 1)
@@ -369,7 +381,7 @@ def _polish_support(M: np.ndarray, support: np.ndarray, h: int):
     w_s = sol[:s]
     if not np.all(np.isfinite(w_s)):
         return None
-    resid = M[np.ix_(support, support)] @ w_s - sol[s]
+    resid = M_S @ w_s - sol[s]
     if np.max(np.abs(resid)) > _RESID_TOL * (1.0 + np.max(np.abs(M))):
         return None
     if np.min(w_s) < -_WEIGHT_TOL:
@@ -380,12 +392,40 @@ def _polish_support(M: np.ndarray, support: np.ndarray, h: int):
     return w
 
 
-def _away_fw_minimize(M: np.ndarray, gap_tol: float, max_iter: int, start: np.ndarray | None = None):
+def _shared_polish(polish):
+    """``polish`` with each support solved once: later calls on a support
+    return the first call's result.
+
+    The polish of a support is a function of the matrix and the support
+    alone, so within one multistart, where the matrix is fixed, a start that
+    reaches a support another start has polished gets the same weights bit
+    for bit.  The weights are stored read-only, so no start can change
+    another's copy in place.
+    """
+    done = {}
+
+    def shared(support: np.ndarray):
+        key = support.tobytes()
+        if key not in done:
+            w = polish(support)
+            if w is not None:
+                w.setflags(write=False)
+            done[key] = w
+        return done[key]
+
+    return shared
+
+
+def _away_fw_minimize(M: np.ndarray, gap_tol: float, max_iter: int, polish,
+                      start: np.ndarray | None = None):
     """Away-step Frank-Wolfe with exact line search for min v' M v on the simplex.
 
-    Returns (v, gap, iterations).  Every 32 iterations the stationarity
-    system on the current support is solved exactly; if the polished point
-    is feasible and closes the gap it is returned directly.
+    Returns (v, gap, iterations).  Every 32 iterations, and once more at
+    the end, ``polish(support)`` solves the stationarity system on the
+    current support exactly (``_polish_support`` on M, shared across the
+    starts of a multistart); if the polished point is feasible and closes
+    the gap it is returned directly.  A returned point may be a read-only
+    array that ``polish`` shares.
     """
     h = M.shape[0]
     v = np.full(h, 1.0 / h) if start is None else start.copy()
@@ -400,7 +440,7 @@ def _away_fw_minimize(M: np.ndarray, gap_tol: float, max_iter: int, start: np.nd
             return v, gap, it
         if it % 32 == 0:
             support = np.flatnonzero(v > 1e-12)
-            w = _polish_support(M, support, h)
+            w = polish(support)
             if w is not None and _fw_gap(M, w) <= gap_tol:
                 return w, _fw_gap(M, w), it
         support = np.flatnonzero(v > 0.0)
@@ -440,7 +480,7 @@ def _away_fw_minimize(M: np.ndarray, gap_tol: float, max_iter: int, start: np.nd
         if val < best_val:
             best, best_val = v, val
     support = np.flatnonzero(best > 1e-12)
-    w = _polish_support(M, support, h)
+    w = polish(support)
     if w is not None and float(w @ M @ w) <= best_val + 1e-15:
         best = w
     return best, _fw_gap(M, best), max_iter
@@ -605,16 +645,31 @@ def _reflect_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
 
 def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
                     gap_tol: float, max_iter: int) -> EnergyResult:
+    """The extremum over measures on ``idx``, by the route the curvature picks.
+
+    A kernel definite in the right sense on the sum-zero subspace gets one
+    certified Frank-Wolfe run; otherwise up to ``QP_ENUM_LIMIT`` points are
+    enumerated exactly, and above that a 32-start Frank-Wolfe multistart
+    gives a bound.  The starts of the multistart share their support
+    polishes, so each distinct support's KKT system is solved once per
+    multistart; nothing is kept after the solve returns.
+    """
     Q = space.kernel[np.ix_(idx, idx)]
     h = len(idx)
     sign = -1.0 if maximize else 1.0
     M = sign * Q
+    kkt_solves = fw_iterations = 0
+
+    def polish(support: np.ndarray):
+        nonlocal kkt_solves
+        kkt_solves += 1
+        return _polish_support(M, support, h)
 
     defin = subset_definiteness(space, idx)
     certified = defin["nsd"] if maximize else defin["psd"]
     notes: tuple[str, ...] = ()
     if certified:
-        v, gap, _ = _away_fw_minimize(M, gap_tol, max_iter)
+        v, gap, fw_iterations = _away_fw_minimize(M, gap_tol, max_iter, polish)
         cert = "global_concave_max" if maximize else "global_convex"
         if gap > gap_tol:
             notes = (f"conditional gradient stopped at gap {gap:.3e}",)
@@ -635,8 +690,11 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         v = None
         best_val = math.inf
         gap = math.nan
+        shared = _shared_polish(polish)
         for start in starts:
-            cand, cand_gap, _ = _away_fw_minimize(M, gap_tol, min(max_iter, 20_000), start)
+            cand, cand_gap, iterations = _away_fw_minimize(M, gap_tol, min(max_iter, 20_000),
+                                                           shared, start)
+            fw_iterations += iterations
             val = float(cand @ M @ cand)
             if val < best_val - 1e-15:
                 v, best_val, gap = cand, val, cand_gap
@@ -649,7 +707,8 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     measure = Measure.from_subvector(space.m, idx, v)
     # report the value of the cleaned-up measure so value and measure agree exactly
     value = float(measure.weights @ space.kernel @ measure.weights)
-    return EnergyResult(value=value, measure=measure, certificate=cert, gap=float(gap), notes=notes)
+    return EnergyResult(value=value, measure=measure, certificate=cert, gap=float(gap), notes=notes,
+                        kkt_solves=kkt_solves, fw_iterations=fw_iterations)
 
 
 def minimize_quadratic_on_simplex(space: KernelSpace, H: Sequence[int],

@@ -15,8 +15,11 @@ from rdv import (
     NonFiniteEntryError,
     NumericalBreakdownError,
     SubsetPair,
+    circle,
+    dual_kernel,
     generate,
     hypercube,
+    interval_grid,
     random_graph,
 )
 from rdv.minimax import level_program
@@ -524,3 +527,88 @@ class TestBatchedEnumeration:
         # one-system solves only replay the near-best supports: at most the
         # h tied Diracs of the minimum
         assert calls["single"] <= h
+
+
+def _disjoint_pairs(m: int = 16) -> KernelSpace:
+    """m / 2 disjoint strong pairs: indefinite, above the enumeration limit."""
+    k = np.zeros((m, m))
+    for i in range(0, m, 2):
+        k[i, i + 1] = k[i + 1, i] = 1.0
+    return KernelSpace("pairs", tuple(map(str, range(m))), k, False)
+
+
+def _unlinked_dual(m: int, seed: int) -> KernelSpace:
+    """C - K of a random graph as a space of its own, which solves on its own."""
+    dual = dual_kernel(generate(random_graph(m, 0.5, seed)))[0]
+    return KernelSpace(dual.name, dual.points, dual.kernel, dual.is_metric)
+
+
+# (name, fresh space, maximize): every case runs the multistart
+_MULTISTARTS = [
+    ("circle(256) w", lambda: generate(circle(256)), False),
+    ("grid(257) w", lambda: generate(interval_grid(257)), False),
+    ("random(40,0.5,4) max", lambda: generate(random_graph(40, 0.5, 4)), True),
+    ("random(40,0.5,4) min", lambda: generate(random_graph(40, 0.5, 4)), False),
+    ("random(100,0.05,0) max", lambda: generate(random_graph(100, 0.05, 0)), True),
+    ("random(100,0.05,0) min", lambda: generate(random_graph(100, 0.05, 0)), False),
+    ("hypercube(5) w", lambda: generate(hypercube(5)), False),
+    ("disjoint pairs max", _disjoint_pairs, True),
+    ("unlinked C - K of random(40) min", lambda: _unlinked_dual(40, 4), False),
+]
+
+
+def _extremum(space: KernelSpace, maximize: bool):
+    solve = maximize_quadratic_on_simplex if maximize else minimize_quadratic_on_simplex
+    return solve(space, range(space.m))
+
+
+class TestSharedPolish:
+    """The starts of one multistart share their support polishes."""
+
+    @pytest.mark.parametrize("name, make, maximize", _MULTISTARTS,
+                             ids=[case[0] for case in _MULTISTARTS])
+    def test_equals_the_per_start_path(self, monkeypatch, name, make, maximize):
+        shared = _extremum(make(), maximize)
+        monkeypatch.setattr(optimize_mod, "_shared_polish", lambda polish: polish)
+        per_start = _extremum(make(), maximize)
+        assert shared.certificate == per_start.certificate == "heuristic_bound"
+        assert shared.value == per_start.value
+        assert shared.measure.weights.tobytes() == per_start.measure.weights.tobytes()
+        assert shared.gap == per_start.gap
+        assert shared.notes == per_start.notes
+        # the same Frank-Wolfe path, with fewer KKT solves
+        assert shared.fw_iterations == per_start.fw_iterations
+        assert 1 <= shared.kkt_solves <= per_start.kkt_solves
+
+    def test_circle_w_solves_one_kkt_system(self, monkeypatch):
+        space = generate(circle(256))
+        assert minimize_quadratic_on_simplex(space, range(256)).kkt_solves == 1
+        monkeypatch.setattr(optimize_mod, "_shared_polish", lambda polish: polish)
+        fresh = generate(circle(256))
+        assert minimize_quadratic_on_simplex(fresh, range(256)).kkt_solves == 16
+
+    def test_reflected_extremum_solves_nothing(self):
+        space = generate(random_graph(40, 0.5, 4))
+        dual = dual_kernel(space)[0]
+        for res in (minimize_quadratic_on_simplex(dual, range(40)),
+                    maximize_quadratic_on_simplex(dual, range(40))):
+            assert res.kkt_solves == res.fw_iterations == 0
+
+    def test_shared_weights_are_read_only(self, monkeypatch):
+        polishes = []
+        real = optimize_mod._away_fw_minimize
+
+        def spy(M, gap_tol, max_iter, polish, start=None):
+            polishes.append(polish)
+            return real(M, gap_tol, max_iter, polish, start)
+
+        monkeypatch.setattr(optimize_mod, "_away_fw_minimize", spy)
+        _extremum(_disjoint_pairs(), True)
+        assert len(polishes) == 32 and len({id(p) for p in polishes}) == 1
+        w = polishes[0](np.array([0, 1]))
+        assert w.tolist() == [0.5, 0.5] + [0.0] * 14
+        assert polishes[0](np.array([0, 1])) is w
+        with pytest.raises(ValueError):
+            np.clip(w, 0.0, None, out=w)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
