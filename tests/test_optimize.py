@@ -557,9 +557,58 @@ _MULTISTARTS = [
 ]
 
 
-def _extremum(space: KernelSpace, maximize: bool):
+# the multistart's block loop against one single-start run per column
+_BLOCK_CASES = _MULTISTARTS + [
+    (f"random({m},0.5,0) {'max' if maximize else 'min'}",
+     lambda m=m: generate(random_graph(m, 0.5, 0)), maximize)
+    for m in (60, 100, 200) for maximize in (True, False)
+]
+
+
+def _extremum(space: KernelSpace, maximize: bool, **kw):
     solve = maximize_quadratic_on_simplex if maximize else minimize_quadratic_on_simplex
-    return solve(space, range(space.m))
+    return solve(space, range(space.m), **kw)
+
+
+def _start_by_start(M, gap_tol, max_iter, polish, starts):
+    """The block loop's contract, one ``_away_fw_minimize`` run per start."""
+    return [optimize_mod._away_fw_minimize(M, gap_tol, max_iter, polish, start)
+            for start in starts]
+
+
+def _block_and_by_start(monkeypatch, space: KernelSpace, maximize: bool, **kw):
+    """The columns of the extremum's block loop and the start-by-start runs."""
+    runs = []
+    real = optimize_mod._away_fw_block
+
+    def spy(M, gap_tol, max_iter, polish, starts):
+        runs.append(real(M, gap_tol, max_iter, polish, starts))
+        runs.append(_start_by_start(M, gap_tol, max_iter, polish, starts))
+        return runs[0]
+
+    monkeypatch.setattr(optimize_mod, "_away_fw_block", spy)
+    _extremum(space, maximize, **kw)
+    monkeypatch.setattr(optimize_mod, "_away_fw_block", real)
+    return runs
+
+
+def _assert_same_columns(block, by_start):
+    """Each column leaves when its own run returns, at its run's point."""
+    assert [it for _, _, it in block] == [it for _, _, it in by_start]
+    for (v, gap, _), (want_v, want_gap, _) in zip(block, by_start):
+        # an unpolished iterate may differ in its last bits
+        assert v == pytest.approx(want_v, abs=1e-14)
+        assert gap == pytest.approx(want_gap, abs=1e-14)
+
+
+def _assert_same_result(a, b):
+    assert a.certificate == b.certificate == "heuristic_bound"
+    assert a.value == b.value
+    assert a.measure.weights.tobytes() == b.measure.weights.tobytes()
+    assert a.gap == b.gap
+    assert a.notes == b.notes
+    assert a.fw_iterations == b.fw_iterations
+    assert a.kkt_solves == b.kkt_solves
 
 
 class TestSharedPolish:
@@ -596,19 +645,79 @@ class TestSharedPolish:
 
     def test_shared_weights_are_read_only(self, monkeypatch):
         polishes = []
-        real = optimize_mod._away_fw_minimize
+        real = optimize_mod._away_fw_block
 
-        def spy(M, gap_tol, max_iter, polish, start=None):
-            polishes.append(polish)
-            return real(M, gap_tol, max_iter, polish, start)
+        def spy(M, gap_tol, max_iter, polish, starts):
+            polishes.append((polish, len(starts)))
+            return real(M, gap_tol, max_iter, polish, starts)
 
-        monkeypatch.setattr(optimize_mod, "_away_fw_minimize", spy)
+        monkeypatch.setattr(optimize_mod, "_away_fw_block", spy)
         _extremum(_disjoint_pairs(), True)
-        assert len(polishes) == 32 and len({id(p) for p in polishes}) == 1
-        w = polishes[0](np.array([0, 1]))
+        # one block loop, whose 32 columns share one polish
+        assert len(polishes) == 1 and polishes[0][1] == 32
+        polish = polishes[0][0]
+        w = polish(np.array([0, 1]))
         assert w.tolist() == [0.5, 0.5] + [0.0] * 14
-        assert polishes[0](np.array([0, 1])) is w
+        assert polish(np.array([0, 1])) is w
         with pytest.raises(ValueError):
             np.clip(w, 0.0, None, out=w)
         with pytest.raises(ValueError):
             w[0] = 1.0
+
+    @pytest.mark.parametrize("name, make, maximize", _BLOCK_CASES,
+                             ids=[case[0] for case in _BLOCK_CASES])
+    def test_block_equals_start_by_start(self, monkeypatch, name, make, maximize):
+        block = _extremum(make(), maximize)
+        monkeypatch.setattr(optimize_mod, "_away_fw_block", _start_by_start)
+        _assert_same_result(block, _extremum(make(), maximize))
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("gap_tol", [1e-4, 1e-6, 1e-8])
+    def test_columns_leave_when_their_own_runs_return(self, monkeypatch, gap_tol, maximize):
+        # looser tolerances close gaps between the polishes
+        block, by_start = _block_and_by_start(monkeypatch, generate(random_graph(60, 0.5, 1)),
+                                              maximize, gap_tol=gap_tol)
+        _assert_same_columns(block, by_start)
+
+    def test_max_iter_ends_with_the_final_polish(self, monkeypatch):
+        space = generate(random_graph(40, 0.5, 4))
+        block, by_start = _block_and_by_start(monkeypatch, space, True, max_iter=5)
+        # no gap closes in 5 steps: every column ends with the final polish
+        assert [it for _, _, it in block] == [5] * 32
+        _assert_same_columns(block, by_start)
+        chosen = _extremum(space, True, max_iter=5)  # memoized by the run above
+        monkeypatch.setattr(optimize_mod, "_away_fw_block", _start_by_start)
+        _assert_same_result(chosen, _extremum(generate(random_graph(40, 0.5, 4)), True,
+                                              max_iter=5))
+
+    def test_zero_step_leaves_the_block(self):
+        # on M = I the uniform point is optimal and its Frank-Wolfe slope is
+        # exactly 0; with a negative tolerance only the zero step stops it
+        h = 16
+        M = np.eye(h)
+        starts = [np.full(h, 1.0 / h), np.eye(h)[3]]
+
+        def polish(support):
+            return optimize_mod._polish_support(M, support, h)
+
+        block = optimize_mod._away_fw_block(M, -1.0, 4, polish, starts)
+        assert [it for _, _, it in block] == [0, 4]
+        assert block[0][0].tobytes() == starts[0].tobytes() and block[0][1] == 0.0
+        for (v, gap, it), (want_v, want_gap, want_it) in zip(
+                block, _start_by_start(M, -1.0, 4, polish, starts)):
+            assert (v.tobytes(), gap, it) == (want_v.tobytes(), want_gap, want_it)
+
+    def test_every_column_leaves_at_iteration_zero(self, monkeypatch):
+        runs = []
+        real = optimize_mod._away_fw_block
+
+        def spy(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize_mod, "_away_fw_block", spy)
+        res = minimize_quadratic_on_simplex(generate(circle(256)), range(256))
+        # the uniform start and the Diracs close their gaps, and the
+        # Dirichlet starts close theirs with one shared polish
+        assert len(runs) == 1 and [it for _, _, it in runs[0]] == [0] * 32
+        assert res.fw_iterations == 0 and res.kkt_solves == 1
