@@ -16,18 +16,20 @@ routes, picked by the curvature of the kernel on the sum-zero subspace:
 a certified conditional-gradient method (away steps, exact line search,
 periodic exact solves on the current support), exhaustive stationary-point
 enumeration over supports for up to 14 points, and a multistart heuristic
-that only claims a bound.  The 32 starts of a multistart run as one block:
-each Frank-Wolfe step makes one matrix product for all live starts, and
-the starts share their exact support solves, so each distinct support's
-KKT system is solved once per multistart, not once per start.  The
-certified route keeps its own single-start loop, which takes about a
-third of the block loop's time on one column.  The enumeration solves the
-supports of one size as stacked KKT systems and replays the near-best
-ones one at a time, so its result is exactly that of solving every
-support on its own; one stacked pass per space and subset serves the
-maximum and the minimum.
-On a dual space C - k (see ``core.dual_kernel``) nothing is solved: each
-extremum is read from the primal's opposite one.
+that only claims a bound.  Both Frank-Wolfe routes run one loop, which
+advances a block of starts with one matrix product per step: the
+certified route runs it from the uniform measure alone, and the 32 starts
+of a multistart run as one block that shares its exact support solves, so
+each distinct support's KKT system is solved once per multistart, not
+once per start.  The certified route's exact solve drops the atoms of
+negative weight and solves again on the rest (the active-set step of
+nonnegative least squares), so it mostly closes the gap at iteration 0.
+The enumeration solves the supports of one size as stacked KKT systems
+and replays the near-best ones one at a time, so its result is exactly
+that of solving every support on its own; one stacked pass per space and
+subset serves the maximum and the minimum.  On a dual space C - k (see
+``core.dual_kernel``) nothing is solved: each extremum is read from the
+primal's opposite one.
 """
 from __future__ import annotations
 
@@ -342,9 +344,9 @@ class EnergyResult:
     conditional-gradient duality gap for the certified-gradient routes and
     0 for exact enumeration.
 
-    ``kkt_solves`` counts the one-support KKT solves (``_polish_support``
-    calls) of the Frank-Wolfe routes and ``fw_iterations`` their iterations,
-    both summed over the starts of a multistart.  Both are 0 on an
+    ``kkt_solves`` counts the one-support KKT solves of the Frank-Wolfe
+    routes, each re-solve of a polish included, and ``fw_iterations`` their
+    iterations, both summed over the starts of a multistart.  Both are 0 on an
     enumerated extremum, which solves its supports as stacked systems and
     does not count its few one-support replays, and on one read from the
     opposite extremum of the primal, which solves nothing.
@@ -366,6 +368,12 @@ def _fw_gap(M: np.ndarray, v: np.ndarray) -> float:
 
 def _polish_support(M: np.ndarray, support: np.ndarray, h: int):
     """Solve the stationarity system on a support: M_S w = lam, sum w = 1."""
+    return _on_simplex(_kkt_weights(M, support), support, h)
+
+
+def _kkt_weights(M: np.ndarray, support: np.ndarray):
+    """The weights w of M_S w = lam, sum w = 1, or None when the system is
+    singular or its residual exceeds ``_RESID_TOL * (1 + max|M|)``."""
     s = support.size
     M_S = M[np.ix_(support, support)]
     kkt = np.zeros((s + 1, s + 1))
@@ -384,7 +392,13 @@ def _polish_support(M: np.ndarray, support: np.ndarray, h: int):
     resid = M_S @ w_s - sol[s]
     if np.max(np.abs(resid)) > _RESID_TOL * (1.0 + np.max(np.abs(M))):
         return None
-    if np.min(w_s) < -_WEIGHT_TOL:
+    return w_s
+
+
+def _on_simplex(w_s, support: np.ndarray, h: int):
+    """KKT weights on a support as a point of the simplex in R^h, or None
+    when they are None or one is below ``-_WEIGHT_TOL``."""
+    if w_s is None or np.min(w_s) < -_WEIGHT_TOL:
         return None
     w = np.zeros(h)
     w[support] = np.clip(w_s, 0.0, None)
@@ -416,99 +430,24 @@ def _shared_polish(polish):
     return shared
 
 
-def _away_fw_minimize(M: np.ndarray, gap_tol: float, max_iter: int, polish,
-                      start: np.ndarray | None = None):
-    """Away-step Frank-Wolfe with exact line search for min v' M v on the simplex.
-
-    Returns (v, gap, iterations).  Every 32 iterations, and once more at
-    the end, ``polish(support)`` solves the stationarity system on the
-    current support exactly (``_polish_support`` on M); if the polished
-    point is feasible and closes the gap it is returned directly.  A
-    returned point may be a read-only array that ``polish`` shares.  The
-    certified route runs it; ``_away_fw_block`` runs its step rule for the
-    starts of a multistart.
-    """
-    h = M.shape[0]
-    v = np.full(h, 1.0 / h) if start is None else start.copy()
-    best = v
-    best_val = float(v @ M @ v)
-    for it in range(max_iter):
-        g = 2.0 * (M @ v)
-        gv = float(g @ v)
-        s = int(np.argmin(g))
-        gap = gv - g[s]
-        if gap <= gap_tol:
-            return v, gap, it
-        if it % 32 == 0:
-            support = np.flatnonzero(v > 1e-12)
-            w = polish(support)
-            if w is not None and _fw_gap(M, w) <= gap_tol:
-                return w, _fw_gap(M, w), it
-        support = np.flatnonzero(v > 0.0)
-        a_local = support[int(np.argmax(g[support]))]
-        decrease_fw = gap
-        decrease_aw = float(g[a_local] - gv)
-        use_away = decrease_aw > decrease_fw and v[a_local] < 1.0
-        if use_away:
-            d = v.copy()
-            d[a_local] -= 1.0
-            alpha = v[a_local]
-            gamma_max = alpha / (1.0 - alpha)
-        else:
-            d = -v.copy()
-            d[s] += 1.0
-            gamma_max = 1.0
-        slope = float(g @ d)
-        curv = float(d @ M @ d)
-        if curv > 0.0:
-            gamma = min(max(-slope / (2.0 * curv), 0.0), gamma_max)
-        else:
-            gamma = gamma_max
-        if gamma <= 0.0:
-            gamma = gamma_max if slope < 0 else 0.0
-            if gamma == 0.0:
-                return v, gap, it
-        v = v + gamma * d
-        if use_away and gamma >= gamma_max:
-            v[a_local] = 0.0
-        if not use_away and gamma >= 1.0:
-            v = np.zeros(h)
-            v[s] = 1.0
-        np.clip(v, 0.0, None, out=v)
-        if it % 256 == 255:
-            v /= v.sum()
-        val = float(v @ M @ v)
-        if val < best_val:
-            best, best_val = v, val
-    support = np.flatnonzero(best > 1e-12)
-    w = polish(support)
-    if w is not None and float(w @ M @ w) <= best_val + 1e-15:
-        best = w
-    return best, _fw_gap(M, best), max_iter
-
-
 def _away_fw_block(M: np.ndarray, gap_tol: float, max_iter: int, polish,
                    starts: Sequence[np.ndarray]) -> list:
-    """``_away_fw_minimize`` from every start at once, one column per start.
+    """Away-step Frank-Wolfe with exact line search for min v' M v on the
+    simplex, from every start at once, one column per start.
 
     Returns one (v, gap, iterations) per start, in start order.  Each step
-    makes one product ``M @ V`` for the block V of live iterates and applies
-    ``_away_fw_minimize``'s step rule column by column; M d is read off
-    ``M @ V`` and one column of M.  A column leaves the block when its gap
-    closes, its step is zero or its polish (every 32 iterations) closes the
-    gap, and the columns left at ``max_iter`` get the final polish of their
-    best iterate.  The gap returned for a column is ``_fw_gap`` of its point.
-
-    The block's sums run in another order than the single-start loop's
-    matrix-vector products, so an iterate can differ from that loop's in
-    its last bits; a polished point, and a start that leaves at iteration 0,
-    are the same bit for bit.
+    makes one product ``M @ V`` for the block V of live iterates; M d is
+    read off ``M @ V`` and one column of M.  Every 32 iterations
+    ``polish(support)`` solves the stationarity system on a column's
+    support exactly.  A column leaves the block when its gap closes, its
+    step is zero or its polished point closes the gap; a column still live
+    at ``max_iter`` ends with the final polish of its last iterate, where
+    that polish is no higher.  The gap returned for a column is ``_fw_gap``
+    of its point, which may be a read-only array that ``polish`` shares.
     """
     V = np.column_stack(starts)
     results = [None] * V.shape[1]
     live = np.arange(V.shape[1])
-    best = V.copy()
-    best_val = np.full(live.size, np.inf)  # v' M v of each column's best iterate
 
     def leave(j, v, it):
         results[live[j]] = (v, _fw_gap(M, v), it)
@@ -518,10 +457,6 @@ def _away_fw_block(M: np.ndarray, gap_tol: float, max_iter: int, polish,
         MV = M @ V
         G = 2.0 * MV
         gv = np.einsum("ij,ij->j", G, V)
-        # 0.5 * gv is v' M v of the iterate the last step made
-        better = 0.5 * gv < best_val
-        best[:, better] = V[:, better]
-        best_val = np.where(better, 0.5 * gv, best_val)
         if it == max_iter:
             break
         s = np.argmin(G, axis=0)
@@ -569,13 +504,14 @@ def _away_fw_block(M: np.ndarray, gap_tol: float, max_iter: int, polish,
             V /= V.sum(axis=0)
         if done.any():
             keep = ~done
-            V, best, best_val, live = V[:, keep], best[:, keep], best_val[keep], live[keep]
+            V, live = V[:, keep], live[keep]
             if not live.size:
                 return results
     for j in range(live.size):
-        v = best[:, j].copy()
+        v = V[:, j].copy()
         w = polish(np.flatnonzero(v > 1e-12))
-        if w is not None and float(w @ M @ w) <= best_val[j] + 1e-15:
+        # 0.5 * gv is v' M v of the last iterate
+        if w is not None and float(w @ M @ w) <= 0.5 * gv[j] + 1e-15:
             v = w
         leave(j, v, max_iter)
     return results
@@ -743,12 +679,15 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     """The extremum over measures on ``idx``, by the route the curvature picks.
 
     A kernel definite in the right sense on the sum-zero subspace gets one
-    certified Frank-Wolfe run; otherwise up to ``QP_ENUM_LIMIT`` points are
-    enumerated exactly, and above that a 32-start Frank-Wolfe multistart
-    gives a bound.  The starts of the multistart run as one block
-    (``_away_fw_block``) and share their support polishes, so each distinct
-    support's KKT system is solved once per multistart; nothing is kept
-    after the solve returns.
+    certified Frank-Wolfe run from the uniform measure; otherwise up to
+    ``QP_ENUM_LIMIT`` points are enumerated exactly, and above that a
+    32-start Frank-Wolfe multistart gives a bound.  Both Frank-Wolfe routes
+    run ``_away_fw_block``.  The certified run's polish drops the atoms
+    whose KKT weight is negative and solves again on the rest, until the
+    weights are nonnegative; every point it returns still has to close the
+    gap.  The starts of the multistart share a plain polish, so each
+    distinct support's KKT system is solved once per multistart; nothing is
+    kept after the solve returns.
     """
     Q = space.kernel[np.ix_(idx, idx)]
     h = len(idx)
@@ -756,16 +695,29 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     M = sign * Q
     kkt_solves = fw_iterations = 0
 
-    def polish(support: np.ndarray):
+    def solve(support: np.ndarray):
         nonlocal kkt_solves
         kkt_solves += 1
-        return _polish_support(M, support, h)
+        return _kkt_weights(M, support)
+
+    def polish(support: np.ndarray):
+        return _on_simplex(solve(support), support, h)
+
+    def repolish(support: np.ndarray):
+        # drop the atoms of negative weight and solve again on the rest; the
+        # weights sum to 1, so some atom stays
+        w_s = solve(support)
+        while w_s is not None and np.min(w_s) < -_WEIGHT_TOL:
+            support = support[w_s >= 0.0]
+            w_s = solve(support)
+        return _on_simplex(w_s, support, h)
 
     defin = subset_definiteness(space, idx)
     certified = defin["nsd"] if maximize else defin["psd"]
     notes: tuple[str, ...] = ()
     if certified:
-        v, gap, fw_iterations = _away_fw_minimize(M, gap_tol, max_iter, polish)
+        [(v, gap, fw_iterations)] = _away_fw_block(M, gap_tol, max_iter, repolish,
+                                                   [np.full(h, 1.0 / h)])
         cert = "global_concave_max" if maximize else "global_convex"
         if gap > gap_tol:
             notes = (f"conditional gradient stopped at gap {gap:.3e}",)

@@ -17,7 +17,7 @@ import numpy as np
 
 from rdv.chebyshev import ChebyshevWitness, DEFAULT_ENUM_CAP, multiset_count
 from rdv.core import DimensionMismatchError, EnumerationCapExceededError
-from rdv.optimize import _polish_support
+from rdv.optimize import _fw_gap, _polish_support
 
 
 @lru_cache(maxsize=None)
@@ -288,3 +288,76 @@ def enumerate_supports_loop(Q: np.ndarray, sign: float):
     if skipped:
         notes.append(f"skipped {skipped} singular or infeasible support systems")
     return best_w, sign * best_val, tuple(notes)
+
+
+def away_fw_loop(M: np.ndarray, gap_tol: float, max_iter: int, polish,
+                 start: np.ndarray | None = None):
+    """Away-step Frank-Wolfe with exact line search for min v' M v on the simplex.
+
+    Returns (v, gap, iterations).  Every 32 iterations, and once more at
+    the end, ``polish(support)`` solves the stationarity system on the
+    current support exactly; if the polished point is feasible and closes
+    the gap it is returned directly.  At ``max_iter`` the final polish is
+    of the best iterate seen.
+
+    The single-start loop that ``optimize`` ran on the certified route
+    before ``optimize._away_fw_block`` became its only loop; kept verbatim
+    as the differential reference for the block loop's columns.
+    """
+    h = M.shape[0]
+    v = np.full(h, 1.0 / h) if start is None else start.copy()
+    best = v
+    best_val = float(v @ M @ v)
+    for it in range(max_iter):
+        g = 2.0 * (M @ v)
+        gv = float(g @ v)
+        s = int(np.argmin(g))
+        gap = gv - g[s]
+        if gap <= gap_tol:
+            return v, gap, it
+        if it % 32 == 0:
+            support = np.flatnonzero(v > 1e-12)
+            w = polish(support)
+            if w is not None and _fw_gap(M, w) <= gap_tol:
+                return w, _fw_gap(M, w), it
+        support = np.flatnonzero(v > 0.0)
+        a_local = support[int(np.argmax(g[support]))]
+        decrease_fw = gap
+        decrease_aw = float(g[a_local] - gv)
+        use_away = decrease_aw > decrease_fw and v[a_local] < 1.0
+        if use_away:
+            d = v.copy()
+            d[a_local] -= 1.0
+            alpha = v[a_local]
+            gamma_max = alpha / (1.0 - alpha)
+        else:
+            d = -v.copy()
+            d[s] += 1.0
+            gamma_max = 1.0
+        slope = float(g @ d)
+        curv = float(d @ M @ d)
+        if curv > 0.0:
+            gamma = min(max(-slope / (2.0 * curv), 0.0), gamma_max)
+        else:
+            gamma = gamma_max
+        if gamma <= 0.0:
+            gamma = gamma_max if slope < 0 else 0.0
+            if gamma == 0.0:
+                return v, gap, it
+        v = v + gamma * d
+        if use_away and gamma >= gamma_max:
+            v[a_local] = 0.0
+        if not use_away and gamma >= 1.0:
+            v = np.zeros(h)
+            v[s] = 1.0
+        np.clip(v, 0.0, None, out=v)
+        if it % 256 == 255:
+            v /= v.sum()
+        val = float(v @ M @ v)
+        if val < best_val:
+            best, best_val = v, val
+    support = np.flatnonzero(best > 1e-12)
+    w = polish(support)
+    if w is not None and float(w @ M @ w) <= best_val + 1e-15:
+        best = w
+    return best, _fw_gap(M, best), max_iter

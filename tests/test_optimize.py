@@ -37,7 +37,7 @@ from rdv.optimize import (
 from rdv.spectral import sum_zero_definiteness
 from rdv.suites import instance_pairs, instance_space
 
-from oracles import enumerate_supports_loop, grid_energy
+from oracles import away_fw_loop, enumerate_supports_loop, grid_energy
 
 
 def _lp(c, A, senses, b, basis):
@@ -571,9 +571,8 @@ def _extremum(space: KernelSpace, maximize: bool, **kw):
 
 
 def _start_by_start(M, gap_tol, max_iter, polish, starts):
-    """The block loop's contract, one ``_away_fw_minimize`` run per start."""
-    return [optimize_mod._away_fw_minimize(M, gap_tol, max_iter, polish, start)
-            for start in starts]
+    """The block loop's contract, one ``away_fw_loop`` run per start."""
+    return [away_fw_loop(M, gap_tol, max_iter, polish, start) for start in starts]
 
 
 def _block_and_by_start(monkeypatch, space: KernelSpace, maximize: bool, **kw):
@@ -721,3 +720,70 @@ class TestSharedPolish:
         # Dirichlet starts close theirs with one shared polish
         assert len(runs) == 1 and [it for _, _, it in runs[0]] == [0] * 32
         assert res.fw_iterations == 0 and res.kkt_solves == 1
+
+
+def _negative_type_solves():
+    """The two certified solves of ``dual_route_check`` on each suite instance
+    of negative type: the maximal energy, and the minimum of C - K built as
+    a space of its own.  Returns (name, space, maximize) triples."""
+    cases = []
+    for seed in range(100):
+        space = instance_space(seed)
+        if not sum_zero_definiteness(space.kernel)["nsd"]:
+            continue
+        dual = dual_kernel(space)[0]
+        unlinked = KernelSpace(dual.name, dual.points, dual.kernel, is_metric=False)
+        cases += [(f"seed {seed} max", space, True), (f"seed {seed} C - K min", unlinked, False)]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def repolished():
+    """(name, space, maximize, result) of every negative-type suite solve."""
+    return [(name, space, maximize, _extremum(space, maximize))
+            for name, space, maximize in _negative_type_solves()]
+
+
+class TestRepolish:
+    """The certified route's polish drops atoms of negative weight and solves again."""
+
+    def test_all_but_three_end_at_iteration_zero(self, repolished):
+        certs = {True: "global_concave_max", False: "global_convex"}
+        assert len(repolished) > 50
+        for _, _, maximize, res in repolished:
+            assert res.certificate == certs[maximize] and res.gap <= optimize_mod.QP_GAP_TOL
+        # the few open cases still certify through Frank-Wolfe steps
+        open_cases = [name for name, _, _, res in repolished if res.fw_iterations > 0]
+        assert 1 <= len(open_cases) <= 3
+
+    def test_values_match_the_reference_loop(self, repolished):
+        for name, space, maximize, res in repolished:
+            M = -space.kernel if maximize else space.kernel
+            h = space.m
+
+            def polish(support):
+                return optimize_mod._polish_support(M, support, h)
+
+            v, gap, _ = away_fw_loop(M, optimize_mod.QP_GAP_TOL, optimize_mod.QP_MAX_ITER, polish)
+            assert gap <= optimize_mod.QP_GAP_TOL, name
+            want = float(v @ space.kernel @ v)
+            tol = 1e-12 * (1.0 + space.kernel.max())
+            assert res.value == pytest.approx(want, rel=0, abs=tol), name
+
+    def test_kkt_solves_counts_every_solve(self, monkeypatch):
+        calls = []
+        real = optimize_mod._kkt_weights
+
+        def spy(M, support):
+            calls.append(support)
+            return real(M, support)
+
+        monkeypatch.setattr(optimize_mod, "_kkt_weights", spy)
+        resolved = 0
+        for _, space, maximize in _negative_type_solves():
+            del calls[:]
+            res = _extremum(space, maximize)
+            assert res.kkt_solves == len(calls)
+            resolved += res.fw_iterations == 0 and res.kkt_solves > 1
+        # the drop loop's solves are counted with the first
+        assert resolved > 0

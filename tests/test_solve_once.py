@@ -101,8 +101,7 @@ def assert_warm_matches_fresh(monkeypatch, space, pair, constant, readers):
     build_analysis(warm, pair, n_max=3, dual_constant=constant)
     for read in readers:
         read(warm)
-    for module, name in ((minimax_mod, "solve_lp"), (optimize_mod, "_away_fw_minimize"),
-                         (optimize_mod, "_away_fw_block"),
+    for module, name in ((minimax_mod, "solve_lp"), (optimize_mod, "_away_fw_block"),
                          (optimize_mod, "_enumerate_supports"), (chebyshev_mod, "_blocks"),
                          (np.linalg, "solve"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, _refuse)
