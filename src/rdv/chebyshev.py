@@ -8,8 +8,9 @@ order n - 2 in a table ordered by largest index (colex), and forms every
 sum with second-largest index b by one broadcast add over the table's first
 columns and the indices c >= b; no multiset tuples or index arrays are
 built.  The table and every block of sums stay within ``_CHUNK_CELLS``
-float64 cells.  Multiset witnesses are the lexicographically smallest
-optimizers.
+float64 cells.  The pass computes the two constants only.  A witness, the
+lexicographically smallest optimizer, is searched for when
+``chebyshev_n`` or ``dual_chebyshev_n`` asks for one (``_search``).
 
 On the full pair of a kernel invariant under a group of index permutations
 that acts transitively (the cyclic shift, or the XOR translations of 2^d
@@ -17,12 +18,13 @@ points), every multiset has an image that contains point 0 and the same
 constants, so the pass of order n >= 2 forms only the multisets that
 contain 0: an order-(n - 1) pass over the rest, whose sums start from
 ``0 + k_0`` and are thus bit for bit the full pass's sums of those
-multisets.  The lexicographically smallest optimizer contains 0 (see
-``_transitive`` for when rounding keeps it so), so the constants and
-witnesses are the full pass's.  The cap still counts every multiset of H.
+multisets.  The constants are therefore the full pass's (see
+``_transitive`` for when rounding keeps them so).  The cap still counts
+every multiset of H.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +35,7 @@ from .core import (
     DimensionMismatchError,
     EnumerationCapExceededError,
     KernelSpace,
+    NumericalBreakdownError,
     SubsetPair,
     TIE_TOL,
     ValueInterval,
@@ -54,7 +57,7 @@ class ChebyshevWitness:
 
 @dataclass(frozen=True)
 class ChebyshevTable:
-    """Per-order constants: row n holds M_n, the dual constant, witnesses.
+    """Per-order constants: row n holds M_n and the dual constant.
 
     Orders whose enumeration would exceed the cap are listed in ``skipped``
     rather than raising, so a table can accompany a report for any space.
@@ -63,8 +66,6 @@ class ChebyshevTable:
     n_values: tuple[int, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    lower_witnesses: tuple[ChebyshevWitness, ...]
-    upper_witnesses: tuple[ChebyshevWitness, ...]
     skipped: tuple[int, ...] = ()
 
 
@@ -87,8 +88,8 @@ def _enum_limit(cap: Optional[int]) -> int:
 
 
 def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
-                ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
-    """Both order-n constants with their witnesses, from one pass over the multisets.
+                ) -> tuple[float, float]:
+    """Both order-n constants, from one pass over the multisets.
 
     The pass runs once per space, pair and order; the cap is checked on
     every call.
@@ -107,10 +108,9 @@ def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
     return space.memo(("order_pass", pair, n), lambda: _scan(space, pair, n))
 
 
-def _scan(space: KernelSpace, pair: SubsetPair, n: int
-          ) -> tuple[float, ChebyshevWitness, float, ChebyshevWitness]:
-    """Both order-n constants and witnesses; on a transitive space (see the
-    module docstring) only the multisets that contain point 0 are formed."""
+def _scan(space: KernelSpace, pair: SubsetPair, n: int) -> tuple[float, float]:
+    """Both order-n constants; on a transitive space (see the module
+    docstring) only the multisets that contain point 0 are formed."""
     H, L = pair.H, pair.L
     # Column i holds the kernel from H[i] to every point of L.  L leads, so the
     # reductions over L run elementwise across contiguous slabs.
@@ -122,27 +122,24 @@ def _scan(space: KernelSpace, pair: SubsetPair, n: int
     counts = [np.ones(len(H), dtype=np.int64)]
     for _ in range(order - 2):
         counts.append(np.cumsum(counts[-1]))
-    lo = hi = None
-    for sums, invalid, locate in _blocks(cols, order, counts, offset):
+    lo, hi = -math.inf, math.inf
+    for sums, invalid in _blocks(cols, order, counts, offset):
         # Divide before comparing: sums that differ can tie once divided by n.
-        inner = sums.min(axis=0)
-        inner /= n
+        low = sums.min(axis=0)
+        low /= n
+        high = sums.max(axis=0)
+        high /= n
         if invalid is not None:
-            inner[invalid] = -np.inf
-        lo = _keep(lo, inner, locate, larger=True)
-        inner = sums.max(axis=0)
-        inner /= n
-        if invalid is not None:
-            inner[invalid] = np.inf
-        hi = _keep(hi, inner, locate, larger=False)
-    head = (0,) if anchored else ()
-    return (lo[0], _witness(cols, pair, head + _multiset(counts, lo[1]), dual=False),
-            hi[0], _witness(cols, pair, head + _multiset(counts, hi[1]), dual=True))
+            low[invalid] = -np.inf
+            high[invalid] = np.inf
+        lo = max(lo, float(low.max()))
+        hi = min(hi, float(high.min()))
+    return lo, hi
 
 
 def _transitive(space: KernelSpace, pair: SubsetPair, n: int) -> bool:
     """Whether the order-n pass may form only the multisets that contain
-    point 0 and still give the full pass's constants and witnesses to the bit.
+    point 0 and still give the full pass's constants to the bit.
 
     That needs n >= 2, the full pair of at least two points, and a kernel
     exactly invariant under a group of index permutations that acts
@@ -150,8 +147,7 @@ def _transitive(space: KernelSpace, pair: SubsetPair, n: int) -> bool:
 
     - the cyclic shift i -> i + 1 (mod m).  Shifting a multiset down by its
       smallest index keeps its indices in order, so from the shifted points
-      it has the same sums, term by term; the lexicographically smallest
-      optimizer thus contains 0.
+      it has the same sums, term by term.
     - for m = 2^d, every XOR translation i -> i ^ 2^e, on a kernel of
       integers whose sums of n entries stay within 2^53.  XOR reorders the
       terms of a sum, which only exact sums do not feel.
@@ -202,32 +198,12 @@ def _xor(k: np.ndarray) -> bool:
     return True
 
 
-def _keep(best, inner: np.ndarray, locate, larger: bool):
-    """The better of ``best`` and this block's optimum, as ``(value, key)``.
-
-    Blocks do not come in lexicographic order, so an exact tie goes to the
-    smaller key, which orders multisets lexicographically: the first
-    optimizer of a scan in lexicographic order.
-    """
-    first = int(inner.argmax() if larger else inner.argmin())
-    value = float(inner.flat[first])
-    if best is not None and (value < best[0] if larger else value > best[0]):
-        return best
-    key = locate(inner, first)
-    if best is None or value != best[0] or key < best[1]:
-        return value, key
-    return best
-
-
 def _blocks(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray] = None):
     """Kernel sums of all order-n multisets, in blocks of bounded size.
 
-    Yields ``(sums, invalid, locate)``.  ``sums`` holds L on its first axis;
+    Yields ``(sums, invalid)``.  ``sums`` holds L on its first axis;
     ``invalid`` is ``None`` or masks the cells of ``sums[0]`` that are no
-    multiset; ``locate(inner, first)`` maps a reduction ``inner`` of ``sums``
-    over L and the flat position of its first optimum to the key
-    (``_multiset``) of the lexicographically smallest multiset whose cell
-    ties with it.  Every sum accumulates left to right from 0.0,
+    multiset.  Every sum accumulates left to right from 0.0,
     ``((0 + k_a1) + k_a2) + ... + k_an``, or from the column ``offset``
     (|L| x 1) in place of 0.0.
 
@@ -250,16 +226,13 @@ def _blocks(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray]
     if n == 1:
         width = max(1, budget // n_l)
         for c0 in range(0, h, width):
-            # positions follow the index, so the first optimum is the smallest
-            yield ((0.0 if offset is None else offset) + cols[:, c0:c0 + width], None,
-                   lambda inner, first, c0=c0: (c0 + first,))
+            yield (0.0 if offset is None else offset) + cols[:, c0:c0 + width], None
         return
     k = n - 2
     t = 0
     while t < k and n_l * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
         t += 1
     table = _colex_table(cols, t, counts, offset)
-    lex = _lex_ranks(counts, np.arange(table.shape[1])) if t == k else None
     last = counts[k]
     b = 0
     while b < h:
@@ -276,8 +249,7 @@ def _blocks(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray]
             invalid = None if k == 0 and offset is None else (
                 (np.arange(nq) >= last[b:b1, None])[:, :, None]
                 | (np.arange(nc) < np.arange(b1 - b)[:, None])[:, None, :])
-            yield (heads[:, :, :, None] + cols[:, None, None, b:], invalid,
-                   _locator(counts, lex, (b1 - b, nq, nc), b, 0, b, False, True))
+            yield heads[:, :, :, None] + cols[:, None, None, b:], invalid
         else:
             nq, nc = int(last[b]), h - b
             width = max(1, min(nc, budget // n_l))
@@ -289,13 +261,10 @@ def _blocks(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray]
                 for c0 in range(b, h, width):
                     c1 = min(c0 + width, h)
                     # the longer axis goes innermost, where numpy's loops run
-                    q_last = r1 - r0 >= c1 - c0
-                    if q_last:
-                        sums = heads[:, None, None, :] + cols[:, None, c0:c1, None]
+                    if r1 - r0 >= c1 - c0:
+                        yield heads[:, None, :] + cols[:, c0:c1, None], None
                     else:
-                        sums = heads[:, None, :, None] + cols[:, None, None, c0:c1]
-                    yield sums, None, _locator(counts, lex, sums.shape[1:], b, r0, c0,
-                                               q_last, False)
+                        yield heads[:, :, None] + cols[:, None, c0:c1], None
         b = b1
 
 
@@ -336,101 +305,60 @@ def _fill(cols: np.ndarray, table: np.ndarray, t: int, counts: list, k: int,
     return out
 
 
-def _locator(counts: list, lex: Optional[np.ndarray], shape: tuple, b0: int, r0: int,
-             c0: int, q_last: bool, merged: bool):
-    """``locate`` of a block with axes (b, q, c), or (b, c, q) with ``q_last``;
-    its keys are ``(lex rank of the prefix, b, c, colex rank of the prefix)``."""
-    def locate(inner: np.ndarray, first: int) -> tuple[int, int, int, int]:
-        if len(counts) == 1:
-            # Order 2: the first optimum is the smallest multiset.  Its cells
-            # run in lexicographic order, and a cell (b, c) with c < b has its
-            # twin (c, b) in an earlier row of the same block.
-            j, _, c = np.unravel_index(first, shape)
-            return 0, b0 + int(j), c0 + int(c), 0
-        pos = np.flatnonzero(inner == inner.flat[first])
-        j, q, c = np.unravel_index(pos, shape)
-        if q_last:
-            q, c = c, q
-        b, rank, c = b0 + j, r0 + q, c0 + c
-        if merged:
-            keep = (rank < counts[-1][b]) & (c >= b)
-            b, rank, c = b[keep], rank[keep], c[keep]
-        order = lex[rank] if lex is not None else _lex_ranks(counts, rank)
-        i = np.lexsort((c, b, order))[0]
-        return int(order[i]), int(b[i]), int(c[i]), int(rank[i])
-    return locate
+def _search(space: KernelSpace, pair: SubsetPair, n: int, value: float,
+            dual: bool) -> ChebyshevWitness:
+    """The lexicographically first order-n multiset of H whose constant (the
+    dual one if ``dual``) equals ``value``, with its extremal point of L.
 
-
-def _unrank(counts: list, ranks):
-    """Indices a_1 <= ... <= a_k of the order-k multisets of these colex ranks
-    (an array each, or a scalar each for a scalar rank), k = len(counts) - 1."""
-    indices = []
-    for i in range(len(counts) - 1, 0, -1):
-        # the largest index x is the first with more multisets up to x than the rank
-        x = np.searchsorted(counts[i], ranks, side="right")
-        indices.append(x)
-        ranks = ranks - (counts[i][x] - counts[i - 1][x])
-    return indices[::-1]
-
-
-def _lex_ranks(counts: list, ranks: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of the order-k multisets of these colex ranks.
-
-    Before a multiset a come those that agree with it up to a_(i-1) and
-    have a smaller i-th index; with m = k - i indices left, ending in
-    x >= a_(i-1), they number C(h - x + m, m + 1) summed over x from a_(i-1)
-    to a_i - 1 (hockey stick), i.e. ``counts[m + 1][h - 1 - x]`` differences.
+    ``value`` comes from ``_order_pass``, which checked the caller's cap.
+    The pass sums each multiset as here, left to right from 0.0 (from
+    ``0 + k_0`` on a transitive space: the same sum for a multiset that
+    starts with 0), so ``value`` is the cell of a multiset and the first
+    match is the first optimizer in lexicographic order.
     """
-    k, h = len(counts) - 1, len(counts[0])
-    lex = np.zeros(len(ranks), dtype=np.int64)
-    prev = np.zeros(len(ranks), dtype=np.int64)
-    for i, a in enumerate(_unrank(counts, ranks), start=1):
-        tail = counts[k - i + 1]
-        lex += tail[h - 1 - prev] - tail[h - 1 - a]
-        prev = a
-    return lex
+    def search() -> ChebyshevWitness:
+        H, L = pair.H, pair.L
+        # Row i holds the kernel from H[i] to every point of L.
+        rows = np.ascontiguousarray(space.kernel[np.ix_(L, H)].T)
+        size = max(1, _CHUNK_CELLS // 4 // len(L))
+        combos = itertools.combinations_with_replacement(range(len(H)), n)
+        for chunk in iter(lambda: list(itertools.islice(combos, size)), []):
+            idx = np.array(chunk, dtype=np.intp)
+            avg = np.zeros((len(chunk), len(L)))
+            for j in range(n):
+                avg += rows[idx[:, j]]
+            avg /= n
+            inner = avg.max(axis=1) if dual else avg.min(axis=1)
+            hits = np.flatnonzero(inner == value)
+            if hits.size:
+                first = hits[0]
+                extremal = int(np.argmax(avg[first]) if dual else np.argmin(avg[first]))
+                return ChebyshevWitness(points=tuple(H[i] for i in chunk[first]),
+                                        extremal=L[extremal])
+        raise NumericalBreakdownError(
+            f"no order-{n} multiset over {len(H)} points has the constant {value!r}")
 
-
-def _multiset(counts: list, key: tuple) -> tuple[int, ...]:
-    """The multiset of a key from ``_blocks``: ``(c,)`` or ``(lex, b, c, rank)``."""
-    if len(key) == 1:
-        return key
-    _, b, c, rank = key
-    return tuple(int(a) for a in _unrank(counts, rank)) + (b, c)
-
-
-def _prefix_sum(cols: np.ndarray, multiset: tuple[int, ...]) -> np.ndarray:
-    total = np.zeros(cols.shape[0])
-    for a in multiset:
-        total = total + cols[:, a]
-    return total
-
-
-def _witness(cols: np.ndarray, pair: SubsetPair, multiset: tuple[int, ...],
-             dual: bool) -> ChebyshevWitness:
-    avg = _prefix_sum(cols, multiset) / len(multiset)
-    row = int(np.argmax(avg)) if dual else int(np.argmin(avg))
-    return ChebyshevWitness(points=tuple(pair.H[i] for i in multiset), extremal=pair.L[row])
+    return space.memo(("witness", pair, n, dual), search)
 
 
 def chebyshev_n(space: KernelSpace, pair: SubsetPair, n: int,
                 cap: Optional[int] = None) -> tuple[float, ChebyshevWitness]:
     """Order-n constant: best multiset of H for the worst (smallest) view from L."""
-    lo, witness, _, _ = _order_pass(space, pair, n, cap)
-    return lo, witness
+    lo, _ = _order_pass(space, pair, n, cap)
+    return lo, _search(space, pair, n, lo, dual=False)
 
 
 def dual_chebyshev_n(space: KernelSpace, pair: SubsetPair, n: int,
                      cap: Optional[int] = None) -> tuple[float, ChebyshevWitness]:
     """Dual order-n constant: best multiset of H for the largest view from L."""
-    _, _, hi, witness = _order_pass(space, pair, n, cap)
-    return hi, witness
+    _, hi = _order_pass(space, pair, n, cap)
+    return hi, _search(space, pair, n, hi, dual=True)
 
 
 def rendezvous_n(space: KernelSpace, pair: SubsetPair, n: int,
                  cap: Optional[int] = None) -> ValueInterval:
     """Order-n interval between the constant and its dual; may be empty."""
-    lo, _, hi, _ = _order_pass(space, pair, n, cap)
+    lo, hi = _order_pass(space, pair, n, cap)
     if lo > hi + TIE_TOL:
         return ValueInterval(lo, hi, empty=True)
     return ValueInterval(min(lo, hi), max(lo, hi))
@@ -447,7 +375,7 @@ def chebyshev_limit_bounds(space: KernelSpace, pair: SubsetPair, n_max: int,
     """
     check_n_max(n_max)
     passes = [_order_pass(space, pair, n, cap) for n in range(1, n_max + 1)]
-    return max(p[0] for p in passes), min(p[2] for p in passes)
+    return max(p[0] for p in passes), min(p[1] for p in passes)
 
 
 def chebyshev_table(space: KernelSpace, pair: SubsetPair, n_max: int,
@@ -455,22 +383,18 @@ def chebyshev_table(space: KernelSpace, pair: SubsetPair, n_max: int,
     """Table of orders 1..n_max, skipping orders whose scan would blow the cap."""
     check_n_max(n_max)
     limit = _enum_limit(cap)
-    ns, lows, highs, lw, uw, skipped = [], [], [], [], [], []
+    ns, lows, highs, skipped = [], [], [], []
     for n in range(1, n_max + 1):
         if multiset_count(len(pair.H), n) > limit:
             skipped.append(n)
             continue
-        lo, wl, hi, wu = _order_pass(space, pair, n, limit)
+        lo, hi = _order_pass(space, pair, n, limit)
         ns.append(n)
         lows.append(lo)
         highs.append(hi)
-        lw.append(wl)
-        uw.append(wu)
     return ChebyshevTable(
         n_values=tuple(ns),
         lower=tuple(lows),
         upper=tuple(highs),
-        lower_witnesses=tuple(lw),
-        upper_witnesses=tuple(uw),
         skipped=tuple(skipped),
     )

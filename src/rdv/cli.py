@@ -1,6 +1,6 @@
 """Command-line front end: analyze spaces, generate instances, run suites.
 
-Exit codes: 0 on success, 1 on input or I/O errors, 2 on hard verdict
+Exit codes: 0 on success, 1 on usage, input or I/O errors, 2 on hard verdict
 failures (non-unique average level, a violated inequality chain, or any
 failing verification suite, a dual-route mismatch included) so CI can tell
 "math broke" apart from "bad invocation".
@@ -283,8 +283,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting ``EXIT_INPUT``; argparse's own 2
+    would read as a verdict failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdv",
         description="Potential-theoretic analysis of finite kernel spaces.",
     )

@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    MEASURE_NEG_TOL,
     SUPPORT_EPS,
     CapExceededError,
     DimensionMismatchError,
@@ -684,10 +685,12 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     32-start Frank-Wolfe multistart gives a bound.  Both Frank-Wolfe routes
     run ``_away_fw_block``.  The certified run's polish drops the atoms
     whose KKT weight is negative and solves again on the rest, until the
-    weights are nonnegative; every point it returns still has to close the
-    gap.  The starts of the multistart share a plain polish, so each
-    distinct support's KKT system is solved once per multistart; nothing is
-    kept after the solve returns.
+    weights are nonnegative; if that point does not close the gap, it drops
+    the weights at most ``MEASURE_NEG_TOL`` of the largest and solves once
+    more.  Every point it returns still has to close the gap.  The starts of
+    the multistart share a plain polish, so each distinct support's KKT
+    system is solved once per multistart; nothing is kept after the solve
+    returns.
     """
     Q = space.kernel[np.ix_(idx, idx)]
     h = len(idx)
@@ -710,7 +713,18 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         while w_s is not None and np.min(w_s) < -_WEIGHT_TOL:
             support = support[w_s >= 0.0]
             w_s = solve(support)
-        return _on_simplex(w_s, support, h)
+        w = _on_simplex(w_s, support, h)
+        if w is not None and _fw_gap(M, w) > gap_tol:
+            # weights of rounding size (±1e-11 on a grid of 2,500 points) can
+            # hold the gap open: snap those at most MEASURE_NEG_TOL of the
+            # largest to 0, as the invariant-measure fast path does, and
+            # solve once more on the rest
+            keep = w_s > MEASURE_NEG_TOL * np.max(np.abs(w_s))
+            if not keep.all():
+                snapped = _on_simplex(solve(support[keep]), support[keep], h)
+                if snapped is not None:
+                    w = snapped
+        return w
 
     defin = subset_definiteness(space, idx)
     certified = defin["nsd"] if maximize else defin["psd"]

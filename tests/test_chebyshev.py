@@ -12,6 +12,7 @@ from rdv import (
     DimensionMismatchError,
     EnumerationCapExceededError,
     IndexOutOfRangeError,
+    NumericalBreakdownError,
     SubsetPair,
     chebyshev_limit_bounds,
     chebyshev_n,
@@ -29,6 +30,7 @@ from rdv import (
 import rdv.chebyshev as chebyshev
 
 from oracles import chebyshev_brute, chebyshev_prefix_loop, chebyshev_scan, dual_chebyshev_brute
+from rdv.cli import build_analysis
 from rdv.core import validate_kernel
 from rdv.suites import vertex_transitive_family
 
@@ -71,8 +73,8 @@ class TestTwoPointTable:
         assert table.skipped == ()
         assert table.lower == pytest.approx((0.0, 0.5, 1 / 3, 0.5), abs=1e-15)
         assert table.upper == pytest.approx((1.0, 0.5, 2 / 3, 0.5), abs=1e-15)
-        for n, w in zip(table.n_values, table.lower_witnesses):
-            assert len(w.points) == n
+        for n in table.n_values:
+            assert len(chebyshev_n(t2, SubsetPair.full(2), n)[1].points) == n
 
 
 class TestAgainstBruteForce:
@@ -342,11 +344,15 @@ _LOOP_CELLS = 200_000
 
 
 class TestAgainstPrefixLoop:
-    """The colex-table pass reproduces the prefix-loop pass to the bit."""
+    """The colex-table pass reproduces the prefix-loop pass's constants to the
+    bit, and the search its witnesses."""
 
     @staticmethod
     def assert_same(space, pair, n):
-        assert chebyshev._scan(space, pair, n) == chebyshev_prefix_loop(space, pair, n)
+        lo, lower, hi, upper = chebyshev_prefix_loop(space, pair, n)
+        assert chebyshev._scan(space, pair, n) == (lo, hi)
+        assert chebyshev_n(space, pair, n) == (lo, lower)
+        assert dual_chebyshev_n(space, pair, n) == (hi, upper)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_orders_one_to_nine(self, n):
@@ -375,6 +381,67 @@ class TestAgainstPrefixLoop:
             for n in range(1, 7):
                 if multiset_count(len(pair.H), n) * len(pair.L) <= _LOOP_CELLS // 4:
                     self.assert_same(space, pair, n)
+
+
+class TestWitnessSearch:
+    """A witness is searched for on demand, after the pass, and only by
+    ``chebyshev_n`` and ``dual_chebyshev_n``."""
+
+    def test_one_multiset_chunks_find_the_first_match(self, monkeypatch):
+        # every multiset is its own chunk, so the search crosses chunk
+        # boundaries before it meets the first of several tied optimizers
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", 1)
+        beyond_first = 0
+        for space, pair in [(generate(hypercube(3)), SubsetPair.full(8)),
+                            (generate(circle(9, "arc")), SubsetPair.full(9)),
+                            (_twin(9, 3), SubsetPair((0, 1, 4, 6), (0, 1, 2, 3, 8)))]:
+            for n in (1, 2, 3, 4):
+                lo, lower, hi, upper = chebyshev_prefix_loop(space, pair, n)
+                assert chebyshev_n(space, pair, n) == (lo, lower)
+                assert dual_chebyshev_n(space, pair, n) == (hi, upper)
+                first = (pair.H[0],) * n
+                beyond_first += (lower.points != first) + (upper.points != first)
+        assert beyond_first >= 10
+
+    def test_cap_is_the_callers(self, monkeypatch):
+        # the search reads the pass's value; it does not check the cap again
+        space = generate(random_graph(7, 0.5, 11))
+        pair = SubsetPair.full(7)
+        required = multiset_count(7, 3)
+        monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_CAP", required - 1)
+        with pytest.raises(EnumerationCapExceededError):
+            chebyshev_n(space, pair, 3)
+        lo, lower, hi, upper = chebyshev_prefix_loop(space, pair, 3)
+        assert chebyshev_n(space, pair, 3, cap=required) == (lo, lower)
+        assert dual_chebyshev_n(space, pair, 3, cap=required) == (hi, upper)
+
+    def test_exhausted_search_raises(self):
+        space = generate(random_graph(6, 0.5, 2))
+        pair = SubsetPair.full(6)
+        for dual in (False, True):
+            with pytest.raises(NumericalBreakdownError):
+                chebyshev._search(space, pair, 2, -1.0, dual=dual)
+
+    def test_analysis_never_searches(self, monkeypatch):
+        searches = []
+        search = chebyshev._search
+
+        def spy(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chebyshev, "_search", spy)
+        space = generate(random_graph(7, 0.5, 4))
+        for pair in _pairs(7, 4):
+            build_analysis(space, pair, n_max=3)
+            chebyshev_table(space, pair, 3)
+            chebyshev_limit_bounds(space, pair, 3)
+            inequality_chain(space, pair, 3)
+            for n in (1, 2, 3):
+                rendezvous_n(space, pair, n)
+        assert searches == []
+        chebyshev_n(space, SubsetPair.full(7), 2)
+        assert len(searches) == 1
 
 
 def _full_scan(space, pair, n, monkeypatch):
@@ -527,21 +594,6 @@ class TestTransitiveCheck:
         big = _xor_kernel([0, 1, 2 ** 50, 2 ** 51])
         assert chebyshev._transitive(big, SubsetPair.full(4), 4)
         assert not chebyshev._transitive(big, SubsetPair.full(4), 5)
-
-
-class TestColexRanks:
-    @pytest.mark.parametrize("h, k", [(1, 3), (4, 0), (4, 1), (5, 3), (3, 6)])
-    def test_unrank_and_lex_ranks(self, h, k):
-        # colex order sorts by the largest index first
-        lex = list(itertools.combinations_with_replacement(range(h), k))
-        colex = sorted(lex, key=lambda a: a[::-1])
-        counts = [np.ones(h, dtype=np.int64)]
-        for _ in range(k):
-            counts.append(np.cumsum(counts[-1]))
-        ranks = np.arange(len(colex))
-        indices = chebyshev._unrank(counts, ranks)
-        assert [tuple(int(i[r]) for i in indices) for r in ranks] == colex
-        assert chebyshev._lex_ranks(counts, ranks).tolist() == [lex.index(a) for a in colex]
 
 
 class TestMemoryBound:

@@ -316,9 +316,32 @@ class TestVerify:
         assert "pass" not in captured.out
         assert not out.exists()
 
-    def test_unknown_suite_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_suite_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as e:
             main(["verify", "--suite", "nonsense"])
+        assert e.value.code == EXIT_INPUT
+        assert "usage: rdv verify" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Usage errors exit 1, like other input errors; 2 is kept for verdicts."""
+
+    @pytest.mark.parametrize("argv", [["analyze", "grid(5)", "--bogus", "1"],
+                                      ["analyze", "grid(5)", "--n-max", "x"],
+                                      ["frobnicate"], []])
+    def test_usage_error_exits_input(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "usage: rdv" in captured.err and "error:" in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", "--help"])
+        assert e.value.code == EXIT_OK
+        assert "usage: rdv analyze" in capsys.readouterr().out
 
 
 class TestSubprocessEntry:

@@ -22,6 +22,7 @@ from rdv import (
     interval_grid,
     random_graph,
 )
+from rdv.core import validate_kernel
 from rdv.minimax import level_program
 import rdv.optimize as optimize_mod
 from rdv.optimize import (
@@ -787,3 +788,14 @@ class TestRepolish:
             resolved += res.fw_iterations == 0 and res.kkt_solves > 1
         # the drop loop's solves are counted with the first
         assert resolved > 0
+
+    def test_rounding_weights_are_snapped(self):
+        # on 1000 |x - y| over 300 points of [0, 1] the first polish finds
+        # (delta_0 + delta_299) / 2, but with interior weights of about 1e-11
+        # whose gap exceeds QP_GAP_TOL; dropping them closes it at once
+        x = np.linspace(0.0, 1.0, 300)
+        space = validate_kernel(1000.0 * np.abs(x[:, None] - x[None, :]), name="scaled")
+        res = maximize_quadratic_on_simplex(space, range(300))
+        assert res.certificate == "global_concave_max"
+        assert res.kkt_solves <= 2 and res.fw_iterations == 0
+        assert res.value == pytest.approx(500.0, rel=0, abs=1e-9)

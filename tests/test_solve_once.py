@@ -5,8 +5,8 @@ space is solved once per ``KernelSpace`` and argument list.  Each public
 reader, called on a space whose cache a full analysis has already filled,
 must match the same call on a fresh space built from the same kernel bit
 for bit, measures included, and must solve nothing: no LP, no Frank-Wolfe
-run, no support enumeration, no order scan, no dense solve and no
-eigenvalue decomposition.
+run, no support enumeration, no order scan, no witness search, no dense
+solve and no eigenvalue decomposition.
 """
 import dataclasses
 
@@ -103,6 +103,7 @@ def assert_warm_matches_fresh(monkeypatch, space, pair, constant, readers):
         read(warm)
     for module, name in ((minimax_mod, "solve_lp"), (optimize_mod, "_away_fw_block"),
                          (optimize_mod, "_enumerate_supports"), (chebyshev_mod, "_blocks"),
+                         (chebyshev_mod, "_search"),
                          (np.linalg, "solve"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, _refuse)
     assert [plain(read(warm)) for read in readers] == expected
