@@ -26,6 +26,7 @@ from .energy import (
 from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain, rendezvous_number
 from .report import AnalysisReport
 from .spaces import (
+    FAMILY_FIELDS,
     SpaceDescriptor,
     generate,
     load_space_file,
@@ -55,41 +56,30 @@ EXIT_INPUT = 1
 EXIT_VERDICT = 2
 _HARD_CODES = {"UniquenessViolated"}
 
-_KIND_ALIASES = {
-    "interval_grid": "interval_grid",
-    "grid": "interval_grid",
-    "circle": "circle",
-    "hypercube": "hypercube",
-    "random_graph": "random_graph",
-    "random": "random_graph",
-}
+# short names of generator kinds; SpaceDescriptor checks any other name
+_KIND_ALIASES = {"grid": "interval_grid", "random": "random_graph"}
 
 _SPEC_RE = re.compile(r"([a-z_]+)\((.*)\)\Z")
 
 
 def _parse_generator_spec(text: str) -> Optional[SpaceDescriptor]:
-    """Parse ``kind(arg, ...)`` inline specs; None when ``text`` is a path."""
+    """Parse ``kind(arg, ...)`` inline specs, whose arguments fill the family's
+    ``FAMILY_FIELDS`` in order (extras are ignored); None when ``text`` is a path."""
     m = _SPEC_RE.match(text.strip())
     if m is None:
         return None
-    kind = _KIND_ALIASES.get(m.group(1))
-    if kind is None:
-        raise SchemaError(f"unknown generator kind {m.group(1)!r}")
+    kind = _KIND_ALIASES.get(m.group(1), m.group(1))
     args = [a.strip() for a in m.group(2).split(",") if a.strip()]
+    values = {}
     try:
-        if kind == "interval_grid":
-            return SpaceDescriptor(kind=kind, m=int(args[0]))
-        if kind == "circle":
-            metric = args[1] if len(args) > 1 else "chord"
-            radius = float(args[2]) if len(args) > 2 else 1.0
-            return SpaceDescriptor(kind=kind, m=int(args[0]), metric=metric, radius=radius)
-        if kind == "hypercube":
-            return SpaceDescriptor(kind=kind, dim=int(args[0]))
-        edge_prob = float(args[1]) if len(args) > 1 else 0.5
-        seed = int(args[2]) if len(args) > 2 else 0
-        return SpaceDescriptor(kind=kind, m=int(args[0]), edge_prob=edge_prob, seed=seed)
-    except (IndexError, ValueError) as exc:
+        if not args:
+            raise ValueError("no arguments")
+        for field, arg in zip(FAMILY_FIELDS.get(kind, ()), args):
+            # a field parses as the type of its default: int, float or str
+            values[field] = type(getattr(SpaceDescriptor, field))(arg)
+    except ValueError as exc:
         raise SchemaError(f"bad generator arguments in {text!r}: {exc}") from exc
+    return SpaceDescriptor(kind=kind, **values)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -100,7 +90,6 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def build_analysis(space, pair: SubsetPair, n_max: int = 4,
-                   frostman_tol: float = FROSTMAN_TOL,
                    enum_cap: int = DEFAULT_ENUM_CAP,
                    dual_constant: Optional[float] = None) -> tuple[AnalysisReport, int]:
     """Full analysis of one space/pair; returns (report, exit code).
@@ -126,7 +115,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     nt = negative_type_test(space)
     chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap)
     conv = converse_check(space, pair)
-    fr = frostman_check(dual, range(space.m), eq.measure, frostman_tol)
+    fr = frostman_check(dual, range(space.m), eq.measure)
 
     r = rendezvous_number(space)
     wolf_upper = bool(r <= me.value + ORDER_TOL)
@@ -172,10 +161,8 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "wolf_invariant_when_equal": wolf_invariant,
         "chain_ok": chain.ok,
         "invariant_found": inv.found,
-        "converse_kernel_ok": (not conv.kernel_form.applicable) or bool(conv.kernel_form.ok),
-        "converse_wolf_ok": (conv.wolf_form is None
-                             or not conv.wolf_form.applicable
-                             or bool(conv.wolf_form.ok)),
+        "converse_kernel_ok": conv.kernel_form.passed,
+        "converse_wolf_ok": conv.wolf_form is None or conv.wolf_form.passed,
     }
     parameters = {
         "H": [int(i) for i in pair.H],
@@ -198,7 +185,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "chain": GAP_UNIQUE_TOL,
         "invariance": INVARIANCE_TOL,
         "agreement": AGREEMENT_TOL,
-        "frostman": frostman_tol,
+        "frostman": FROSTMAN_TOL,
         "negative_type": DEFINITENESS_TOL,
     }
     report = AnalysisReport(space_name=space.name, parameters=parameters,
@@ -214,17 +201,14 @@ def cmd_analyze(args) -> int:
         space, file_pair = generate(desc), None
     else:
         space, file_pair = load_space_file(args.input)
-    if args.H is not None or args.L is not None:
+    # --H and --L replace the file's subsets; an omitted subset is all points
+    pair = file_pair
+    if pair is None or args.H is not None or args.L is not None:
         H = _parse_indices(args.H) if args.H is not None else tuple(range(space.m))
         L = _parse_indices(args.L) if args.L is not None else tuple(range(space.m))
         pair = SubsetPair(H, L)
-    elif file_pair is not None:
-        pair = file_pair
-    else:
-        pair = SubsetPair.full(space.m)
 
     report, code = build_analysis(space, pair, n_max=args.n_max,
-                                  frostman_tol=args.frostman_tol,
                                   enum_cap=args.enum_cap,
                                   dual_constant=args.dual_constant)
     if args.format == "csv":
@@ -235,18 +219,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    kind = _KIND_ALIASES.get(args.kind)
-    if kind is None:
-        raise SchemaError(f"unknown generator kind {args.kind!r}")
-    m = args.m if args.m is not None else 0
-    if kind == "hypercube":
-        desc = SpaceDescriptor(kind=kind, dim=args.dim)
-    elif kind == "circle":
-        desc = SpaceDescriptor(kind=kind, m=m, metric=args.metric, radius=args.radius)
-    elif kind == "random_graph":
-        desc = SpaceDescriptor(kind=kind, m=m, edge_prob=args.edge_prob, seed=args.seed)
-    else:
-        desc = SpaceDescriptor(kind=kind, m=m)
+    kind = _KIND_ALIASES.get(args.kind, args.kind)
+    # only the family's own flags: another family's flags are not read
+    values = {field: getattr(args, field) for field in FAMILY_FIELDS.get(kind, ())}
+    desc = SpaceDescriptor(kind=kind, **values)
     save_space(generate(desc, args.cap), args.out or None)
     return EXIT_OK
 
@@ -306,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--L", default=None, help="comma-separated evaluation indices")
     p_an.add_argument("--n-max", type=int, default=4, dest="n_max",
                       help="largest multiset order for the Chebyshev table (at least 1)")
-    p_an.add_argument("--frostman-tol", type=float, default=FROSTMAN_TOL)
     p_an.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
                       help="multiset enumeration budget per order")
     p_an.add_argument("--dual-constant", type=float, default=None,
@@ -317,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate a space file")
     p_gen.add_argument("kind", help="interval_grid|grid, circle, hypercube, random_graph|random")
-    p_gen.add_argument("--m", "--n", type=int, default=None, dest="m",
+    p_gen.add_argument("--m", "--n", type=int, default=0, dest="m",
                        help="number of points")
     p_gen.add_argument("--metric", choices=("chord", "arc"), default="chord")
     p_gen.add_argument("--radius", type=float, default=1.0)

@@ -242,44 +242,31 @@ class SubsetPair:
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """A probability measure on the points, supported inside ``support_set``.
+    """A probability measure on the points.
 
-    Construction clips negligible negative weights, zeroes negligible mass
-    outside the declared support, rejects anything worse, and renormalizes
-    so the weights sum to one.
+    Construction clips negligible negative weights, rejects anything worse,
+    and renormalizes so the weights sum to one.  The constructors on a
+    subset check its indices and write exact zeros outside it.
     """
 
     weights: np.ndarray
-    support_set: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float, copy=True)
         if w.ndim != 1:
             raise DimensionMismatchError("measure weights must be a vector")
-        declared = self.support_set
-        if declared is None:
-            declared = tuple(range(w.size))
-        support = _check_indices(declared, "support_set")
-        if support[-1] >= w.size:
-            raise IndexOutOfRangeError(
-                f"support index {support[-1]} out of range for {w.size} weights"
-            )
+        if w.size == 0:
+            raise EmptySubsetError("measure weights must be nonempty")
         if not np.all(np.isfinite(w)):
             raise NonFiniteEntryError("measure weights must be finite")
         if np.any(w < -MEASURE_NEG_TOL):
             raise InvalidMeasureError(f"negative weight {w.min():.3e} in measure")
         w[w < 0.0] = 0.0
-        outside = np.ones(w.size, dtype=bool)
-        outside[list(support)] = False
-        if np.any(w[outside] > MEASURE_NEG_TOL):
-            raise InvalidMeasureError("measure has mass outside its declared support")
-        w[outside] = 0.0
         total = float(np.sum(w))
         if abs(total - 1.0) > MEASURE_SUM_TOL:
             raise InvalidMeasureError(f"measure weights sum to {total!r}, not 1")
         w /= total
         object.__setattr__(self, "weights", _as_readonly(w))
-        object.__setattr__(self, "support_set", support)
 
     @property
     def m(self) -> int:
@@ -291,22 +278,21 @@ class Measure:
 
     @classmethod
     def dirac(cls, m: int, i: int) -> "Measure":
-        w = np.zeros(m)
-        w[i] = 1.0
-        return cls(w, (i,))
+        return cls.from_subvector(m, (i,), np.ones(1))
 
     @classmethod
     def uniform(cls, m: int, support: Sequence[int] | None = None) -> "Measure":
-        idx = tuple(range(m)) if support is None else tuple(support)
-        w = np.zeros(m)
-        w[list(idx)] = 1.0 / len(idx)
-        return cls(w, idx)
+        """Equal weights on the set of indices ``support`` (all points when None)."""
+        idx = check_subset(range(m) if support is None else support, m)
+        return cls.from_subvector(m, idx, np.full(len(idx), 1.0 / len(idx)))
 
     @classmethod
     def from_subvector(cls, m: int, subset: Sequence[int], values: np.ndarray) -> "Measure":
+        """The weights ``values`` on ``subset``, which must index m points."""
+        check_subset(subset, m)
         w = np.zeros(m)
         w[list(subset)] = np.asarray(values, dtype=float)
-        return cls(w, tuple(subset))
+        return cls(w)
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,6 @@ class FrostmanReport:
     """
 
     w_value: float
-    equilibrium: Measure
-    tolerance: float
     min_potential: float
     max_potential_on_support: float
     violation_mass: float
@@ -101,8 +99,6 @@ def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
     violation_mass = float(weights_on_subset[bad].sum())
     return FrostmanReport(
         w_value=w,
-        equilibrium=mu,
-        tolerance=tol,
         min_potential=float(pot.min()),
         max_potential_on_support=max_on_support,
         violation_mass=violation_mass,

@@ -390,8 +390,9 @@ def _kkt_weights(M: np.ndarray, support: np.ndarray):
     w_s = sol[:s]
     if not np.all(np.isfinite(w_s)):
         return None
-    resid = M_S @ w_s - sol[s]
-    if np.max(np.abs(resid)) > _RESID_TOL * (1.0 + np.max(np.abs(M))):
+    resid = float(np.max(np.abs(M_S @ w_s - sol[s])))
+    # every scale admits a residual up to _RESID_TOL: max|M| is read only above it
+    if resid > _RESID_TOL and resid > _RESID_TOL * (1.0 + np.max(np.abs(M))):
         return None
     return w_s
 
@@ -467,7 +468,7 @@ def _away_fw_block(M: np.ndarray, gap_tol: float, max_iter: int, polish,
             leave(j, V[:, j].copy(), it)
         if it % 32 == 0:
             for j in np.flatnonzero(~done):
-                w = polish(np.flatnonzero(V[:, j] > 1e-12))
+                w = polish(np.flatnonzero(V[:, j] > SUPPORT_EPS))
                 w_gap = math.inf if w is None else _fw_gap(M, w)
                 if w_gap <= gap_tol:
                     results[live[j]] = (w, w_gap, it)
@@ -510,7 +511,7 @@ def _away_fw_block(M: np.ndarray, gap_tol: float, max_iter: int, polish,
                 return results
     for j in range(live.size):
         v = V[:, j].copy()
-        w = polish(np.flatnonzero(v > 1e-12))
+        w = polish(np.flatnonzero(v > SUPPORT_EPS))
         # 0.5 * gv is v' M v of the last iterate
         if w is not None and float(w @ M @ w) <= 0.5 * gv[j] + 1e-15:
             v = w

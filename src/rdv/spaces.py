@@ -46,6 +46,12 @@ def point_cap(cap: Optional[int] = None) -> int:
     return DEFAULT_POINT_CAP
 
 
+# Each family's own fields, in the order of its inline spec's arguments:
+# ``circle(m, metric, radius)``.
+FAMILY_FIELDS = {"interval_grid": ("m",), "circle": ("m", "metric", "radius"),
+                 "hypercube": ("dim",), "random_graph": ("m", "edge_prob", "seed")}
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Parameters for one generated space; ``kind`` picks the family."""
@@ -59,9 +65,9 @@ class SpaceDescriptor:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("interval_grid", "circle", "hypercube", "random_graph"):
+        if self.kind not in FAMILY_FIELDS:
             raise SchemaError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("interval_grid", "circle", "random_graph") and self.m < 1:
+        if "m" in FAMILY_FIELDS[self.kind] and self.m < 1:
             raise SchemaError(f"{self.kind} needs at least one point, got m={self.m}")
         if self.kind == "circle":
             if self.metric not in ("chord", "arc"):
@@ -164,21 +170,19 @@ def generate(desc: SpaceDescriptor, cap: Optional[int] = None) -> KernelSpace:
     if m > limit:
         raise TooLargeError(f"{desc.kind} would have {m} points; cap is {limit}")
 
+    labels = tuple(str(i) for i in range(m))  # the hypercube's are bit strings
     if desc.kind == "interval_grid":
         kernel = _grid_kernel(m)
         name = f"interval_grid({m})"
-        labels = tuple(str(i) for i in range(m))
     elif desc.kind == "circle":
         kernel = _circle_kernel(m, desc.metric, desc.radius)
         name = f"circle({m},{desc.metric},r={desc.radius:g})"
-        labels = tuple(str(i) for i in range(m))
     elif desc.kind == "hypercube":
         kernel, labels = _hypercube_kernel(desc.dim)
         name = f"hypercube({desc.dim})"
     else:
         kernel = _random_graph_kernel(m, desc.edge_prob, desc.seed)
         name = f"random_graph({m},p={desc.edge_prob:g},seed={desc.seed})"
-        labels = tuple(str(i) for i in range(m))
 
     if not np.all(np.isfinite(kernel)):
         raise NonFiniteEntryError(f"{name} has a non-finite kernel entry")

@@ -126,7 +126,12 @@ class QuasiReport:
 
 def quasi_invariant_convergence(space: KernelSpace, pair: SubsetPair,
                                 eps_sequence: Sequence[float]) -> QuasiReport:
-    """Check that near-invariant potential levels squeeze the average interval."""
+    """Check that near-invariant potential levels squeeze the average interval.
+
+    The level rho is the potential at L[0] of the measure at the vertex the
+    invariance LP returns.  That optimal measure is often not unique, so
+    rho and each entry's deviation belong to that measure, not to the space.
+    """
     avg = average_interval(space, pair)
     gap, measure = min_invariance_gap(space, pair)
     if avg.interval.empty:
@@ -193,6 +198,11 @@ class ConverseForm:
     achieved: Optional[float]
     residual: Optional[float]
 
+    @property
+    def passed(self) -> bool:
+        """A branch fails only when it applies and its identity misses."""
+        return not self.applicable or bool(self.ok)
+
 
 @dataclass(frozen=True)
 class ConverseReport:
@@ -200,69 +210,59 @@ class ConverseReport:
     wolf_form: Optional[ConverseForm]
 
 
+def _converse_form(failed: list[str], space: KernelSpace, pair: SubsetPair, level,
+                   solve, measure_values: np.ndarray) -> ConverseForm:
+    """One converse branch: not applicable, with reasons, if ``failed`` names a
+    hypothesis; else the average ``level`` and the invariant measure's
+    ``measure_values`` against the extremal energy ``solve`` finds on H."""
+    if failed:
+        return ConverseForm(False, tuple(failed), None, None, None, None)
+    target = solve(space, pair.H).value
+    level = float(level)
+    measure_residual = float(np.max(np.abs(measure_values - target)))
+    residual = max(abs(level - target), measure_residual)
+    return ConverseForm(applicable=True, failed_hypotheses=(), ok=bool(residual <= AGREEMENT_TOL),
+                        target=target, achieved=level, residual=residual)
+
+
 def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
     """When an invariant measure exists and the kernel has the right sign
     structure, the unique average level must equal the extremal energy.
 
-    Two branches: the positive-semidefinite kernel form compares the level
-    against the minimal energy over H; the metric (negative-type) form,
-    evaluated for H = L, compares it against the maximal energy.  A branch
-    whose hypotheses fail is reported not-applicable, with reasons, and
-    asserts nothing.
+    Two branches: the positive-semidefinite kernel form compares the level,
+    and the invariant measure's potential on L, against the minimal energy
+    over H; the metric (negative-type) form, evaluated for H = L, compares
+    the level, and the invariant measure's energy, against the maximal
+    energy.  A branch whose hypotheses fail is reported not-applicable, with
+    reasons, and asserts nothing.
     """
     pair.check_range(space.m)
     defin = subset_definiteness(space, pair.H)
     avg = average_interval(space, pair)
     inv = invariant_measure(space, pair)
+    mu = inv.measure.weights
+    # both branches list these after their own hypotheses
+    shared = []
+    if not inv.found:
+        shared.append("no invariant measure on the pair")
+    if avg.unique_point is None:
+        shared.append("average interval is not a single point")
 
     failed = []
     if not defin["psd"]:
         failed.append("kernel energy form is not positive on sum-zero charges")
-    if not inv.found:
-        failed.append("no invariant measure on the pair")
-    if avg.unique_point is None:
-        failed.append("average interval is not a single point")
-    if failed:
-        kernel_form = ConverseForm(False, tuple(failed), None, None, None, None)
-    else:
-        w = minimize_quadratic_on_simplex(space, pair.H).value
-        a = float(avg.unique_point)
-        pot = space.kernel[list(pair.L), :] @ inv.measure.weights
-        pot_res = float(np.max(np.abs(pot - w)))
-        residual = max(abs(a - w), pot_res)
-        kernel_form = ConverseForm(
-            applicable=True,
-            failed_hypotheses=(),
-            ok=bool(residual <= AGREEMENT_TOL),
-            target=w,
-            achieved=a,
-            residual=residual,
-        )
+    potential = space.kernel[list(pair.L), :] @ mu
+    kernel_form = _converse_form(failed + shared, space, pair, avg.unique_point,
+                                 minimize_quadratic_on_simplex, potential)
 
     wolf_form = None
     if pair.H == pair.L:
-        failed_w = []
+        failed = []
         if not space.is_metric:
-            failed_w.append("kernel is not a metric")
+            failed.append("kernel is not a metric")
         if not defin["nsd"]:
-            failed_w.append("restricted kernel is not of negative type")
-        if not inv.found:
-            failed_w.append("no invariant measure on the pair")
-        if avg.unique_point is None:
-            failed_w.append("average interval is not a single point")
-        if failed_w:
-            wolf_form = ConverseForm(False, tuple(failed_w), None, None, None, None)
-        else:
-            e = maximize_quadratic_on_simplex(space, pair.H).value
-            r = float(avg.unique_point)
-            inv_energy = float(inv.measure.weights @ space.kernel @ inv.measure.weights)
-            residual = max(abs(r - e), abs(inv_energy - e))
-            wolf_form = ConverseForm(
-                applicable=True,
-                failed_hypotheses=(),
-                ok=bool(residual <= AGREEMENT_TOL),
-                target=e,
-                achieved=r,
-                residual=residual,
-            )
+            failed.append("restricted kernel is not of negative type")
+        energy = np.array([mu @ space.kernel @ mu])
+        wolf_form = _converse_form(failed + shared, space, pair, avg.unique_point,
+                                   maximize_quadratic_on_simplex, energy)
     return ConverseReport(kernel_form=kernel_form, wolf_form=wolf_form)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .core import (
     dual_kernel,
 )
 from .energy import dual_route_check, frostman_check, wiener_energy, wolf_relations
-from .minimax import _elton, _lp_average, inequality_chain
+from .minimax import GAP_UNIQUE_TOL, _elton, _lp_average, inequality_chain
 from .spaces import circle, generate, hypercube, random_graph, save_space
 from .structure import (
     INVARIANCE_TOL,
@@ -68,14 +69,12 @@ def instance_pairs(m: int, seed: int) -> tuple[SubsetPair, SubsetPair]:
     return nested, SubsetPair(H2, L2)
 
 
-def vertex_transitive_family() -> tuple[tuple[str, KernelSpace], ...]:
-    """Cycles on 3..8 points and hypercubes of dimension 1..4."""
-    spaces = []
+def vertex_transitive_family() -> Iterator[tuple[str, KernelSpace]]:
+    """Cycles on 3..8 points and hypercubes of dimension 1..4, one at a time."""
     for m in range(3, 9):
-        spaces.append((f"cycle-{m}", generate(circle(m))))
+        yield f"cycle-{m}", generate(circle(m))
     for d in range(1, 5):
-        spaces.append((f"hypercube-{d}", generate(hypercube(d))))
-    return tuple(spaces)
+        yield f"hypercube-{d}", generate(hypercube(d))
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def _check_duality(space: KernelSpace) -> tuple[bool, str]:
     gap = abs(avg.q_upper - avg.q_lower)
     elton = _elton(space, full, avg)
     ok = (
-        gap <= 1e-8
+        gap <= GAP_UNIQUE_TOL
         and avg.unique_point is not None
         and elton.residual_upper <= ELTON_UPPER_TOL
         and elton.residual_lower <= ELTON_LOWER_TOL
@@ -170,20 +169,18 @@ def _check_wolf(space: KernelSpace) -> tuple[bool, str]:
 
 def _check_converse(space: KernelSpace) -> tuple[bool, str]:
     rep = converse_check(space, SubsetPair.full(space.m))
+    ok = rep.kernel_form.passed and rep.wolf_form.passed
     parts = []
-    ok = True
     if rep.kernel_form.applicable:
-        ok = ok and bool(rep.kernel_form.ok)
         parts.append(f"kernel_form res={rep.kernel_form.residual:.3g}")
     else:
         parts.append("kernel_form n/a")
-    if rep.wolf_form is not None:
-        if rep.wolf_form.applicable:
-            ok = ok and bool(rep.wolf_form.ok)
-            parts.append(f"wolf_form res={rep.wolf_form.residual:.3g}")
-        else:
-            parts.append("wolf_form n/a ({})".format(
-                "; ".join(rep.wolf_form.failed_hypotheses)))
+    # on the full pair both branches are evaluated
+    if rep.wolf_form.applicable:
+        parts.append(f"wolf_form res={rep.wolf_form.residual:.3g}")
+    else:
+        parts.append("wolf_form n/a ({})".format(
+            "; ".join(rep.wolf_form.failed_hypotheses)))
     return ok, " ".join(parts)
 
 
@@ -200,13 +197,23 @@ def _check_quasi(space: KernelSpace, seed: int) -> tuple[bool, str]:
     return ok, detail
 
 
-def _check_transitive(name: str, space: KernelSpace) -> tuple[bool, str]:
+def _check_transitive(space: KernelSpace) -> tuple[bool, str]:
     gap, _ = min_invariance_gap(space, SubsetPair.full(space.m))
     uniform = Measure.uniform(space.m)
     pot = space.kernel @ uniform.weights
     osc = float(pot.max() - pot.min())
     ok = gap <= INVARIANCE_TOL and osc <= _UNIFORM_TOL
     return ok, f"gap={gap:.3g} uniform_oscillation={osc:.3g}"
+
+
+def _outcome(suite: str, name: str, space: KernelSpace, check, *args) -> SuiteOutcome:
+    """The outcome of ``check(space, *args)``; a typed error fails it."""
+    try:
+        ok, detail = check(space, *args)
+    except RdvError as exc:
+        ok, detail = False, f"error[{exc.code}] {exc}"
+    return SuiteOutcome(suite=suite, name=name, passed=ok, detail=detail,
+                        space=None if ok else space)
 
 
 def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
@@ -217,35 +224,20 @@ def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
     if seeds < 1 or max_points < 3:
         raise DimensionMismatchError(
             f"a suite needs seeds >= 1 and max_points >= 3; got {seeds} and {max_points}")
+    # read when the suite runs, so a check replaced on the module is the one run
+    checks = {"duality": _check_duality, "chain": _check_chain, "frostman": _check_frostman,
+              "wolf": _check_wolf, "converse": _check_converse, "quasi": _check_quasi}
     outcomes = []
+    # one instance at a time, so one space and its caches are alive at once
     for seed in range(seeds):
-        space = instance_space(seed, max_points)
-        name = f"{suite}[{seed}]"
-        try:
-            if suite == "duality":
-                ok, detail = _check_duality(space)
-            elif suite == "chain":
-                ok, detail = _check_chain(space, seed)
-            elif suite == "frostman":
-                ok, detail = _check_frostman(space)
-            elif suite == "wolf":
-                ok, detail = _check_wolf(space)
-            elif suite == "converse":
-                ok, detail = _check_converse(space)
-            else:
-                ok, detail = _check_quasi(space, seed)
-        except RdvError as exc:
-            ok, detail = False, f"error[{exc.code}] {exc}"
-        outcomes.append(SuiteOutcome(suite=suite, name=name, passed=ok,
-                                     detail=detail, space=None if ok else space))
+        # chain and quasi draw their subset pairs from the seed
+        args = (seed,) if suite in ("chain", "quasi") else ()
+        outcomes.append(_outcome(suite, f"{suite}[{seed}]", instance_space(seed, max_points),
+                                 checks[suite], *args))
     if suite == "quasi":
         for fam_name, fam_space in vertex_transitive_family():
-            try:
-                ok, detail = _check_transitive(fam_name, fam_space)
-            except RdvError as exc:
-                ok, detail = False, f"error[{exc.code}] {exc}"
-            outcomes.append(SuiteOutcome(suite=suite, name=f"{suite}[{fam_name}]", passed=ok,
-                                         detail=detail, space=None if ok else fam_space))
+            outcomes.append(_outcome(suite, f"{suite}[{fam_name}]", fam_space,
+                                     _check_transitive))
     return SuiteReport(suite=suite, outcomes=tuple(outcomes))
 
 

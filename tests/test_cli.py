@@ -16,7 +16,7 @@ from rdv import (
     random_graph,
     save_space,
 )
-from rdv.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, build_analysis, main
+from rdv.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, _parse_generator_spec, build_analysis, main
 import rdv.minimax as minimax_mod
 import rdv.optimize as optimize_mod
 import rdv.structure as structure_mod
@@ -79,6 +79,32 @@ class TestGenerate:
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"error[{code}]" in err and "Traceback" not in err
+
+    def test_other_family_flags_are_not_read(self, tmp_path):
+        # a grid reads only --m, so a seed that a random graph would reject
+        # is ignored
+        out = str(tmp_path / "g.json")
+        assert main(["generate", "grid", "--m", "5", "--seed", "-1", "--out", out]) == EXIT_OK
+        assert load_space_file(out)[0].name == "interval_grid(5)"
+
+    @pytest.mark.parametrize("flags, spec", [
+        (["grid", "--m", "7"], "grid(7)"),
+        (["interval_grid", "--n", "4"], "interval_grid(4)"),
+        (["circle", "--m", "9", "--metric", "arc", "--radius", "2.5"], "circle(9,arc,2.5)"),
+        (["circle", "--m", "6"], "circle(6)"),
+        (["hypercube", "--dim", "3"], "hypercube(3)"),
+        (["random", "--m", "7", "--edge-prob", "0.4", "--seed", "5"], "random(7,0.4,5)"),
+        (["random_graph", "--m", "6"], "random_graph(6)"),
+    ])
+    def test_flags_and_inline_spec_build_the_same_space(self, tmp_path, flags, spec):
+        out, rep = str(tmp_path / "g.json"), str(tmp_path / "r.json")
+        assert main(["generate", *flags, "--out", out]) == EXIT_OK
+        flagged, _ = load_space_file(out)
+        inline = generate(_parse_generator_spec(spec))
+        assert flagged.name == inline.name
+        assert np.array_equal(flagged.kernel, inline.kernel)
+        assert main(["analyze", spec, "--n-max", "1", "--out", rep]) == EXIT_OK
+        assert load_report(rep).space_name == flagged.name
 
     def test_cap_flag(self, capsys):
         assert main(["generate", "grid", "--m", "10", "--cap", "5"]) == EXIT_INPUT
@@ -336,6 +362,15 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "usage: rdv" in captured.err and "error:" in captured.err
         assert captured.out == ""
+
+    def test_frostman_tol_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", "grid(5)", "--frostman-tol", "1e-3"])
+        assert e.value.code == EXIT_INPUT
+        assert "--frostman-tol" in capsys.readouterr().err
+        out = str(tmp_path / "r.json")
+        assert main(["analyze", "grid(5)", "--out", out]) == EXIT_OK
+        assert load_report(out).tolerances["frostman"] == 1e-06
 
     def test_help_exits_ok(self, capsys):
         with pytest.raises(SystemExit) as e:

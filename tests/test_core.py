@@ -149,6 +149,32 @@ def test_from_subvector_places_mass():
     np.testing.assert_allclose(mu.weights, [0.0, 0.25, 0.0, 0.75, 0.0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Measure.dirac(3, 4),
+    lambda: Measure.dirac(3, 3),
+    lambda: Measure.dirac(3, -1),
+    lambda: Measure.dirac(3, 1.5),
+    lambda: Measure.uniform(3, [1, 3]),
+    lambda: Measure.uniform(3, [-1, 0]),
+    lambda: Measure.from_subvector(3, (0, 5), np.array([0.5, 0.5])),
+    lambda: Measure.from_subvector(3, (0.5,), np.array([1.0])),
+], ids=["dirac-past-m", "dirac-at-m", "dirac-negative", "dirac-fraction", "uniform-past-m",
+        "uniform-negative", "subvector-past-m", "subvector-fraction"])
+def test_subset_constructors_reject_bad_indices(build):
+    with pytest.raises(IndexOutOfRangeError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Measure(np.array([])),
+    lambda: Measure.uniform(3, []),
+    lambda: Measure.from_subvector(3, (), np.array([])),
+], ids=["weights", "uniform", "subvector"])
+def test_empty_measure_rejected(build):
+    with pytest.raises(EmptySubsetError):
+        build()
+
+
 # --- subset pairs and intervals ---
 
 

@@ -98,7 +98,8 @@ def test_reflection_on_a_subset():
     H = (0, 2, 3, 7, 8)
     for kind, solve in SOLVERS.items():
         assert_agree(solve(dual, H), solve(unlinked(dual), H), C)
-        assert solve(dual, H).measure.support_set == H
+        outside = [i for i in range(space.m) if i not in H]
+        assert np.all(solve(dual, H).measure.weights[outside] == 0.0)
 
 
 def test_an_unlinked_dual_solves_on_its_own(monkeypatch):
