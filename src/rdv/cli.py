@@ -16,11 +16,11 @@ from typing import Optional
 from .chebyshev import DEFAULT_ENUM_CAP, chebyshev_table
 from .core import RdvError, SchemaError, SubsetPair, dual_kernel
 from .energy import (
-    EQUALITY_TOL,
     FROSTMAN_TOL,
     ORDER_TOL,
     frostman_check,
     maximal_energy,
+    upper_side,
     wiener_energy,
 )
 from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain, rendezvous_number
@@ -118,10 +118,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     fr = frostman_check(dual, range(space.m), eq.measure)
 
     r = rendezvous_number(space)
-    wolf_upper = bool(r <= me.value + ORDER_TOL)
-    wolf_equality = bool(abs(r - me.value) <= EQUALITY_TOL)
-    wolf_invariant = (not wolf_equality
-                      or bool(invariant_measure(space, SubsetPair.full(space.m)).found))
+    wolf = upper_side(space, r, me.value)
 
     scalars = {
         "r": r,
@@ -157,8 +154,8 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "frostman_a": fr.verdict_a,
         "frostman_b": fr.verdict_b,
         "frostman_c": fr.verdict_c,
-        "wolf_upper": wolf_upper,
-        "wolf_invariant_when_equal": wolf_invariant,
+        "wolf_upper": wolf.upper_ok,
+        "wolf_invariant_when_equal": wolf.invariant_when_equal,
         "chain_ok": chain.ok,
         "invariant_found": inv.found,
         "converse_kernel_ok": conv.kernel_form.passed,
@@ -171,7 +168,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "points": int(space.m),
         "is_metric": bool(space.is_metric),
         "chebyshev_skipped": [int(n) for n in table.skipped],
-        "wolf_equality_applicable": wolf_equality,
+        "wolf_equality_applicable": wolf.equality_applicable,
         "converse_kernel_applicable": bool(conv.kernel_form.applicable),
         "converse_wolf_applicable": bool(conv.wolf_form is not None
                                          and conv.wolf_form.applicable),
@@ -237,6 +234,7 @@ def cmd_verify(args) -> int:
         good, total = rep.counts
         all_ok = all_ok and rep.passed
         print(f"{rep.suite}: {good}/{total} pass")
+        print(f"suite: {rep.suite} {rep.seconds:.3f}s", file=sys.stderr)
     if args.out:
         verdicts = {o.name: o.passed for rep in reports for o in rep.outcomes}
         good = sum(1 for v in verdicts.values() if v)
@@ -304,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None, help="write the space file here")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_ver = sub.add_parser("verify", help="run seeded verification suites")
+    p_ver = sub.add_parser("verify", help="run seeded verification suites; "
+                                          "each suite's wall time goes to stderr")
     p_ver.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p_ver.add_argument("--seeds", type=int, default=DEFAULT_SEEDS)
     p_ver.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,

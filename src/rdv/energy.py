@@ -215,6 +215,34 @@ def _equality_side(space: KernelSpace, average: AverageResult, w: float) -> Opti
     return abs(float(mu.weights @ space.kernel @ mu.weights) - w)
 
 
+@dataclass(frozen=True)
+class UpperSide:
+    """The upper side r <= E of w <= r <= E on one kernel.
+
+    ``upper_ok`` is r <= E + ``ORDER_TOL``; ``equality_applicable`` is
+    |r - E| <= ``EQUALITY_TOL``, and only then is an invariant measure on
+    the full pair searched for: ``invariant_found`` is its outcome, None
+    when r and E differ.
+    """
+
+    upper_ok: bool
+    equality_applicable: bool
+    invariant_found: Optional[bool]
+
+    @property
+    def invariant_when_equal(self) -> bool:
+        """r = E implies an invariant measure: true when r < E or one was found."""
+        return not self.equality_applicable or bool(self.invariant_found)
+
+
+def upper_side(space: KernelSpace, r: float, e: float) -> UpperSide:
+    """The ``UpperSide`` relations of rendezvous value ``r`` and maximal energy ``e``."""
+    equality = bool(abs(r - e) <= EQUALITY_TOL)
+    found = invariant_measure(space, SubsetPair.full(space.m)).found if equality else None
+    return UpperSide(upper_ok=bool(r <= e + ORDER_TOL), equality_applicable=equality,
+                     invariant_found=found)
+
+
 def wolf_relations(space: KernelSpace,
                    constant: Optional[float] = None) -> WolfReport:
     """Verify w <= r <= E and the equality/invariance implications."""
@@ -228,14 +256,9 @@ def wolf_relations(space: KernelSpace,
     r_dual = float(avg_dual.unique_point)
     w_dual = wiener_energy(dual_space).value
 
-    equality_applicable = abs(r - e.value) <= EQUALITY_TOL
-    invariant_found = None
-    if equality_applicable:
-        invariant_found = invariant_measure(space, full).found
-    dual_equality_applicable = abs(r_dual - (C - w)) <= EQUALITY_TOL
-    dual_invariant_found = None
-    if dual_equality_applicable:
-        dual_invariant_found = invariant_measure(dual_space, full).found
+    upper = upper_side(space, r, e.value)
+    # on the dual kernel the maximal energy is C - w
+    dual_upper = upper_side(dual_space, r_dual, C - w)
 
     return WolfReport(
         r=r,
@@ -244,13 +267,13 @@ def wolf_relations(space: KernelSpace,
         r_dual=r_dual,
         w_dual=w_dual,
         dual_constant=C,
-        upper_ok=bool(r <= e.value + ORDER_TOL),
+        upper_ok=upper.upper_ok,
         lower_ok=bool(r >= w - ORDER_TOL),
         dual_lower_ok=bool(r_dual >= w_dual - ORDER_TOL),
-        equality_applicable=equality_applicable,
-        invariant_found=invariant_found,
-        dual_equality_applicable=dual_equality_applicable,
-        dual_invariant_found=dual_invariant_found,
+        equality_applicable=upper.equality_applicable,
+        invariant_found=upper.invariant_found,
+        dual_equality_applicable=dual_upper.equality_applicable,
+        dual_invariant_found=dual_upper.invariant_found,
         equality_energy_residual=_equality_side(space, avg, w),
         dual_equality_energy_residual=_equality_side(dual_space, avg_dual, w_dual),
     )

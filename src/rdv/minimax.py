@@ -58,21 +58,23 @@ def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
     pair.check_range(space.m)
     H, L = pair.H, pair.L
     h, l = len(H), len(L)
-    KHL = space.kernel[np.ix_(L, H)]
+    KHL = space.kernel.take(L, axis=0).take(H, axis=1)
     signs = [sign for sign, on in ((1.0, roof), (-1.0, floor)) if on]
+    blocks = [sign * KHL for sign in signs]
     cols, rows = h + len(signs), len(signs) * l + 1
     c = np.zeros(cols)
     A = np.zeros((rows, cols))
     for k, sign in enumerate(signs):
         c[h + k] = sign
-        A[k * l : (k + 1) * l, :h] = sign * KHL
+        A[k * l : (k + 1) * l, :h] = blocks[k]
         A[k * l : (k + 1) * l, h + k] = -sign
     A[-1, :h] = 1.0
     senses = (LE,) * (rows - 1) + (EQ,)
     b = np.zeros(rows)
     b[-1] = 1.0
-    j = int(np.argmin(sum((sign * KHL).max(axis=0) for sign in signs)))
-    tight = [int(np.argmax(sign * KHL[:, j])) for sign in signs]
+    highest = [block.max(axis=0) for block in blocks]
+    j = int(sum(highest[1:], highest[0]).argmin())
+    tight = [int(block[:, j].argmax()) for block in blocks]
     slacks = [cols + k * l + i for k in range(len(signs)) for i in range(l) if i != tight[k]]
     return LinearProgram(c=c, A=A, senses=senses, b=b, basis=(j, *range(h, cols), *slacks))
 
@@ -82,6 +84,12 @@ def solve_level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
     """Solve ``level_program`` from its Dirac vertex, once per space and arguments."""
     return space.memo(("level_program", pair, roof, floor),
                       lambda: solve_lp(level_program(space, pair, roof, floor)))
+
+
+def _level_value(space: KernelSpace, pair: SubsetPair, roof: bool) -> float:
+    """The upper (``roof``) or the lower value of ``pair``, without its measure."""
+    sol = solve_level_program(space, pair, roof=roof, floor=not roof)
+    return float(sol.x[len(pair.H)])
 
 
 def q_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
@@ -305,8 +313,8 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
         average = average_interval(space, pair)
         ql, q_upper = average.q_lower, average.q_upper
     else:
-        ql, q_upper = q_lower_value(space, pair)[0], None
-    qs = q_upper if pair.H == pair.L else q_value(space, pair.swapped())[0]
+        ql, q_upper = _level_value(space, pair, roof=False), None
+    qs = q_upper if pair.H == pair.L else _level_value(space, pair.swapped(), roof=True)
     table = chebyshev_table(space, pair, n_max, cap)
     swapped = table if pair.H == pair.L else chebyshev_table(space, pair.swapped(), n_max, cap)
     cheb_lower = max(table.lower, default=0.0)

@@ -9,7 +9,14 @@ optimal solution is re-certified against the original problem data: primal
 feasibility, dual feasibility, and strong duality, at fixed absolute
 tolerances.  A solve either returns a certified optimum or raises a typed
 error.  Vertex solutions keep exact zeros, which the equilibrium-measure
-checks rely on.
+checks rely on.  Every number a decision or a result reads (the basis
+inverse and its row updates, the duals, reduced costs and entering columns,
+the final basis solves, the certificate's residuals) is a numpy product;
+only the selection made from those numbers (candidates, their order, the
+ratio test and its ties, the certificate's checks) runs on Python floats
+read with ``tolist``, which on programs of a few rows costs far less than
+a numpy call per step.  A solution counts the pivots and the basis
+inversions (refactorizations) of the solve that returned it.
 
 Quadratic objectives over the probability simplex are handled by three
 routes, picked by the curvature of the kernel on the sum-zero subspace:
@@ -104,13 +111,13 @@ class LinearProgram:
         for s in self.senses:
             if s not in (LE, EQ):
                 raise DimensionMismatchError(f"unknown row sense {s!r}")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise NonFiniteEntryError("LP data must be finite")
         if max(rows, cols) > LP_SIZE_CAP:
             raise CapExceededError(
                 f"LP has {rows} rows x {cols} columns; cap is {LP_SIZE_CAP} per dimension"
             )
-        basis = tuple(int(j) for j in self.basis)
+        basis = tuple(map(int, self.basis))
         std_cols = cols + self.senses.count(LE)
         one_per_row = len(set(basis)) == len(basis) == rows
         if not one_per_row or not all(0 <= j < std_cols for j in basis):
@@ -142,19 +149,27 @@ class LinearProgram:
 class LpSolution:
     """An optimal LP solution: primal vector, row duals and objective, certified.
 
-    ``pivots`` counts the simplex pivots of the solve that returned it, and
-    ``retried`` says whether that solve was the safe-mode retry.
+    ``pivots`` counts the simplex pivots of the solve that returned it,
+    ``refactorizations`` the basis inversions of that solve (the starting
+    basis's included), and ``retried`` says whether that solve was the
+    safe-mode retry.
     """
 
     x: np.ndarray
     y: np.ndarray
     objective: float
     pivots: int
+    refactorizations: int
     retried: bool
 
 
 class _Simplex:
-    """Revised primal simplex on standard-form data (A x = b, x >= 0) from a feasible basis."""
+    """Revised primal simplex on standard-form data (A x = b, x >= 0) from a feasible basis.
+
+    The basis inverse and every product read from it are numpy arrays; the
+    choices made from those products (entering candidates, ratio test, ties)
+    run on their ``tolist`` copies, on the same floats.
+    """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, basis: tuple[int, ...],
                  refresh: int = _REFRESH, bland_from_start: bool = False):
@@ -164,16 +179,18 @@ class _Simplex:
         self.cols = A.shape[1]
         self.basis = np.array(basis, dtype=int)
         self.pivots = 0
+        self.refactorizations = 0
         # long degenerate paths on large bases need tighter drift control
         self.refresh = min(refresh, 16) if self.rows > 128 else refresh
         self.bland_from_start = bland_from_start
         self.refactor()
-        low = float(np.min(self.x_basic(), initial=0.0))
+        low = min(self.x_basic().tolist(), default=0.0)
         if low < -PRIMAL_TOL:
             raise NumericalBreakdownError(
                 f"starting basis is infeasible: a basic value is {low:.3e}")
 
     def refactor(self) -> None:
+        self.refactorizations += 1
         try:
             self.B_inv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
@@ -182,19 +199,20 @@ class _Simplex:
     def x_basic(self) -> np.ndarray:
         return self.B_inv @ self.b
 
-    def _leave_row(self, d: np.ndarray, xb: np.ndarray, blands: bool) -> int:
-        """Ratio test.  Drift-negative basic values are clamped to zero so the
-        walk cannot leave the feasible region."""
-        pos = np.flatnonzero(d > _RATIO_TOL)
-        if pos.size == 0:
+    def _leave_row(self, d: list[float], xb: list[float], blands: bool) -> int:
+        """Ratio test on the entering column ``d`` and the basic values ``xb``.
+        Drift-negative basic values are clamped to zero so the walk cannot
+        leave the feasible region."""
+        ratios = {i: max(xb[i], 0.0) / di for i, di in enumerate(d) if di > _RATIO_TOL}
+        if not ratios:
             raise NumericalBreakdownError("empty ratio test: no row bounds the entering column")
-        ratios = np.maximum(xb[pos], 0.0) / d[pos]
-        best = float(np.min(ratios))
-        tied = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        best = min(ratios.values())
+        cut = best + 1e-12 * (1.0 + abs(best))
+        tied = [i for i, ratio in ratios.items() if ratio <= cut]
         if blands:
-            return int(tied[np.argmin(self.basis[tied])])
+            return min(tied, key=self.basis.tolist().__getitem__)
         # favor the largest pivot element for numerical stability
-        return int(tied[np.argmax(d[tied])])
+        return max(tied, key=d.__getitem__)
 
     def run(self, c: np.ndarray) -> None:
         """Pivot until no column prices out negative (tolerance 1e-10)."""
@@ -207,11 +225,11 @@ class _Simplex:
                     f"simplex exceeded {hard_cap} pivots without converging"
                 )
             y = c[self.basis] @ self.B_inv
-            reduced = c - y @ self.A
-            candidates = np.flatnonzero(reduced < -_STOP_TOL)
-            if candidates.size == 0:
+            reduced = (c - y @ self.A).tolist()
+            candidates = [j for j, r in enumerate(reduced) if r < -_STOP_TOL]
+            if not candidates:
                 if fresh:
-                    if float(self.x_basic().min()) < -10 * _PIVOT_TOL:
+                    if min(self.x_basic().tolist()) < -10 * _PIVOT_TOL:
                         raise NumericalBreakdownError(
                             "simplex lost primal feasibility on a degenerate path")
                     return
@@ -220,20 +238,20 @@ class _Simplex:
                 fresh = True
                 continue
             blands = self.bland_from_start or self.pivots > dantzig_limit
-            if blands:
-                order = candidates  # Bland's rule: lowest eligible index first
-            else:
-                order = candidates[np.argsort(reduced[candidates], kind="stable")]
-            xb = self.x_basic()
+            if not blands:
+                # Dantzig's rule, most negative first; Bland's keeps the lowest index first
+                candidates.sort(key=reduced.__getitem__)
+            xb = self.x_basic().tolist()
             # scan a few entering candidates for one with a sound pivot element
             enter = leave_row = None
             best_piv = 0.0
-            for cand in order[:16]:
+            for cand in candidates[:16]:
                 d_cand = self.B_inv @ self.A[:, cand]
-                row = self._leave_row(d_cand, xb, blands)
-                piv = abs(d_cand[row])
+                d_list = d_cand.tolist()
+                row = self._leave_row(d_list, xb, blands)
+                piv = abs(d_list[row])
                 if piv > best_piv:
-                    enter, leave_row, d, best_piv = int(cand), row, d_cand, piv
+                    enter, leave_row, d, best_piv = cand, row, d_cand, piv
                 if piv >= _PIVOT_TOL:
                     break
             if best_piv < _PIVOT_TOL and not fresh:
@@ -259,10 +277,15 @@ def _to_standard_form(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
     Returns (A_std, c_std), whose columns are numbered as ``lp.basis`` numbers
     them.
     """
-    slack_rows = np.flatnonzero([s == LE for s in lp.senses])
-    slack = np.zeros((lp.shape[0], slack_rows.size))
-    slack[slack_rows, np.arange(slack_rows.size)] = 1.0
-    return np.hstack([lp.A, slack]), np.concatenate([lp.c, np.zeros(slack_rows.size)])
+    rows, n = lp.shape
+    slack_rows = [i for i, s in enumerate(lp.senses) if s == LE]
+    A_std = np.zeros((rows, n + len(slack_rows)))
+    A_std[:, :n] = lp.A
+    for k, i in enumerate(slack_rows, start=n):
+        A_std[i, k] = 1.0
+    c_std = np.zeros(n + len(slack_rows))
+    c_std[:n] = lp.c
+    return A_std, c_std
 
 
 def _optimum(lp: LinearProgram, sx: _Simplex, c_std: np.ndarray, retried: bool) -> LpSolution:
@@ -276,7 +299,8 @@ def _optimum(lp: LinearProgram, sx: _Simplex, c_std: np.ndarray, retried: bool) 
     y = np.linalg.solve(B.T, c_std[sx.basis])
     objective = float(lp.c @ x)
     _certify(lp, x, y, objective)
-    return LpSolution(x=x, y=y, objective=objective, pivots=sx.pivots, retried=retried)
+    return LpSolution(x=x, y=y, objective=objective, pivots=sx.pivots,
+                      refactorizations=sx.refactorizations, retried=retried)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -304,27 +328,22 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, objective: float) -> None:
     """KKT certificate recomputed from the original data, absolute tolerances."""
-    le = np.array([s == LE for s in lp.senses], dtype=bool)
-    r = lp.A @ x - lp.b
-    bad = np.flatnonzero(np.where(le, r > PRIMAL_TOL, np.abs(r) > PRIMAL_TOL))
-    if bad.size:
-        i = bad[0]
-        raise NumericalBreakdownError(f"primal residual {r[i]:.3e} on row {i} ({lp.senses[i]})")
-    bad = np.flatnonzero(le & (y > DUAL_TOL))
-    if bad.size:
-        i = bad[0]
-        raise NumericalBreakdownError(f"dual sign violation {y[i]:.3e} on row {i} (<=)")
-    if np.any(x < -PRIMAL_TOL):
+    for i, (r, sense) in enumerate(zip((lp.A @ x - lp.b).tolist(), lp.senses)):
+        if (r if sense == LE else abs(r)) > PRIMAL_TOL:
+            raise NumericalBreakdownError(f"primal residual {r:.3e} on row {i} ({sense})")
+    for i, (yi, sense) in enumerate(zip(y.tolist(), lp.senses)):
+        if sense == LE and yi > DUAL_TOL:
+            raise NumericalBreakdownError(f"dual sign violation {yi:.3e} on row {i} (<=)")
+    xs = x.tolist()
+    if any(v < -PRIMAL_TOL for v in xs):
         raise NumericalBreakdownError("bound violation in primal solution")
 
     # reduced costs: nonnegative where x sits at its zero bound, zero elsewhere
-    z = lp.c - lp.A.T @ y
-    at_zero = x <= 10 * PRIMAL_TOL
-    bad = np.flatnonzero(np.where(at_zero, z < -DUAL_TOL, np.abs(z) > DUAL_TOL))
-    if bad.size:
-        j = bad[0]
-        where = "at zero" if at_zero[j] else "on interior"
-        raise NumericalBreakdownError(f"reduced cost {z[j]:.3e} {where} variable {j}")
+    for j, (z, v) in enumerate(zip((lp.c - lp.A.T @ y).tolist(), xs)):
+        at_zero = v <= 10 * PRIMAL_TOL
+        if (z < -DUAL_TOL) if at_zero else (abs(z) > DUAL_TOL):
+            where = "at zero" if at_zero else "on interior"
+            raise NumericalBreakdownError(f"reduced cost {z:.3e} {where} variable {j}")
     dual_obj = float(lp.b @ y)
     if abs(objective - dual_obj) > GAP_TOL:
         raise NumericalBreakdownError(

@@ -9,6 +9,7 @@ can be dumped to a file for replay.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -90,8 +91,11 @@ class SuiteOutcome:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """The outcomes of one suite and the wall time, in seconds, of the run that made them."""
+
     suite: str
     outcomes: tuple[SuiteOutcome, ...]
+    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -227,6 +231,7 @@ def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
     # read when the suite runs, so a check replaced on the module is the one run
     checks = {"duality": _check_duality, "chain": _check_chain, "frostman": _check_frostman,
               "wolf": _check_wolf, "converse": _check_converse, "quasi": _check_quasi}
+    start = time.perf_counter()
     outcomes = []
     # one instance at a time, so one space and its caches are alive at once
     for seed in range(seeds):
@@ -238,7 +243,8 @@ def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
         for fam_name, fam_space in vertex_transitive_family():
             outcomes.append(_outcome(suite, f"{suite}[{fam_name}]", fam_space,
                                      _check_transitive))
-    return SuiteReport(suite=suite, outcomes=tuple(outcomes))
+    return SuiteReport(suite=suite, outcomes=tuple(outcomes),
+                       seconds=time.perf_counter() - start)
 
 
 def run_suites(suite: str, seeds: int = DEFAULT_SEEDS,

@@ -4,7 +4,8 @@ Everything here is deliberately written with different algorithms than the
 package: brute-force grids over the probability simplex instead of LPs,
 pure-Python tuple scans, the old itertools scan and the prefix-loop pass
 instead of the colex-table multiset pass, one KKT solve per support instead
-of stacked solves, random sum-zero probes instead of eigendecompositions,
+of stacked solves, a simplex that makes its choices with numpy calls instead
+of on Python floats, random sum-zero probes instead of eigendecompositions,
 and closed forms / quadrature for the classical spaces.
 """
 from __future__ import annotations
@@ -16,8 +17,19 @@ from functools import lru_cache
 import numpy as np
 
 from rdv.chebyshev import ChebyshevWitness, DEFAULT_ENUM_CAP, multiset_count
-from rdv.core import DimensionMismatchError, EnumerationCapExceededError
-from rdv.optimize import _fw_gap, _polish_support
+from rdv.core import DimensionMismatchError, EnumerationCapExceededError, NumericalBreakdownError
+from rdv.optimize import (
+    _PIVOT_TOL,
+    _RATIO_TOL,
+    _REFRESH,
+    _STOP_TOL,
+    DUAL_TOL,
+    GAP_TOL,
+    LE,
+    PRIMAL_TOL,
+    _fw_gap,
+    _polish_support,
+)
 
 
 @lru_cache(maxsize=None)
@@ -361,3 +373,183 @@ def away_fw_loop(M: np.ndarray, gap_tol: float, max_iter: int, polish,
     if w is not None and float(w @ M @ w) <= best_val + 1e-15:
         best = w
     return best, _fw_gap(M, best), max_iter
+
+
+# The revised simplex that ``optimize`` ran before its choices moved onto
+# Python floats, kept verbatim (class name aside) with its standard form,
+# its optimum recovery and its certificate, as the differential reference
+# for ``optimize.solve_lp``: every choice here is made with numpy calls.
+
+
+class _ReferenceSimplex:
+    """Revised primal simplex on standard-form data (A x = b, x >= 0) from a feasible basis."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, basis: tuple[int, ...],
+                 refresh: int = _REFRESH, bland_from_start: bool = False):
+        self.A = A
+        self.b = b
+        self.rows = A.shape[0]
+        self.cols = A.shape[1]
+        self.basis = np.array(basis, dtype=int)
+        self.pivots = 0
+        # long degenerate paths on large bases need tighter drift control
+        self.refresh = min(refresh, 16) if self.rows > 128 else refresh
+        self.bland_from_start = bland_from_start
+        self.refactor()
+        low = float(np.min(self.x_basic(), initial=0.0))
+        if low < -PRIMAL_TOL:
+            raise NumericalBreakdownError(
+                f"starting basis is infeasible: a basic value is {low:.3e}")
+
+    def refactor(self) -> None:
+        try:
+            self.B_inv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdownError("simplex basis matrix is singular") from exc
+
+    def x_basic(self) -> np.ndarray:
+        return self.B_inv @ self.b
+
+    def _leave_row(self, d: np.ndarray, xb: np.ndarray, blands: bool) -> int:
+        """Ratio test.  Drift-negative basic values are clamped to zero so the
+        walk cannot leave the feasible region."""
+        pos = np.flatnonzero(d > _RATIO_TOL)
+        if pos.size == 0:
+            raise NumericalBreakdownError("empty ratio test: no row bounds the entering column")
+        ratios = np.maximum(xb[pos], 0.0) / d[pos]
+        best = float(np.min(ratios))
+        tied = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        if blands:
+            return int(tied[np.argmin(self.basis[tied])])
+        # favor the largest pivot element for numerical stability
+        return int(tied[np.argmax(d[tied])])
+
+    def run(self, c: np.ndarray) -> None:
+        """Pivot until no column prices out negative (tolerance 1e-10)."""
+        dantzig_limit = 10 * (self.rows + self.cols)
+        hard_cap = 200 * (self.rows + self.cols) + 10_000
+        fresh = True  # __init__ has just factorized the basis
+        while True:
+            if self.pivots > hard_cap:
+                raise NumericalBreakdownError(
+                    f"simplex exceeded {hard_cap} pivots without converging"
+                )
+            y = c[self.basis] @ self.B_inv
+            reduced = c - y @ self.A
+            candidates = np.flatnonzero(reduced < -_STOP_TOL)
+            if candidates.size == 0:
+                if fresh:
+                    if float(self.x_basic().min()) < -10 * _PIVOT_TOL:
+                        raise NumericalBreakdownError(
+                            "simplex lost primal feasibility on a degenerate path")
+                    return
+                # confirm optimality against a freshly factorized basis
+                self.refactor()
+                fresh = True
+                continue
+            blands = self.bland_from_start or self.pivots > dantzig_limit
+            if blands:
+                order = candidates  # Bland's rule: lowest eligible index first
+            else:
+                order = candidates[np.argsort(reduced[candidates], kind="stable")]
+            xb = self.x_basic()
+            # scan a few entering candidates for one with a sound pivot element
+            enter = leave_row = None
+            best_piv = 0.0
+            for cand in order[:16]:
+                d_cand = self.B_inv @ self.A[:, cand]
+                row = self._leave_row(d_cand, xb, blands)
+                piv = abs(d_cand[row])
+                if piv > best_piv:
+                    enter, leave_row, d, best_piv = int(cand), row, d_cand, piv
+                if piv >= _PIVOT_TOL:
+                    break
+            if best_piv < _PIVOT_TOL and not fresh:
+                # suspiciously small pivots everywhere: refresh and retry
+                self.refactor()
+                fresh = True
+                continue
+            # elementary row update of the basis inverse
+            fresh = False
+            pivot_row = self.B_inv[leave_row] / d[leave_row]
+            self.B_inv -= np.outer(d, pivot_row)
+            self.B_inv[leave_row] = pivot_row
+            self.basis[leave_row] = enter
+            self.pivots += 1
+            if self.pivots % self.refresh == 0:
+                self.refactor()
+                fresh = True
+
+
+class _CountedReference(_ReferenceSimplex):
+    """The reference loop, counting its basis inversions."""
+
+    refactorizations = 0
+
+    def refactor(self) -> None:
+        self.refactorizations += 1
+        super().refactor()
+
+
+def simplex_reference(lp) -> dict:
+    """Solve ``lp`` (an ``optimize.LinearProgram``) as ``solve_lp`` did with the loop above.
+
+    Returns x, y, objective, pivots, refactorizations, retried and the final
+    basis of the solve that returned them; a failed first solve is retried
+    once in safe mode (refresh 8, Bland's rule throughout).
+    """
+    slack_rows = np.flatnonzero([s == LE for s in lp.senses])
+    slack = np.zeros((lp.shape[0], slack_rows.size))
+    slack[slack_rows, np.arange(slack_rows.size)] = 1.0
+    A_std = np.hstack([lp.A, slack])
+    c_std = np.concatenate([lp.c, np.zeros(slack_rows.size)])
+
+    def optimum(sx, retried):
+        sx.run(c_std)
+        B = sx.A[:, sx.basis]
+        x_std = np.zeros(sx.cols)
+        x_std[sx.basis] = np.linalg.solve(B, lp.b)
+        x = x_std[:lp.shape[1]] + 0.0
+        y = np.linalg.solve(B.T, c_std[sx.basis])
+        objective = float(lp.c @ x)
+        _reference_certify(lp, x, y, objective)
+        return dict(x=x, y=y, objective=objective, pivots=sx.pivots,
+                    refactorizations=sx.refactorizations, retried=retried,
+                    basis=tuple(sx.basis.tolist()))
+
+    first = _CountedReference(A_std, lp.b, lp.basis)
+    try:
+        return optimum(first, retried=False)
+    except NumericalBreakdownError:
+        safe = _CountedReference(A_std, lp.b, lp.basis, refresh=8, bland_from_start=True)
+        return optimum(safe, retried=True)
+
+
+def _reference_certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, objective: float) -> None:
+    """KKT certificate recomputed from the original data, absolute tolerances."""
+    le = np.array([s == LE for s in lp.senses], dtype=bool)
+    r = lp.A @ x - lp.b
+    bad = np.flatnonzero(np.where(le, r > PRIMAL_TOL, np.abs(r) > PRIMAL_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericalBreakdownError(f"primal residual {r[i]:.3e} on row {i} ({lp.senses[i]})")
+    bad = np.flatnonzero(le & (y > DUAL_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericalBreakdownError(f"dual sign violation {y[i]:.3e} on row {i} (<=)")
+    if np.any(x < -PRIMAL_TOL):
+        raise NumericalBreakdownError("bound violation in primal solution")
+
+    # reduced costs: nonnegative where x sits at its zero bound, zero elsewhere
+    z = lp.c - lp.A.T @ y
+    at_zero = x <= 10 * PRIMAL_TOL
+    bad = np.flatnonzero(np.where(at_zero, z < -DUAL_TOL, np.abs(z) > DUAL_TOL))
+    if bad.size:
+        j = bad[0]
+        where = "at zero" if at_zero[j] else "on interior"
+        raise NumericalBreakdownError(f"reduced cost {z[j]:.3e} {where} variable {j}")
+    dual_obj = float(lp.b @ y)
+    if abs(objective - dual_obj) > GAP_TOL:
+        raise NumericalBreakdownError(
+            f"duality gap {objective - dual_obj:.3e} exceeds {GAP_TOL:.0e}"
+        )

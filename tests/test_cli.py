@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, and determinism."""
 import json
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from rdv import (
     save_space,
 )
 from rdv.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, _parse_generator_spec, build_analysis, main
+from rdv.suites import SUITE_NAMES
 import rdv.minimax as minimax_mod
 import rdv.optimize as optimize_mod
 import rdv.structure as structure_mod
@@ -297,6 +299,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "duality[0]: PASS" in out
         assert "duality: 4/4 pass" in out
+
+    def test_suite_times_on_stderr(self, capsys):
+        assert main(["verify", "--suite", "all", "--seeds", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert [line.split()[1] for line in lines] == list(SUITE_NAMES)
+        for line in lines:
+            assert re.fullmatch(r"suite: [a-z]+ \d+\.\d{3}s", line), line
+        assert "suite:" not in captured.out
 
     def test_summary_report(self, tmp_path):
         out = str(tmp_path / "sum.json")

@@ -9,6 +9,7 @@ from rdv import (
     IndexOutOfRangeError,
     KernelSpace,
     Measure,
+    SubsetPair,
     circle,
     dual_kernel,
     dual_route_check,
@@ -21,7 +22,8 @@ from rdv import (
     wiener_energy,
     wolf_relations,
 )
-from rdv.energy import maximal_energy_raw
+from rdv.cli import build_analysis
+from rdv.energy import EQUALITY_TOL, ORDER_TOL, maximal_energy_raw, upper_side
 from rdv.optimize import maximize_quadratic_on_simplex
 import sys
 
@@ -227,6 +229,40 @@ class TestWolfRelations:
         assert not rep.equality_applicable
         assert rep.invariant_found is None
         assert rep.upper_ok and rep.lower_ok
+
+
+class TestUpperSide:
+    """``upper_side``: the tolerances of r <= E and r = E, and the search it triggers."""
+
+    def test_strict_gap_skips_the_search(self, k3, monkeypatch):
+        def searched(*args):
+            raise AssertionError("no invariant search when r < E")
+
+        monkeypatch.setattr(energy_mod, "invariant_measure", searched)
+        side = upper_side(k3, 0.5, 0.5 + 2 * EQUALITY_TOL)
+        assert (side.upper_ok, side.equality_applicable, side.invariant_found) == (True, False, None)
+        assert side.invariant_when_equal
+
+    def test_equality_searches_the_full_pair(self, k3):
+        side = upper_side(k3, 2.0 / 3.0 + 0.5 * ORDER_TOL, 2.0 / 3.0)
+        assert side.equality_applicable and side.invariant_found is True
+        assert side.upper_ok and side.invariant_when_equal
+
+    def test_order_tolerance(self, k3):
+        e = 2.0 / 3.0
+        assert upper_side(k3, e + 0.5 * ORDER_TOL, e).upper_ok
+        assert not upper_side(k3, e + 2 * EQUALITY_TOL, e).upper_ok
+
+    def test_wolf_relations_and_analysis_agree(self):
+        space = instance_space(REGRESSION_SEED)
+        rep = wolf_relations(space)
+        side = upper_side(space, rep.r, rep.e)
+        assert (rep.upper_ok, rep.equality_applicable, rep.invariant_found) == (
+            side.upper_ok, side.equality_applicable, side.invariant_found)
+        report, _ = build_analysis(space, SubsetPair.full(space.m), n_max=2)
+        assert report.verdicts["wolf_upper"] is side.upper_ok
+        assert report.verdicts["wolf_invariant_when_equal"] is side.invariant_when_equal
+        assert report.parameters["wolf_equality_applicable"] is side.equality_applicable
 
 
 class TestSubsetValidation:

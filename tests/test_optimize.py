@@ -24,6 +24,7 @@ from rdv import (
 )
 from rdv.core import validate_kernel
 from rdv.minimax import level_program
+import rdv.minimax as minimax_mod
 import rdv.optimize as optimize_mod
 from rdv.optimize import (
     _ENUM_CHUNK,
@@ -36,9 +37,10 @@ from rdv.optimize import (
     solve_lp,
 )
 from rdv.spectral import sum_zero_definiteness
-from rdv.suites import instance_pairs, instance_space
+from rdv.suites import instance_pairs, instance_space, run_suites
 
-from oracles import away_fw_loop, enumerate_supports_loop, grid_energy
+import oracles
+from oracles import away_fw_loop, enumerate_supports_loop, grid_energy, simplex_reference
 
 
 def _lp(c, A, senses, b, basis):
@@ -160,21 +162,25 @@ class TestLpBasics:
 
 
 class TestLpWork:
-    """``LpSolution`` counts its pivots and the safe-mode retry."""
+    """``LpSolution`` counts its pivots, its basis inversions and the safe-mode retry."""
 
     FORMS = [(True, False), (False, True), (True, True)]
 
     def test_level_pivots_pinned(self):
         # From the Dirac vertex: 951 pivots.  Phase 1 plus phase 2 from the
-        # slack-and-artificial start took 723 + 1020 = 1743.
-        total, retried = 0, False
+        # slack-and-artificial start took 723 + 1020 = 1743.  600 basis
+        # inversions: one per start basis, and one more to confirm the
+        # optimum of each of the 300 solves that pivots.
+        total, refactorizations, retried = 0, 0, False
         for seed in range(100):
             space = instance_space(seed)
             for roof, floor in self.FORMS:
                 sol = solve_lp(level_program(space, SubsetPair.full(space.m), roof, floor))
                 total += sol.pivots
+                refactorizations += sol.refactorizations
                 retried |= sol.retried
         assert total == 951
+        assert refactorizations == 600
         assert not retried
 
     def test_safe_mode_retry_is_counted(self, monkeypatch):
@@ -192,19 +198,57 @@ class TestLpWork:
         retried = solve_lp(lp)
         assert not plain.retried and retried.retried
         assert retried.pivots > 0
+        # both counters are those of the safe-mode solve alone
+        A_std, c_std = optimize_mod._to_standard_form(lp)
+        safe = optimize_mod._Simplex(A_std, lp.b, lp.basis, refresh=8, bland_from_start=True)
+        run(safe, c_std)
+        assert (retried.pivots, retried.refactorizations) == (safe.pivots, safe.refactorizations)
         assert retried.objective == pytest.approx(plain.objective, abs=1e-12)
+
+
+def _duality_lps():
+    """25 random LPs with a box, started from the slack basis."""
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        n, rows = 6, 4
+        A = rng.normal(size=(rows, n))
+        x0 = rng.dirichlet(np.ones(n))
+        b = np.abs(A @ x0) + rng.uniform(0.0, 1.0, size=rows)
+        c = rng.normal(size=n)
+        yield A, b, _boxed(c, A, b, 2.0)
+
+
+def _rounded_lps():
+    """40 random LPs of 2-7 variables and 1-5 rows, data rounded, box 1.5."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        rows = int(rng.integers(1, 6))
+        A = rng.normal(size=(rows, n)).round(3)
+        x0 = rng.dirichlet(np.ones(n))
+        b = (np.abs(A @ x0) + rng.uniform(0.0, 1.0, size=rows)).round(3)
+        c = rng.normal(size=n).round(3)
+        yield c, A, b, _boxed(c, A, b, 1.5)
+
+
+def _equality_lps():
+    """20 LPs with two '=' rows and the box x <= 3, started from x0, x1 and
+    the box slacks: b is built from positive x0, x1 so that start is feasible."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        A = rng.normal(size=(2, n)).round(3)
+        b = (A[:, :2] @ rng.uniform(0.2, 1.0, size=2)).round(6)
+        c = rng.normal(size=n).round(3)
+        yield c, A, b, _lp(c, np.vstack([A, np.eye(n)]), ("=", "=") + ("<=",) * n,
+                           np.concatenate([b, np.full(n, 3.0)]),
+                           (0, 1) + tuple(range(n, 2 * n)))
 
 
 class TestLpDuality:
     def test_dual_signs_and_strong_duality(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n, rows = 6, 4
-            A = rng.normal(size=(rows, n))
-            x0 = rng.dirichlet(np.ones(n))
-            b = np.abs(A @ x0) + rng.uniform(0.0, 1.0, size=rows)
-            c = rng.normal(size=n)
-            sol = solve_lp(_boxed(c, A, b, 2.0))
+        for A, b, lp in _duality_lps():
+            sol = solve_lp(lp)
             # feasibility of the returned vertex
             assert np.all(A @ sol.x <= b + 1e-9)
             assert np.all(sol.x >= -1e-9) and np.all(sol.x <= 2.0 + 1e-9)
@@ -213,37 +257,98 @@ class TestLpDuality:
 
     def test_agrees_with_reference_solver(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = np.random.default_rng(11)
-        for trial in range(40):
-            n = int(rng.integers(2, 8))
-            rows = int(rng.integers(1, 6))
-            A = rng.normal(size=(rows, n)).round(3)
-            x0 = rng.dirichlet(np.ones(n))
-            b = (np.abs(A @ x0) + rng.uniform(0.0, 1.0, size=rows)).round(3)
-            c = rng.normal(size=n).round(3)
-            sol = solve_lp(_boxed(c, A, b, 1.5))
-            ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0.0, 1.5)] * n, method="highs")
+        for trial, (c, A, b, lp) in enumerate(_rounded_lps()):
+            sol = solve_lp(lp)
+            ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0.0, 1.5)] * len(c), method="highs")
             assert ref.status == 0, f"trial {trial}"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
 
     def test_equality_duals_match_reference(self):
-        # two '=' rows and the box x <= 3, started from x0, x1 and the box
-        # slacks: b is built from positive x0, x1 so that start is feasible
         linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = np.random.default_rng(23)
-        for trial in range(20):
-            n = int(rng.integers(3, 7))
-            A = rng.normal(size=(2, n)).round(3)
-            b = (A[:, :2] @ rng.uniform(0.2, 1.0, size=2)).round(6)
-            c = rng.normal(size=n).round(3)
-            sol = solve_lp(_lp(c, np.vstack([A, np.eye(n)]), ("=", "=") + ("<=",) * n,
-                               np.concatenate([b, np.full(n, 3.0)]),
-                               (0, 1) + tuple(range(n, 2 * n))))
-            ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, 3.0)] * n, method="highs")
+        for trial, (c, A, b, lp) in enumerate(_equality_lps()):
+            sol = solve_lp(lp)
+            ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0.0, 3.0)] * len(c), method="highs")
             assert ref.status == 0, f"trial {trial}"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
             assert sol.y[:2] == pytest.approx(ref.eqlin.marginals, abs=1e-7), f"trial {trial}"
             assert sol.y[2:] == pytest.approx(ref.upper.marginals, abs=1e-7), f"trial {trial}"
+
+
+def _solve_keeping_basis(lp):
+    """``solve_lp(lp)`` and the final basis of the simplex run that returned it."""
+    ends = []
+    run = optimize_mod._Simplex.run
+
+    def recording(sx, c):
+        run(sx, c)
+        ends.append(tuple(sx.basis.tolist()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_mod._Simplex, "run", recording)
+        sol = solve_lp(lp)
+    return sol, ends[-1]
+
+
+def _assert_same_as_reference(lp, label):
+    sol, basis = _solve_keeping_basis(lp)
+    ref = simplex_reference(lp)
+    assert sol.x.tobytes() == ref["x"].tobytes(), label
+    assert sol.y.tobytes() == ref["y"].tobytes(), label
+    assert sol.objective == ref["objective"], label
+    assert (sol.pivots, sol.refactorizations, sol.retried) == (
+        ref["pivots"], ref["refactorizations"], ref["retried"]), label
+    assert basis == ref["basis"], label
+    return sol
+
+
+@pytest.fixture(scope="module")
+def suite_level_programs():
+    """Every level program that ``run_suites("all", 100)`` solves, in order."""
+    lps = []
+    solve = minimax_mod.solve_lp
+
+    def recording(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax_mod, "solve_lp", recording)
+        run_suites("all", 100)
+    return lps
+
+
+class TestSimplexReference:
+    """``solve_lp`` against the loop that chose with numpy calls, bit for bit:
+    same x, y, objective, pivots, refactorizations, retry and final basis."""
+
+    def test_suite_level_programs(self, suite_level_programs):
+        pivots = refactorizations = 0
+        for k, lp in enumerate(suite_level_programs):
+            sol = _assert_same_as_reference(lp, f"level program {k}")
+            pivots += sol.pivots
+            refactorizations += sol.refactorizations
+        assert (len(suite_level_programs), pivots, refactorizations) == (1462, 3205, 2660)
+
+    def test_random_lps(self):
+        lps = [lp for *_, lp in _duality_lps()]
+        lps += [lp for *_, lp in _rounded_lps()]
+        lps += [lp for *_, lp in _equality_lps()]
+        for k, lp in enumerate(lps):
+            _assert_same_as_reference(lp, f"random LP {k}")
+
+    def test_safe_mode_loop(self, suite_level_programs):
+        # the safe-mode settings (refresh 8, Bland's rule throughout), which
+        # no solve above needs, on every level program
+        for k, lp in enumerate(suite_level_programs):
+            A_std, c_std = optimize_mod._to_standard_form(lp)
+            loops = [cls(A_std, lp.b, lp.basis, refresh=8, bland_from_start=True)
+                     for cls in (optimize_mod._Simplex, oracles._CountedReference)]
+            for sx in loops:
+                sx.run(c_std)
+            new, ref = loops
+            assert (new.pivots, new.refactorizations) == (ref.pivots, ref.refactorizations), k
+            assert new.basis.tobytes() == ref.basis.tobytes(), k
+            assert new.B_inv.tobytes() == ref.B_inv.tobytes(), k
 
 
 class TestCertificate:
