@@ -20,7 +20,7 @@ from .energy import (
     ORDER_TOL,
     frostman_check,
     maximal_energy,
-    upper_side,
+    order_side,
     wiener_energy,
 )
 from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain, rendezvous_number
@@ -97,12 +97,13 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     Every solve is cached on its space, so the readers below share each LP,
     QP, scan and spectrum.  The dual kernel's minimal energy (``w_dual``,
     ``equilibrium_dual`` and the maximal energy's dual route) is read from
-    the maximal energy through C, with no QP of its own.  One second solve
-    stays on purpose, as an independent check: the lower minimax value is
-    its own LP beside the upper one.  The dual route's independent check
-    (``energy.dual_route_check``) runs in ``rdv verify --suite wolf``.
-    Where an invariant measure settles a pair with H = L (see
-    ``average_interval``), that pair needs no LP at all.
+    the maximal energy through C, with no QP of its own.  The lower minimax
+    value is read from the duals of the upper value's LP on the swapped
+    pair, which the inequality chain reads too: one LP for H = L.  The
+    independent checks run in ``rdv verify``: the lower value's own LP in
+    ``--suite duality``, the dual route's (``energy.dual_route_check``) in
+    ``--suite wolf``.  Where an invariant measure settles a pair with
+    H = L (see ``average_interval``), that pair needs no LP at all.
     """
     pair.check_range(space.m)
     table = chebyshev_table(space, pair, n_max, enum_cap)
@@ -118,7 +119,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     fr = frostman_check(dual, range(space.m), eq.measure)
 
     r = rendezvous_number(space)
-    wolf = upper_side(space, r, me.value)
+    wolf = order_side(space, r, me.value)
 
     scalars = {
         "r": r,
@@ -154,7 +155,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "frostman_a": fr.verdict_a,
         "frostman_b": fr.verdict_b,
         "frostman_c": fr.verdict_c,
-        "wolf_upper": wolf.upper_ok,
+        "wolf_upper": wolf.ok,
         "wolf_invariant_when_equal": wolf.invariant_when_equal,
         "chain_ok": chain.ok,
         "invariant_found": inv.found,

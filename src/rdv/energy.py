@@ -30,7 +30,7 @@ from .core import (
     check_subset,
     dual_kernel,
 )
-from .minimax import AverageResult, average_interval
+from .minimax import average_interval
 from .optimize import (
     QP_ENUM_LIMIT,
     EnergyResult,
@@ -179,101 +179,55 @@ def dual_route_check(space: KernelSpace, constant: Optional[float] = None) -> fl
 
 
 @dataclass(frozen=True)
-class WolfReport:
-    """Ordering relations between the rendezvous value and extremal energies.
+class OrderSide:
+    """One side ``low <= high`` of w <= r <= E on one kernel.
 
-    On every kernel: w <= r <= E (within solver slack), and likewise
-    w_dual <= r_dual on the dual kernel.  When r and E coincide an
-    invariant measure must exist; ``invariant_found`` records the search
-    outcome whenever that equality holds.  When r equals w, the minimax
-    measure is itself energy-minimizing; ``equality_energy_residual``
-    carries |W(mu) - w| in that case.
+    ``ok`` is low <= high + ``ORDER_TOL``; ``equality_applicable`` is
+    |high - low| <= ``EQUALITY_TOL``, and only then is an invariant measure
+    on the full pair searched for: ``invariant_found`` is its outcome, None
+    when the two differ.
     """
 
-    r: float
-    e: float
-    w: float
-    r_dual: float
-    w_dual: float
-    dual_constant: float
-    upper_ok: bool
-    lower_ok: bool
-    dual_lower_ok: bool
-    equality_applicable: bool
-    invariant_found: Optional[bool]
-    dual_equality_applicable: bool
-    dual_invariant_found: Optional[bool]
-    equality_energy_residual: Optional[float]
-    dual_equality_energy_residual: Optional[float]
-
-
-def _equality_side(space: KernelSpace, average: AverageResult, w: float) -> Optional[float]:
-    """|energy(minimax measure) - w| when r == w, else None."""
-    if abs(float(average.unique_point) - w) > EQUALITY_TOL:
-        return None
-    mu = average.mu_opt
-    return abs(float(mu.weights @ space.kernel @ mu.weights) - w)
-
-
-@dataclass(frozen=True)
-class UpperSide:
-    """The upper side r <= E of w <= r <= E on one kernel.
-
-    ``upper_ok`` is r <= E + ``ORDER_TOL``; ``equality_applicable`` is
-    |r - E| <= ``EQUALITY_TOL``, and only then is an invariant measure on
-    the full pair searched for: ``invariant_found`` is its outcome, None
-    when r and E differ.
-    """
-
-    upper_ok: bool
+    ok: bool
     equality_applicable: bool
     invariant_found: Optional[bool]
 
     @property
     def invariant_when_equal(self) -> bool:
-        """r = E implies an invariant measure: true when r < E or one was found."""
+        """Equality implies an invariant measure: true when low < high or one was found."""
         return not self.equality_applicable or bool(self.invariant_found)
 
 
-def upper_side(space: KernelSpace, r: float, e: float) -> UpperSide:
-    """The ``UpperSide`` relations of rendezvous value ``r`` and maximal energy ``e``."""
-    equality = bool(abs(r - e) <= EQUALITY_TOL)
+def order_side(space: KernelSpace, low: float, high: float) -> OrderSide:
+    """The ``OrderSide`` relations of ``low`` and ``high`` on ``space``."""
+    equality = bool(abs(high - low) <= EQUALITY_TOL)
     found = invariant_measure(space, SubsetPair.full(space.m)).found if equality else None
-    return UpperSide(upper_ok=bool(r <= e + ORDER_TOL), equality_applicable=equality,
+    return OrderSide(ok=bool(low <= high + ORDER_TOL), equality_applicable=equality,
                      invariant_found=found)
 
 
-def wolf_relations(space: KernelSpace,
-                   constant: Optional[float] = None) -> WolfReport:
+@dataclass(frozen=True)
+class WolfReport:
+    """Ordering relations between the rendezvous value and extremal energies.
+
+    ``upper`` is r <= E, with r = E implying an invariant measure; ``lower``
+    is w <= r, with r = w implying one.  On the dual kernel C - k the
+    rendezvous value is C - r and the energies are C - E and C - w, and a
+    measure is invariant on C - k when it is on k, so the same relations
+    there restate these two sides with their roles swapped: nothing is
+    solved on C - k.
+    """
+
+    r: float
+    e: float
+    w: float
+    upper: OrderSide
+    lower: OrderSide
+
+
+def wolf_relations(space: KernelSpace) -> WolfReport:
     """Verify w <= r <= E and the equality/invariance implications."""
-    full = SubsetPair.full(space.m)
-    avg = average_interval(space, full)
-    r = float(avg.unique_point)
-    dual_space, C = dual_kernel(space, constant)
-    e = maximal_energy(space, constant)
+    r = float(average_interval(space, SubsetPair.full(space.m)).unique_point)
+    e = maximal_energy(space).value
     w = wiener_energy(space).value
-    avg_dual = average_interval(dual_space, full)
-    r_dual = float(avg_dual.unique_point)
-    w_dual = wiener_energy(dual_space).value
-
-    upper = upper_side(space, r, e.value)
-    # on the dual kernel the maximal energy is C - w
-    dual_upper = upper_side(dual_space, r_dual, C - w)
-
-    return WolfReport(
-        r=r,
-        e=e.value,
-        w=w,
-        r_dual=r_dual,
-        w_dual=w_dual,
-        dual_constant=C,
-        upper_ok=upper.upper_ok,
-        lower_ok=bool(r >= w - ORDER_TOL),
-        dual_lower_ok=bool(r_dual >= w_dual - ORDER_TOL),
-        equality_applicable=upper.equality_applicable,
-        invariant_found=upper.invariant_found,
-        dual_equality_applicable=dual_upper.equality_applicable,
-        dual_invariant_found=dual_upper.invariant_found,
-        equality_energy_residual=_equality_side(space, avg, w),
-        dual_equality_energy_residual=_equality_side(dual_space, avg_dual, w_dual),
-    )
+    return WolfReport(r=r, e=e, w=w, upper=order_side(space, r, e), lower=order_side(space, w, r))

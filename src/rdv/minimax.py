@@ -2,10 +2,13 @@
 
 The upper value minimizes the worst potential a measure on H shows
 anywhere on L; the lower value maximizes the best-guaranteed potential.
-Both are linear programs over the probability simplex.  For H = L the two
-values coincide (up to solver tolerance) and the common value is the
-rendezvous number of the subspace; a persistent gap there is reported as
-a hard failure, never averaged away.
+Both are the values of the matrix game K[L, H], so one linear program
+over the probability simplex gives two of them: the upper value on (L, H)
+is its optimal level, and the lower value on (H, L) is read from its
+certified row duals, with no LP of its own.  For H = L the two values
+coincide (up to solver tolerance) and the common value is the rendezvous
+number of the subspace; a persistent gap there is reported as a hard
+failure, never averaged away.
 
 For H = L an invariant measure, one whose potential is constant on L,
 settles both values without an LP: ``invariant_candidate`` tries the
@@ -86,12 +89,6 @@ def solve_level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
                       lambda: solve_lp(level_program(space, pair, roof, floor)))
 
 
-def _level_value(space: KernelSpace, pair: SubsetPair, roof: bool) -> float:
-    """The upper (``roof``) or the lower value of ``pair``, without its measure."""
-    sol = solve_level_program(space, pair, roof=roof, floor=not roof)
-    return float(sol.x[len(pair.H)])
-
-
 def q_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
     """Smallest achievable worst-case potential on L for measures on H."""
     h = len(pair.H)
@@ -100,10 +97,17 @@ def q_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
 
 
 def q_lower_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
-    """Largest achievable guaranteed potential on L for measures on H."""
-    h = len(pair.H)
-    sol = solve_level_program(space, pair, roof=False, floor=True)
-    return float(sol.x[h]), Measure.from_subvector(space.m, pair.H, sol.x[:h])
+    """Largest achievable guaranteed potential on L for measures on H.
+
+    No LP of its own: this is the dual of the upper value on (L, H), so the
+    optimal measure is minus the certified duals of that LP's |H| roof rows.
+    The value is the least potential of that measure on L, which the
+    measure itself proves.
+    """
+    sol = solve_level_program(space, pair.swapped(), roof=True, floor=False)
+    # + 0.0 keeps -0.0 out of the measure and the reports
+    nu = Measure.from_subvector(space.m, pair.H, -sol.y[:len(pair.H)] + 0.0)
+    return profile(space, nu, pair.L).interval.lo, nu
 
 
 def _certified_invariant(space: KernelSpace, pair: SubsetPair,
@@ -182,20 +186,17 @@ def average_interval(space: KernelSpace, pair: SubsetPair) -> AverageResult:
     LP.  K is symmetric, so every measure nu on H has
     max K nu >= <nu, K mu> >= min K mu and min K nu <= <mu, K nu> <= max K mu:
     both values lie in [min K mu, max K mu], which is returned, with mu as
-    the measure of both sides.  Otherwise both LPs are solved.  For H = L
-    the values must agree within 1e-8 (the interval is a single point
-    there); any larger discrepancy raises ``UniquenessViolatedError`` rather
-    than returning a fudged answer.
+    the measure of both sides.  Otherwise the upper value is solved on
+    (H, L) and the lower value read from the upper value's LP on (L, H):
+    one LP for H = L, two for other pairs.  For H = L the values must agree
+    within 1e-8 (the interval is a single point there); any larger
+    discrepancy raises ``UniquenessViolatedError`` rather than returning a
+    fudged answer.
     """
     mu = invariant_candidate(space, pair)
-    if mu is None:
-        return _lp_average(space, pair)
-    levels = profile(space, mu, pair.L).interval
-    return _average(space, pair, levels.hi, levels.lo, mu, mu)
-
-
-def _lp_average(space: KernelSpace, pair: SubsetPair) -> AverageResult:
-    """``average_interval`` from the two LPs, never from an invariant measure."""
+    if mu is not None:
+        levels = profile(space, mu, pair.L).interval
+        return _average(space, pair, levels.hi, levels.lo, mu, mu)
     qu, mu = q_value(space, pair)
     ql, nu = q_lower_value(space, pair)
     return _average(space, pair, qu, ql, mu, nu)
@@ -274,23 +275,22 @@ def _elton(space: KernelSpace, pair: SubsetPair, avg: AverageResult) -> EltonMea
 class ChainReport:
     """Sandwich of LP values between finite-order multiset bounds.
 
-    ``q_lower`` is the lower value on (H, L); ``q_swapped`` the upper value
-    on (L, H); the two are dual LPs and must agree within 1e-8.  Multiset
-    bounds participate one-sided only, since finite orders merely bracket
-    their limits: ``cheb_lower`` is the best constant of the (H, L) table
-    over ``orders_lower``, ``cheb_upper`` the best dual constant of the
-    (L, H) table over ``orders_upper``; the cap can skip different orders
-    on the two sides.  ``a_nonempty`` checks, for nested pairs, that the
-    lower value does not exceed the upper value on (H, L) itself.
+    ``q_lower`` is the lower value on (H, L), read from the duals of the
+    upper value's LP on (L, H); ``equality_residual`` is their distance,
+    which must be at most 1e-8.  Multiset bounds participate one-sided
+    only, since finite orders merely bracket their limits:
+    ``residual_lower_side`` is ``q_lower`` less the best constant of the
+    (H, L) table over ``orders_lower``, ``residual_upper_side`` the best
+    dual constant of the (L, H) table over ``orders_upper`` less the upper
+    value on (L, H); the cap can skip different orders on the two sides.
+    ``a_nonempty`` checks, for nested pairs, that the lower value does not
+    exceed the upper value on (H, L) itself.
     """
 
     pair: SubsetPair
     orders_lower: tuple[int, ...]
     orders_upper: tuple[int, ...]
     q_lower: float
-    q_swapped: float
-    cheb_lower: float
-    cheb_upper: float
     residual_lower_side: float
     residual_upper_side: float
     equality_residual: float
@@ -303,9 +303,9 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
                      cap: Optional[int] = None) -> ChainReport:
     """Verify the two-sided sandwich of minimax values at tolerance 1e-8.
 
-    Nested pairs read both values from ``average_interval``; for H = L the
-    upper value is also the swapped one, and the table serves both sides.
-    Other pairs need only the lower value's LP and the swapped upper one.
+    The lower value on (H, L) and the upper value on (L, H) come from one
+    LP.  Nested pairs read both values from ``average_interval``, which for
+    H = L is that same LP, and the table then serves both sides.
     """
     check_n_max(n_max)
     pair.check_range(space.m)
@@ -313,14 +313,12 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
         average = average_interval(space, pair)
         ql, q_upper = average.q_lower, average.q_upper
     else:
-        ql, q_upper = _level_value(space, pair, roof=False), None
-    qs = q_upper if pair.H == pair.L else _level_value(space, pair.swapped(), roof=True)
+        ql, q_upper = q_lower_value(space, pair)[0], None
+    qs = q_upper if pair.H == pair.L else q_value(space, pair.swapped())[0]
     table = chebyshev_table(space, pair, n_max, cap)
     swapped = table if pair.H == pair.L else chebyshev_table(space, pair.swapped(), n_max, cap)
-    cheb_lower = max(table.lower, default=0.0)
-    cheb_upper = min(swapped.upper, default=float("inf"))
-    res_lo = ql - cheb_lower
-    res_hi = cheb_upper - qs
+    res_lo = ql - max(table.lower, default=0.0)
+    res_hi = min(swapped.upper, default=float("inf")) - qs
     eq_res = abs(qs - ql)
     a_nonempty = None if q_upper is None else bool(q_upper >= ql - GAP_UNIQUE_TOL)
     ok = (
@@ -334,9 +332,6 @@ def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
         orders_lower=table.n_values,
         orders_upper=swapped.n_values,
         q_lower=ql,
-        q_swapped=qs,
-        cheb_lower=cheb_lower,
-        cheb_upper=cheb_upper,
         residual_lower_side=res_lo,
         residual_upper_side=res_hi,
         equality_residual=eq_res,

@@ -328,13 +328,16 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, objective: float) -> None:
     """KKT certificate recomputed from the original data, absolute tolerances."""
+    xs, ys = x.tolist(), y.tolist()
+    # every check below is a comparison, which NaN passes
+    if not all(map(math.isfinite, xs + ys + [objective])):
+        raise NumericalBreakdownError("non-finite primal, dual or objective value")
     for i, (r, sense) in enumerate(zip((lp.A @ x - lp.b).tolist(), lp.senses)):
         if (r if sense == LE else abs(r)) > PRIMAL_TOL:
             raise NumericalBreakdownError(f"primal residual {r:.3e} on row {i} ({sense})")
-    for i, (yi, sense) in enumerate(zip(y.tolist(), lp.senses)):
+    for i, (yi, sense) in enumerate(zip(ys, lp.senses)):
         if sense == LE and yi > DUAL_TOL:
             raise NumericalBreakdownError(f"dual sign violation {yi:.3e} on row {i} (<=)")
-    xs = x.tolist()
     if any(v < -PRIMAL_TOL for v in xs):
         raise NumericalBreakdownError("bound violation in primal solution")
 
@@ -762,7 +765,8 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         cert = "enumerated_exact"
     else:
         starts = [np.full(h, 1.0 / h)]
-        for i in np.unique(np.linspace(0, h - 1, 15).round().astype(int)):
+        # distinct Dirac starts in increasing order; np.unique would import numpy.ma
+        for i in dict.fromkeys(np.linspace(0, h - 1, 15).round().astype(int).tolist()):
             e = np.zeros(h)
             e[i] = 1.0
             starts.append(e)

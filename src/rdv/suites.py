@@ -24,7 +24,14 @@ from .core import (
     dual_kernel,
 )
 from .energy import dual_route_check, frostman_check, wiener_energy, wolf_relations
-from .minimax import GAP_UNIQUE_TOL, _elton, _lp_average, inequality_chain
+from .minimax import (
+    GAP_UNIQUE_TOL,
+    _average,
+    _elton,
+    inequality_chain,
+    q_value,
+    solve_level_program,
+)
 from .spaces import circle, generate, hypercube, random_graph, save_space
 from .structure import (
     INVARIANCE_TOL,
@@ -108,10 +115,15 @@ class SuiteReport:
 
 
 def _check_duality(space: KernelSpace) -> tuple[bool, str]:
-    # The LP route even where an invariant measure would settle the pair:
-    # the gap then compares two separate LP solves, not a measure with itself.
+    # Two separate LP solves, even where an invariant measure would settle
+    # the pair: the upper value's LP, and the lower value's own floor LP in
+    # place of the first LP's duals.  Nowhere else in the program is the
+    # floor solved.
     full = SubsetPair.full(space.m)
-    avg = _lp_average(space, full)
+    qu, mu = q_value(space, full)
+    floor = solve_level_program(space, full, roof=False, floor=True)
+    nu = Measure.from_subvector(space.m, full.H, floor.x[:space.m])
+    avg = _average(space, full, qu, float(floor.x[space.m]), mu, nu)
     gap = abs(avg.q_upper - avg.q_lower)
     elton = _elton(space, full, avg)
     ok = (
@@ -156,15 +168,9 @@ def _check_wolf(space: KernelSpace) -> tuple[bool, str]:
     # raises DualMismatchError, a failing outcome, when the maximal energy and
     # the independently solved dual route disagree on a certified kernel
     dual_route_check(space)
-    ok = (
-        rep.upper_ok
-        and rep.lower_ok
-        and rep.dual_lower_ok
-        and rep.invariant_found is not False
-        and rep.dual_invariant_found is not False
-    )
-    if rep.equality_applicable:
-        branch = f"equality, invariant_found={rep.invariant_found}"
+    ok = all(side.ok and side.invariant_when_equal for side in (rep.upper, rep.lower))
+    if rep.upper.equality_applicable:
+        branch = f"equality, invariant_found={rep.upper.invariant_found}"
     else:
         branch = "strict r<E, (ii) vacuous"
     detail = "r={:.6g} E={:.6g} w={:.6g} {}".format(rep.r, rep.e, rep.w, branch)

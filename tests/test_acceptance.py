@@ -207,7 +207,7 @@ def test_criterion_08_energy_ordering_and_strict_gap(capsys, instances100):
         rep = wolf_relations(space)
         order_ok = order_ok and rep.r <= rep.e + 1e-8
         if abs(rep.r - rep.e) <= 1e-7:
-            equality_ok = equality_ok and rep.invariant_found is True
+            equality_ok = equality_ok and rep.upper.invariant_found is True
     pinned = wolf_relations(instance_space(REGRESSION_SEED))
     strict = pinned.r < pinned.e - 1e-4
     ok = order_ok and equality_ok and strict

@@ -274,17 +274,21 @@ class TestSolveOnce:
     def test_nested_pair(self, calls):
         space = generate(circle(8))
         report, _ = build_analysis(space, SubsetPair((0, 2, 4, 6), tuple(range(8))), n_max=2)
-        # q, q_lower and invariance on the pair; q on the swapped pair for the
-        # chain.  The full pair, whose invariance r = E brings in, has an
-        # invariant measure (the uniform one) and needs no LP.
+        # q and invariance on the pair; q on the swapped pair, whose duals
+        # give q_lower and which the chain reads.  The full pair, whose
+        # invariance r = E brings in, has an invariant measure (the uniform
+        # one) and needs no LP.
         assert report.parameters["wolf_equality_applicable"] is True
-        assert calls == {"lp": 4, "qp": 2}
+        assert calls == {"lp": 3, "qp": 2}
 
     @pytest.mark.parametrize("desc, equality, lp", [
-        # the full grid's invariant measure (the two endpoints) needs no LP
-        (interval_grid(8), True, 4),
-        # strict gap r < E: the full pair's invariance LP is never read
-        (random_graph(6, 0.5, 3), False, 6),
+        # q, q on the swapped pair (whose duals give q_lower) and invariance
+        # on the pair; the full grid's invariant measure (the two endpoints)
+        # needs no LP
+        (interval_grid(8), True, 3),
+        # strict gap r < E: the full pair's invariance LP is never read; r is
+        # one LP, whose duals give the full pair's lower value
+        (random_graph(6, 0.5, 3), False, 4),
     ])
     def test_general_pair(self, calls, desc, equality, lp):
         space = generate(desc)
@@ -402,6 +406,16 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
         space, _ = load_space_file(str(out))
         assert np.array_equal(space.kernel[0], [0.0, 0.5, 1.0])
+
+    def test_analysis_does_not_import_numpy_ma(self):
+        # numpy.ma takes about 20 ms and 0.9 MB to import, inside every timed
+        # run; circle(16) reaches the multistart, whose starts once used np.unique
+        code = ("import os, sys; from rdv.cli import main; "
+                "main(['analyze', 'circle(16)', '--out', os.devnull]); "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_if_installed(self, tmp_path):
         import shutil

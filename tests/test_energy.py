@@ -19,11 +19,12 @@ from rdv import (
     interval_grid,
     maximal_energy,
     random_graph,
+    rendezvous_number,
     wiener_energy,
     wolf_relations,
 )
 from rdv.cli import build_analysis
-from rdv.energy import EQUALITY_TOL, ORDER_TOL, maximal_energy_raw, upper_side
+from rdv.energy import EQUALITY_TOL, ORDER_TOL, maximal_energy_raw, order_side
 from rdv.optimize import maximize_quadratic_on_simplex
 import sys
 
@@ -188,36 +189,44 @@ class TestWolfRelations:
         assert rep.r == pytest.approx(0.5, abs=1e-9)
         assert rep.e == pytest.approx(0.5, abs=1e-9)
         assert rep.w == pytest.approx(0.0, abs=1e-10)
-        assert rep.w_dual == pytest.approx(0.5, abs=1e-9)
-        assert rep.r_dual == pytest.approx(0.5, abs=1e-9)
-        assert rep.upper_ok and rep.lower_ok and rep.dual_lower_ok
-        assert rep.equality_applicable
-        assert rep.invariant_found is True
-        assert rep.dual_equality_energy_residual == pytest.approx(0.0, abs=1e-8)
+        assert rep.upper.ok and rep.lower.ok
+        assert rep.upper.equality_applicable
+        assert rep.upper.invariant_found is True
+        assert not rep.lower.equality_applicable and rep.lower.invariant_found is None
 
     def test_complete_graph_equalities(self, k3):
         rep = wolf_relations(k3)
         assert rep.r == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert rep.e == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert rep.equality_applicable
-        assert rep.invariant_found is True
+        assert rep.upper.equality_applicable
+        assert rep.upper.invariant_found is True
 
     def test_interval_grid_endpoint_equality(self):
         rep = wolf_relations(generate(interval_grid(11)))
         assert rep.r == pytest.approx(0.5, abs=1e-9)
         assert rep.e == pytest.approx(0.5, abs=1e-9)
-        assert rep.invariant_found is True
+        assert rep.upper.invariant_found is True
 
     def test_orderings_hold_across_instances(self, instances100):
         for space in instances100[:15]:
             rep = wolf_relations(space)
-            assert rep.upper_ok
-            assert rep.lower_ok
-            assert rep.dual_lower_ok
-            if rep.equality_applicable:
-                assert rep.invariant_found is True
-            if rep.dual_equality_applicable:
-                assert rep.dual_invariant_found is True
+            for side in (rep.upper, rep.lower):
+                assert side.ok
+                if side.equality_applicable:
+                    assert side.invariant_found is True
+
+    def test_sides_restate_the_dual_kernel(self, instances100):
+        # w_dual <= r_dual <= E_dual solved on C - k gives the verdicts of
+        # the two sides on k: r_dual <= C - w is the lower side, w_dual =
+        # C - E <= r_dual the upper one
+        for space in instances100:
+            rep = wolf_relations(space)
+            dual, C = dual_kernel(space)
+            r_dual = rendezvous_number(dual)
+            dual_upper = order_side(dual, r_dual, C - rep.w)
+            assert (dual_upper.ok, dual_upper.equality_applicable, dual_upper.invariant_found) == (
+                rep.lower.ok, rep.lower.equality_applicable, rep.lower.invariant_found)
+            assert bool(r_dual >= wiener_energy(dual).value - ORDER_TOL) is rep.upper.ok
 
     def test_pinned_strict_gap_instance(self):
         # 6-point geodesic space where the maximal energy strictly exceeds
@@ -226,41 +235,40 @@ class TestWolfRelations:
         assert rep.r == pytest.approx(1.0360979992548067, abs=1e-9)
         assert rep.e == pytest.approx(1.1990690458407671, abs=1e-9)
         assert rep.e - rep.r == pytest.approx(0.1629710465859604, abs=1e-9)
-        assert not rep.equality_applicable
-        assert rep.invariant_found is None
-        assert rep.upper_ok and rep.lower_ok
+        assert not rep.upper.equality_applicable
+        assert rep.upper.invariant_found is None
+        assert rep.upper.ok and rep.lower.ok
 
 
 class TestUpperSide:
-    """``upper_side``: the tolerances of r <= E and r = E, and the search it triggers."""
+    """``order_side`` on r <= E: the tolerances of r <= E and r = E, and the search it triggers."""
 
     def test_strict_gap_skips_the_search(self, k3, monkeypatch):
         def searched(*args):
             raise AssertionError("no invariant search when r < E")
 
         monkeypatch.setattr(energy_mod, "invariant_measure", searched)
-        side = upper_side(k3, 0.5, 0.5 + 2 * EQUALITY_TOL)
-        assert (side.upper_ok, side.equality_applicable, side.invariant_found) == (True, False, None)
+        side = order_side(k3, 0.5, 0.5 + 2 * EQUALITY_TOL)
+        assert (side.ok, side.equality_applicable, side.invariant_found) == (True, False, None)
         assert side.invariant_when_equal
 
     def test_equality_searches_the_full_pair(self, k3):
-        side = upper_side(k3, 2.0 / 3.0 + 0.5 * ORDER_TOL, 2.0 / 3.0)
+        side = order_side(k3, 2.0 / 3.0 + 0.5 * ORDER_TOL, 2.0 / 3.0)
         assert side.equality_applicable and side.invariant_found is True
-        assert side.upper_ok and side.invariant_when_equal
+        assert side.ok and side.invariant_when_equal
 
     def test_order_tolerance(self, k3):
         e = 2.0 / 3.0
-        assert upper_side(k3, e + 0.5 * ORDER_TOL, e).upper_ok
-        assert not upper_side(k3, e + 2 * EQUALITY_TOL, e).upper_ok
+        assert order_side(k3, e + 0.5 * ORDER_TOL, e).ok
+        assert not order_side(k3, e + 2 * EQUALITY_TOL, e).ok
 
     def test_wolf_relations_and_analysis_agree(self):
         space = instance_space(REGRESSION_SEED)
         rep = wolf_relations(space)
-        side = upper_side(space, rep.r, rep.e)
-        assert (rep.upper_ok, rep.equality_applicable, rep.invariant_found) == (
-            side.upper_ok, side.equality_applicable, side.invariant_found)
+        side = order_side(space, rep.r, rep.e)
+        assert rep.upper == side
         report, _ = build_analysis(space, SubsetPair.full(space.m), n_max=2)
-        assert report.verdicts["wolf_upper"] is side.upper_ok
+        assert report.verdicts["wolf_upper"] is side.ok
         assert report.verdicts["wolf_invariant_when_equal"] is side.invariant_when_equal
         assert report.parameters["wolf_equality_applicable"] is side.equality_applicable
 

@@ -112,7 +112,10 @@ def test_unequal_pairs_never_take_the_fast_path():
     for pair in (SubsetPair((0, 2, 4, 6), tuple(range(8))), SubsetPair((0, 1), (2, 3))):
         assert invariant_candidate(space, pair) is None
         avg = average_interval(space, pair)
-        assert _plain_average(avg) == _plain_average(minimax_mod._lp_average(space, pair))
+        qu, mu = q_value(space, pair)
+        ql, nu = q_lower_value(space, pair)
+        lp_average = minimax_mod._average(space, pair, qu, ql, mu, nu)
+        assert _plain_average(avg) == _plain_average(lp_average)
 
 
 class TestAcceptance:

@@ -13,6 +13,7 @@ from rdv import (
     chebyshev_table,
     circle,
     dual_chebyshev_n,
+    dual_kernel,
     elton_measures,
     generate,
     hypercube,
@@ -27,6 +28,7 @@ from rdv import (
     validate_kernel,
 )
 import rdv.minimax as minimax
+from rdv.suites import instance_pairs, instance_space
 
 from oracles import circle_rendezvous_closed_form, grid_minimax, hypercube_rendezvous
 
@@ -193,6 +195,34 @@ class TestDuality:
         assert grid_lo == pytest.approx(ql, abs=tol)
 
 
+class TestLowerValueFromDuals:
+    """q_lower read from the duals of the swapped upper LP, against the floor
+    LP solved on its own, on every pair the suites build at 100 seeds."""
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["k", "C-k"])
+    def test_suite_pairs_against_the_floor_lp(self, dual):
+        for seed in range(100):
+            space = instance_space(seed)
+            m = space.m
+            if dual:
+                space = dual_kernel(space)[0]
+            nested, general = instance_pairs(m, seed)
+            # H = {h} inside L: on a metric the value is 0, attained by delta_h
+            point = SubsetPair((seed % m,), tuple(range(m)))
+            for pair in (SubsetPair.full(m), nested, nested.swapped(), general,
+                         general.swapped(), point):
+                label = (seed, pair)
+                floor = minimax.solve_level_program(space, pair, roof=False, floor=True)
+                expected = float(floor.x[len(pair.H)])
+                ql, nu = q_lower_value(space, pair)
+                assert abs(ql - expected) <= 1e-12, label
+                assert profile(space, nu, pair.L).interval.lo >= expected - 1e-12, label
+                assert set(nu.support()) <= set(pair.H), label
+                assert not np.signbit(nu.weights).any(), label
+            if not dual:
+                assert q_lower_value(space, point)[0] == 0.0
+
+
 class TestAverageInterval:
     def test_point_interval_on_full_pair(self, instances100):
         space = instances100[40]
@@ -211,7 +241,7 @@ class TestAverageInterval:
         assert avg.unique_point is None
 
     def test_equal_pair_gap_is_hard_error(self, monkeypatch):
-        # a space without an invariant-measure candidate, so the two LPs run
+        # a space without an invariant-measure candidate, so the LP runs
         space = generate(random_graph(6, 0.5, 3))
         assert minimax.invariant_candidate(space, SubsetPair.full(6)) is None
         real = minimax.q_value
@@ -289,7 +319,8 @@ class TestInequalityChain:
         rep = inequality_chain(space, pair, n_max=3, cap=10)
         assert rep.orders_lower == (1, 2, 3)
         assert rep.orders_upper == (1,)
-        assert rep.cheb_upper == dual_chebyshev_n(space, pair.swapped(), 1)[0]
+        upper, _ = q_value(space, pair.swapped())
+        assert rep.residual_upper_side == dual_chebyshev_n(space, pair.swapped(), 1)[0] - upper
 
     def test_shared_table_gives_the_same_report(self, instances100):
         # a table of higher order caches the passes the chain reads

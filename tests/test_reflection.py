@@ -24,6 +24,7 @@ from rdv import (
     hypercube,
     interval_grid,
     random_graph,
+    rendezvous_number,
 )
 from rdv.cli import build_analysis
 from rdv.optimize import (
@@ -31,6 +32,7 @@ from rdv.optimize import (
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
 )
+from rdv.suites import instance_space
 
 from oracles import enumerate_supports_loop
 
@@ -202,3 +204,12 @@ def test_both_signs_share_one_stacked_pass(monkeypatch, first, m, seed):
         assert w.tobytes() == w_ref.tobytes()
         assert value == value_ref
         assert notes == notes_ref
+
+
+def test_dual_rendezvous_number_is_c_minus_r():
+    # the identity by which wolf_relations states the dual kernel's relations on k
+    for seed in range(100):
+        space = instance_space(seed)
+        dual, C = dual_kernel(space)
+        unlinked = KernelSpace(dual.name, dual.points, dual.kernel, is_metric=False)
+        assert abs(rendezvous_number(unlinked) - (C - rendezvous_number(space))) <= 1e-12, seed

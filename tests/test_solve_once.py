@@ -156,7 +156,7 @@ def test_energy_readers(monkeypatch, space, pair, constant):
                           or not c.id.startswith("random")])
 def test_wolf_relations(monkeypatch, space, pair, constant):
     assert_warm_matches_fresh(monkeypatch, space, pair, constant,
-                              [lambda s: wolf_relations(s, constant)])
+                              [wolf_relations])
 
 
 def test_the_cache_is_not_part_of_the_space():
