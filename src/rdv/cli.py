@@ -14,16 +14,17 @@ import sys
 from typing import Optional
 
 from .chebyshev import DEFAULT_ENUM_CAP, chebyshev_table
-from .core import RdvError, SchemaError, SubsetPair, dual_kernel
+from .core import RdvError, SchemaError, SubsetPair
 from .energy import (
     FROSTMAN_TOL,
     ORDER_TOL,
-    frostman_check,
+    dual_equilibrium,
     maximal_energy,
     order_side,
     wiener_energy,
 )
 from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain, rendezvous_number
+from .optimize import QP_ENUM_LIMIT
 from .report import AnalysisReport
 from .spaces import (
     FAMILY_FIELDS,
@@ -95,28 +96,30 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     """Full analysis of one space/pair; returns (report, exit code).
 
     Every solve is cached on its space, so the readers below share each LP,
-    QP, scan and spectrum.  The dual kernel's minimal energy (``w_dual``,
-    ``equilibrium_dual`` and the maximal energy's dual route) is read from
-    the maximal energy through C, with no QP of its own.  The lower minimax
-    value is read from the duals of the upper value's LP on the swapped
-    pair, which the inequality chain reads too: one LP for H = L.  The
-    independent checks run in ``rdv verify``: the lower value's own LP in
-    ``--suite duality``, the dual route's (``energy.dual_route_check``) in
-    ``--suite wolf``.  Where an invariant measure settles a pair with
-    H = L (see ``average_interval``), that pair needs no LP at all.
+    QP, scan and spectrum.  Everything reported about the dual kernel C - k
+    (``w_dual``, ``equilibrium_dual``, its certificate, the Frostman
+    verdicts and the maximal energy's dual route) is read from the maximal
+    energy of k (``energy.dual_equilibrium``): no C - k is built.  The
+    ``max_energy_dual_route`` scalar is C - ``w_dual``; it is reported on a
+    metric with a certified concave maximum, or up to ``QP_ENUM_LIMIT``
+    points.  The lower minimax value is read from the duals of the upper
+    value's LP on the swapped pair, which the inequality chain reads too:
+    one LP for H = L.  The independent checks run in ``rdv verify``: the
+    lower value's own LP in ``--suite duality``, the dual route's
+    (``energy.dual_route_check``, which solves C - k) in ``--suite wolf``.
+    Where an invariant measure settles a pair with H = L (see
+    ``average_interval``), that pair needs no LP at all.
     """
     pair.check_range(space.m)
     table = chebyshev_table(space, pair, n_max, enum_cap)
     avg = average_interval(space, pair)
-    dual, C = dual_kernel(space, dual_constant)
-    eq = wiener_energy(dual)
-    me = maximal_energy(space, dual_constant)
+    eq = dual_equilibrium(space, dual_constant)
+    me = maximal_energy(space)
     w_pair = wiener_energy(space, pair.H)
     inv = invariant_measure(space, pair)
     nt = negative_type_test(space)
     chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap)
     conv = converse_check(space, pair)
-    fr = frostman_check(dual, range(space.m), eq.measure)
 
     r = rendezvous_number(space)
     wolf = order_side(space, r, me.value)
@@ -133,13 +136,13 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "chain_residual_upper": chain.residual_upper_side,
         "chain_equality_residual": chain.equality_residual,
         "negative_type_eigenvalue": nt.extreme_eigenvalue,
-        "dual_constant": C,
+        "dual_constant": eq.constant,
     }
     for n, lo, hi in zip(table.n_values, table.lower, table.upper):
         scalars[f"chebyshev_low_{n}"] = lo
         scalars[f"chebyshev_high_{n}"] = hi
-    if me.dual_value is not None:
-        scalars["max_energy_dual_route"] = me.dual_value
+    if (space.is_metric and me.certificate == "global_concave_max") or space.m <= QP_ENUM_LIMIT:
+        scalars["max_energy_dual_route"] = eq.constant - eq.value
 
     measures = {
         "q_opt": list(avg.mu_opt.weights),
@@ -152,9 +155,9 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
 
     verdicts = {
         "negative_type": nt.holds,
-        "frostman_a": fr.verdict_a,
-        "frostman_b": fr.verdict_b,
-        "frostman_c": fr.verdict_c,
+        "frostman_a": eq.verdict_a,
+        "frostman_b": eq.verdict_b,
+        "frostman_c": eq.verdict_c,
         "wolf_upper": wolf.ok,
         "wolf_invariant_when_equal": wolf.invariant_when_equal,
         "chain_ok": chain.ok,

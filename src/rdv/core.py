@@ -4,14 +4,14 @@ A kernel space is a finite point set together with a symmetric nonnegative
 matrix of pairwise kernel values.  Metric spaces are the leading special
 case: zero diagonal, strictly positive off-diagonal entries, triangle
 inequality.  Everything downstream (potentials, minimax values, energies)
-consumes these types.
+consumes these types.  The dual kernel C - k of ``dual_kernel`` is a space
+like any other; ``check_dual_constant`` is the one check of its C.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -128,8 +128,6 @@ class KernelSpace:
     is set by :func:`validate_kernel` and forced to false on dual kernels.
     A space is immutable, so every solve on it is a function of its
     arguments alone: :meth:`memo` keeps each result for the space's lifetime.
-    :attr:`reflection` links a space that :func:`dual_kernel` built to its
-    primal.
     """
 
     name: str
@@ -148,7 +146,6 @@ class KernelSpace:
         object.__setattr__(self, "kernel", _as_readonly(k))
         object.__setattr__(self, "points", tuple(str(p) for p in self.points))
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_reflection", None)
 
     @property
     def m(self) -> int:
@@ -166,18 +163,6 @@ class KernelSpace:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-    @property
-    def reflection(self) -> Optional[tuple["KernelSpace", float]]:
-        """``(primal, C)`` when :func:`dual_kernel` built this space as C - primal.
-
-        None on any other space, and on a dual that outlived its primal.
-        """
-        if self._reflection is None:
-            return None
-        ref, c = self._reflection
-        primal = ref()
-        return None if primal is None else (primal, c)
 
 
 def _check_index(i: int, what: str) -> int:
@@ -411,20 +396,12 @@ def validate_kernel(
     return KernelSpace(name=name, points=labels, kernel=k, is_metric=is_metric)
 
 
-def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[KernelSpace, float]:
-    """Reflect a kernel through a constant: entries become ``constant - k``.
+def check_dual_constant(space: KernelSpace, constant: float | None) -> float:
+    """The constant C of the dual kernel C - k: ``constant``, or by default
+    the largest kernel entry (the diameter for a metric).
 
-    ``constant`` defaults to the largest kernel entry (the diameter for a
-    metric).  The transform is an involution when the subtraction is exact,
-    and exchanges upper and lower potential problems.  The result is never
-    flagged as a metric (its diagonal is ``constant``).  One constant gives
-    one dual space per space, so the solves on it are shared too.  The dual
-    records ``(space, constant)`` as its :attr:`~KernelSpace.reflection`, so
-    its energy extrema are read from the primal's opposite ones, not solved
-    again; a ``KernelSpace`` built directly from ``constant - k`` has no
-    such link and solves on its own.  The link back is weak: the primal
-    owns its dual, no reference cycle keeps either alive, and a dual kept
-    after its primal is gone solves on its own too.
+    A non-finite C raises ``NonFiniteEntryError``, and a C below the largest
+    entry, which would make C - k negative, ``ConstantTooSmallError``.
     """
     top = space.max_entry()
     c = top if constant is None else float(constant)
@@ -432,11 +409,21 @@ def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[Kern
         raise NonFiniteEntryError(f"dual constant must be finite, got {c!r}")
     if c < top:
         raise ConstantTooSmallError(f"dual constant {c!r} is below the largest kernel entry {top!r}")
+    return c
 
-    def reflect() -> KernelSpace:
-        dual = KernelSpace(name=f"dual({space.name})", points=space.points,
-                           kernel=c - space.kernel, is_metric=False)
-        object.__setattr__(dual, "_reflection", (weakref.ref(space), c))
-        return dual
 
-    return space.memo(("dual_kernel", c), reflect), c
+def dual_kernel(space: KernelSpace, constant: float | None = None) -> tuple[KernelSpace, float]:
+    """The dual kernel C - k as a space of its own, with C from
+    :func:`check_dual_constant`.
+
+    The transform is an involution when the subtraction is exact, and
+    exchanges upper and lower potential problems.  The result is never
+    flagged as a metric (its diagonal is C).  Every solve on it is its own:
+    what an analysis reports about C - k is read from k instead (see
+    ``energy.dual_equilibrium``), and this space serves the independent
+    check ``energy.dual_route_check`` and the tests.
+    """
+    c = check_dual_constant(space, constant)
+    dual = KernelSpace(name=f"dual({space.name})", points=space.points,
+                       kernel=c - space.kernel, is_metric=False)
+    return dual, c

@@ -3,16 +3,18 @@
 The minimal energy over probability measures (Wiener energy) and the
 maximal energy are both quadratic programs on the simplex.  On the
 simplex the dual kernel C - k has energy C minus that of k, so the
-minimal energy of C - k and the maximal energy of k are one problem: the
-dual space that ``dual_kernel`` builds reads its extrema from its
-primal's, with no second solve.  ``dual_route_check`` keeps one
-independent check of that identity, on a copy of C - k built without the
-link, and asserts it for metric kernels of negative type.
+minimal energy of C - k and the maximal energy of k are one problem:
+``dual_equilibrium`` reads the value, the measure, the certificate and the
+maximum principle of C - k from the maximal energy of k, with no second
+kernel.  ``dual_route_check`` is the one independent check of that
+identity: it solves C - k as a space of its own, and asserts the match for
+metric kernels of negative type.
 
 Equilibrium (energy-minimizing) measures satisfy a maximum principle:
 their potential is at least the minimal energy everywhere and at most
 that value on their own support.  ``frostman_check`` verifies the three
-forms of this statement for a candidate measure.
+forms of this statement for a candidate measure; one private core states
+them for it and for ``dual_equilibrium``.
 """
 from __future__ import annotations
 
@@ -22,17 +24,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    SUPPORT_EPS,
     DimensionMismatchError,
     DualMismatchError,
     KernelSpace,
     Measure,
     SubsetPair,
+    check_dual_constant,
     check_subset,
     dual_kernel,
 )
 from .minimax import average_interval
 from .optimize import (
-    QP_ENUM_LIMIT,
     EnergyResult,
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
@@ -78,6 +81,19 @@ class FrostmanReport:
     verdict_c: bool
 
 
+def _principle(pot: np.ndarray, value: float, weights: np.ndarray,
+               tol: float) -> FrostmanReport:
+    """The ``FrostmanReport`` of a measure with weights ``weights`` and
+    potential ``pot`` on the same points, against the minimal energy ``value``."""
+    on_support = weights > SUPPORT_EPS
+    low = float(pot.min())
+    top = float(pot[on_support].max()) if on_support.any() else float("-inf")
+    mass = float(weights[np.abs(pot - value) > tol].sum())
+    return FrostmanReport(w_value=value, min_potential=low, max_potential_on_support=top,
+                          violation_mass=mass, verdict_a=low >= value - tol,
+                          verdict_b=top <= value + tol, verdict_c=mass <= tol)
+
+
 def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
                    tol: float = FROSTMAN_TOL) -> FrostmanReport:
     """Test the three maximum-principle statements for ``mu`` on H."""
@@ -86,92 +102,77 @@ def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
         raise DimensionMismatchError(
             f"measure has {mu.weights.shape[0]} weights, space has {space.m} points")
     w = wiener_energy(space, subset).value
-    pot = space.kernel[subset, :] @ mu.weights
-    in_subset = set(subset)
-    support = [i for i in mu.support() if i in in_subset]
-    if support:
-        pot_supp = space.kernel[support, :] @ mu.weights
-        max_on_support = float(pot_supp.max())
-    else:
-        max_on_support = float("-inf")
-    weights_on_subset = mu.weights[subset]
-    bad = np.abs(pot - w) > tol
-    violation_mass = float(weights_on_subset[bad].sum())
-    return FrostmanReport(
-        w_value=w,
-        min_potential=float(pot.min()),
-        max_potential_on_support=max_on_support,
-        violation_mass=violation_mass,
-        verdict_a=bool(pot.min() >= w - tol),
-        verdict_b=bool(max_on_support <= w + tol),
-        verdict_c=bool(violation_mass <= tol),
-    )
+    return _principle(space.kernel[subset, :] @ mu.weights, w, mu.weights[subset], tol)
+
+
+def maximal_energy(space: KernelSpace) -> EnergyResult:
+    """Maximal energy over all probability measures.
+
+    The router certifies the concave route exactly when the kernel is of
+    negative type, so ``global_concave_max`` marks a certified maximum.
+    """
+    return maximize_quadratic_on_simplex(space, tuple(range(space.m)))
+
+
+# the certificate of the minimal energy of C - k, from that of the maximal energy of k
+_DUAL_CERTIFICATE = {"global_convex": "global_concave_max",
+                     "global_concave_max": "global_convex"}
 
 
 @dataclass(frozen=True)
-class MaxEnergyResult:
-    """Maximal energy with its dual route.
+class DualEquilibrium:
+    """The equilibrium measure of the dual kernel C - k, read from k.
 
-    ``dual_value`` is C - ``w_dual``, with ``w_dual`` the minimal energy of
-    the dual kernel C - k.  That minimum is read from this maximum, so the
-    two agree to rounding; ``dual_gap`` is their distance.
-    ``dual_checked`` records whether ``dual_route_check`` asserts the
-    agreement with an independent solve on this space.
+    On the simplex mu' (C 11' - K) mu = C - mu' K mu, so the minimal energy
+    of C - k is C - E at the maximal-energy measure mu of k.  ``value`` is
+    C - E, ``measure`` is mu, and ``certificate`` is mu's tag with the
+    concave and convex ones swapped.  The verdicts are ``frostman_check``'s
+    for mu on C - k with C taken out, the maximal-energy KKT conditions on
+    k within ``FROSTMAN_TOL``: A is K mu <= E + tol everywhere, B is
+    K mu >= E - tol on the support of mu, and C is that the mass where
+    |K mu - E| > tol is at most tol.
     """
 
+    constant: float
     value: float
     measure: Measure
     certificate: str
-    dual_constant: Optional[float]
-    dual_value: Optional[float]
-    dual_gap: Optional[float]
-    dual_checked: bool
+    verdict_a: bool
+    verdict_b: bool
+    verdict_c: bool
 
 
-def maximal_energy(space: KernelSpace, constant: Optional[float] = None) -> MaxEnergyResult:
-    """Maximal energy over all probability measures, with its dual route.
+def dual_equilibrium(space: KernelSpace, constant: Optional[float] = None) -> DualEquilibrium:
+    """The ``DualEquilibrium`` of C - k, with C from ``check_dual_constant``.
 
-    The dual route (reflecting the minimal energy of C - k) is reported
-    whenever the kernel is a metric of negative type or the space is small
-    enough to enumerate exactly.  The direct route's router certifies the
-    concave route exactly when the kernel is of negative type, so its
-    certificate decides.
+    Nothing is built or solved on C - k.  Its potential under mu is C - K mu,
+    so the principle is stated on -K mu against -E, where negation is exact.
     """
-    direct = maximize_quadratic_on_simplex(space, tuple(range(space.m)))
-    certified_metric = bool(space.is_metric and direct.certificate == "global_concave_max")
-    dual_constant = dual_value = dual_gap = None
-    if certified_metric or space.m <= QP_ENUM_LIMIT:
-        dual_space, dual_constant = dual_kernel(space, constant)
-        dual_value = dual_constant - wiener_energy(dual_space).value
-        dual_gap = abs(direct.value - dual_value)
-    return MaxEnergyResult(
-        value=direct.value,
-        measure=direct.measure,
-        certificate=direct.certificate,
-        dual_constant=dual_constant,
-        dual_value=dual_value,
-        dual_gap=dual_gap,
-        dual_checked=certified_metric,
-    )
+    c = check_dual_constant(space, constant)
+    e = maximal_energy(space)
+    mu = e.measure.weights
+    rep = _principle(-(space.kernel @ mu), -e.value, mu, FROSTMAN_TOL)
+    return DualEquilibrium(constant=c, value=c - e.value, measure=e.measure,
+                           certificate=_DUAL_CERTIFICATE.get(e.certificate, e.certificate),
+                           verdict_a=rep.verdict_a, verdict_b=rep.verdict_b,
+                           verdict_c=rep.verdict_c)
 
 
 def dual_route_check(space: KernelSpace, constant: Optional[float] = None) -> float:
     """|E - (C - w)|, with w the minimal energy of C - k solved on its own.
 
-    The dual space of ``dual_kernel`` reads its minimal energy from the
-    maximal energy, so ``maximal_energy``'s dual route agrees by
-    construction.  Here C - k is a fresh ``KernelSpace`` with no link to
-    this one, so its minimal energy is a QP of its own: an independent check
-    of the reflection identity.  Where ``dual_checked`` holds (a metric of
-    negative type, where both routes carry global certificates) a gap above
-    ``DUAL_MATCH_TOL`` raises ``DualMismatchError``.
+    ``dual_kernel`` builds C - k as a space of its own, so its minimal
+    energy is a QP of its own: an independent check of the identity that
+    ``dual_equilibrium`` reads from.  On a metric whose maximal energy is
+    certified concave (a metric of negative type, where both routes carry
+    global certificates) a gap above ``DUAL_MATCH_TOL`` raises
+    ``DualMismatchError``.
     """
-    e = maximal_energy(space, constant)
+    e = maximal_energy(space)
     dual, C = dual_kernel(space, constant)
-    unlinked = KernelSpace(dual.name, dual.points, dual.kernel, is_metric=False)
-    dual_value = C - wiener_energy(unlinked).value
+    dual_value = C - wiener_energy(dual).value
     gap = abs(e.value - dual_value)
-    if e.dual_checked and gap > DUAL_MATCH_TOL:
+    if space.is_metric and e.certificate == "global_concave_max" and gap > DUAL_MATCH_TOL:
         raise DualMismatchError(
             "direct maximal energy {:.12g} and dual route {:.12g} disagree "
             "by {:.3g} on a certified kernel".format(e.value, dual_value, gap))
@@ -214,8 +215,8 @@ class WolfReport:
     is w <= r, with r = w implying one.  On the dual kernel C - k the
     rendezvous value is C - r and the energies are C - E and C - w, and a
     measure is invariant on C - k when it is on k, so the same relations
-    there restate these two sides with their roles swapped: nothing is
-    solved on C - k.
+    there restate these two sides with their roles swapped: no C - k is
+    built.
     """
 
     r: float

@@ -34,9 +34,9 @@ nonnegative least squares), so it mostly closes the gap at iteration 0.
 The enumeration solves the supports of one size as stacked KKT systems
 and replays the near-best ones one at a time, so its result is exactly
 that of solving every support on its own; one stacked pass per space and
-subset serves the maximum and the minimum.  On a dual space C - k (see
-``core.dual_kernel``) nothing is solved: each extremum is read from the
-primal's opposite one.
+subset serves the maximum and the minimum.  Every space solves its own
+extrema: a dual kernel C - k built by ``core.dual_kernel`` is a space like
+any other.
 """
 from __future__ import annotations
 
@@ -371,8 +371,7 @@ class EnergyResult:
     routes, each re-solve of a polish included, and ``fw_iterations`` their
     iterations, both summed over the starts of a multistart.  Both are 0 on an
     enumerated extremum, which solves its supports as stacked systems and
-    does not count its few one-support replays, and on one read from the
-    opposite extremum of the primal, which solves nothing.
+    does not count its few one-support replays.
     """
 
     value: float
@@ -661,41 +660,10 @@ def subset_definiteness(space: KernelSpace, idx: tuple[int, ...]) -> dict:
 
 def _quadratic_extremum(space: KernelSpace, H: Sequence[int], maximize: bool,
                         gap_tol: float, max_iter: int) -> EnergyResult:
-    """The extremum over measures on H, solved once per space and arguments.
-
-    On a dual space it is read from the primal's opposite extremum.
-    """
+    """The extremum over measures on H, solved once per space and arguments."""
     idx = check_subset(H, space.m)
-    solve = _solve_extremum if space.reflection is None else _reflect_extremum
     return space.memo(("quadratic_extremum", idx, maximize, gap_tol, max_iter),
-                      lambda: solve(space, idx, maximize, gap_tol, max_iter))
-
-
-# the certificate of an extremum of C - k, from that of the opposite one of k
-_REFLECTED_CERTIFICATE = {"global_convex": "global_concave_max",
-                          "global_concave_max": "global_convex"}
-
-
-def _reflect_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
-                      gap_tol: float, max_iter: int) -> EnergyResult:
-    """The extremum on C - k, read from the opposite extremum on k.
-
-    On the simplex mu' (C 11' - K) mu = C - mu' K mu exactly, so the two
-    problems share their optimal measures and their Frank-Wolfe gaps.  The
-    primal's measure is reused and its value evaluated on C - k, as
-    ``_solve_extremum`` does; the concave and convex certificates swap.
-    """
-    primal, C = space.reflection
-    opposite = _quadratic_extremum(primal, idx, not maximize, gap_tol, max_iter)
-    w = opposite.measure.weights
-    source = "minimum" if maximize else "maximum"
-    return EnergyResult(
-        value=float(w @ space.kernel @ w),
-        measure=opposite.measure,
-        certificate=_REFLECTED_CERTIFICATE.get(opposite.certificate, opposite.certificate),
-        gap=opposite.gap,
-        notes=opposite.notes + (f"read from the primal's {source} through C = {C!r}",),
-    )
+                      lambda: _solve_extremum(space, idx, maximize, gap_tol, max_iter))
 
 
 def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,

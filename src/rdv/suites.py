@@ -21,9 +21,8 @@ from .core import (
     Measure,
     RdvError,
     SubsetPair,
-    dual_kernel,
 )
-from .energy import dual_route_check, frostman_check, wiener_energy, wolf_relations
+from .energy import dual_equilibrium, dual_route_check, wolf_relations
 from .minimax import (
     GAP_UNIQUE_TOL,
     _average,
@@ -154,12 +153,11 @@ def _check_chain(space: KernelSpace, seed: int) -> tuple[bool, str]:
 
 
 def _check_frostman(space: KernelSpace) -> tuple[bool, str]:
-    dual, _ = dual_kernel(space)
-    eq = wiener_energy(dual)
-    rep = frostman_check(dual, range(space.m), eq.measure)
-    ok = rep.verdict_a and rep.verdict_b and rep.verdict_c
+    # the equilibrium measure of C - k with C the largest entry, read from k
+    eq = dual_equilibrium(space)
+    ok = eq.verdict_a and eq.verdict_b and eq.verdict_c
     detail = "w={:.6g} A={} B={} C={} ({})".format(
-        rep.w_value, rep.verdict_a, rep.verdict_b, rep.verdict_c, eq.certificate)
+        eq.value, eq.verdict_a, eq.verdict_b, eq.verdict_c, eq.certificate)
     return ok, detail
 
 

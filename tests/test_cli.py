@@ -202,6 +202,17 @@ class TestAnalyze:
         assert "error[DimensionMismatch]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("constant, code", [("1.5", "ConstantTooSmall"),
+                                                ("nan", "NonFiniteEntry"),
+                                                ("inf", "NonFiniteEntry")])
+    def test_bad_dual_constant_rejected(self, tmp_path, capsys, constant, code):
+        # circle(8)'s largest entry is 2: C - k would be negative or not finite
+        out = tmp_path / "rep.json"
+        assert main(["analyze", "circle(8)", "--dual-constant", constant,
+                     "--out", str(out)]) == EXIT_INPUT
+        assert f"error[{code}]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.json")]) == EXIT_INPUT
         assert "error[IoError]" in capsys.readouterr().err

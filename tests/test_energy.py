@@ -1,4 +1,6 @@
 """Extremal energies, maximum-principle verdicts, and the ordering relations."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from rdv import (
     DualMismatchError,
     EmptySubsetError,
     IndexOutOfRangeError,
-    KernelSpace,
     Measure,
     SubsetPair,
     circle,
+    dual_equilibrium,
     dual_kernel,
     dual_route_check,
     frostman_check,
@@ -109,15 +111,36 @@ class TestFrostmanCheck:
         with pytest.raises(DimensionMismatchError):
             frostman_check(k3, [0], Measure.uniform(4))
 
+    @pytest.mark.parametrize("space, weights, verdicts", [
+        ("k3", [1.0, 0.0, 0.0], (False, False, False)),
+        ("k3", [0.34, 0.33, 0.33], (False, False, False)),
+        ("g3", [0.4, 0.2, 0.4], (True, False, False)),
+        ("g3", [0.5, 0.0, 0.5], (True, True, True))])
+    def test_dual_equilibrium_states_the_same_principle(self, request, monkeypatch,
+                                                        space, weights, verdicts):
+        # a measure in place of the maximal-energy one: the verdicts read on
+        # k are frostman_check's on C - k for that measure
+        space = request.getfixturevalue(space)
+        real = maximal_energy(space)
+        mu = Measure(np.array(weights))
+        monkeypatch.setattr(energy_mod, "maximal_energy",
+                            lambda space: dataclasses.replace(real, measure=mu))
+        eq = dual_equilibrium(space)
+        rep = frostman_check(dual_kernel(space)[0], range(3), mu)
+        assert (eq.verdict_a, eq.verdict_b, eq.verdict_c) == (
+            rep.verdict_a, rep.verdict_b, rep.verdict_c) == verdicts
+
 
 class TestMaximalEnergy:
     def test_complete_graph_both_routes(self, k3):
         res = maximal_energy(k3)
         assert res.value == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert res.dual_checked  # metric and certified on the sum-zero cone
-        assert res.dual_constant == 1.0
-        assert res.dual_value == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert res.dual_gap <= 1e-9
+        # metric and certified on the sum-zero cone, so dual_route_check asserts
+        assert res.certificate == "global_concave_max"
+        eq = dual_equilibrium(k3)
+        assert eq.constant == 1.0
+        assert eq.constant - eq.value == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert dual_route_check(k3) <= 1e-9
 
     def test_direct_equals_raw(self, instances100):
         space = instances100[14]
@@ -127,34 +150,33 @@ class TestMaximalEnergy:
         # energy_{C-k}(mu) = C - energy_k(mu) pointwise, so the routes agree
         # on every exactly solved instance whether or not the check is armed
         for space in instances100[:10]:
-            res = maximal_energy(space)
-            assert res.dual_value is not None
-            assert res.dual_gap <= 1e-8
+            assert dual_route_check(space) <= 1e-8
 
     def test_explicit_constant(self, k3):
-        res = maximal_energy(k3, constant=5.0)
-        assert res.dual_constant == 5.0
-        assert res.dual_value == pytest.approx(res.value, abs=1e-8)
+        eq = dual_equilibrium(k3, 5.0)
+        assert eq.constant == 5.0
+        assert eq.constant - eq.value == pytest.approx(maximal_energy(k3).value, abs=1e-8)
+        assert dual_route_check(k3, 5.0) <= 1e-8
 
     @pytest.mark.parametrize("desc, certified", [
         (circle(8), True), (interval_grid(9), True), (hypercube(3), True),
         (random_graph(12, 0.5, 1), False), (random_graph(40, 0.5, 4), False)])
     @pytest.mark.parametrize("shift", [None, 1.5])
     def test_dual_route_matches_an_unlinked_solve(self, desc, certified, shift):
-        # C - k built as a space of its own solves its minimal energy itself
+        # C - k built by dual_kernel solves its minimal energy itself
         space = generate(desc)
         constant = None if shift is None else space.max_entry() + shift
-        res = maximal_energy(space, constant)
-        assert res.dual_checked is certified
+        res = maximal_energy(space)
+        assert (space.is_metric and res.certificate == "global_concave_max") is certified
         dual, C = dual_kernel(space, constant)
-        solved = wiener_energy(KernelSpace(dual.name, dual.points, dual.kernel, False))
+        solved = wiener_energy(dual)
         gap = abs(res.value - (C - solved.value))
         assert gap <= 1e-12 * (1.0 + C)
         assert dual_route_check(space, constant) == gap
-        if res.dual_value is not None:
-            assert res.dual_constant == C
-            assert res.dual_value == C - wiener_energy(dual).value
-            assert abs(res.dual_value - (C - solved.value)) <= 1e-12 * (1.0 + C)
+        eq = dual_equilibrium(space, constant)
+        assert eq.constant == C
+        assert eq.value == C - res.value
+        assert abs(eq.value - solved.value) <= 1e-12 * (1.0 + C)
 
     def test_certified_disagreement_is_fatal(self, k3, monkeypatch):
         real = energy_mod.minimize_quadratic_on_simplex

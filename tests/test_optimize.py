@@ -651,9 +651,8 @@ def _disjoint_pairs(m: int = 16) -> KernelSpace:
 
 
 def _unlinked_dual(m: int, seed: int) -> KernelSpace:
-    """C - K of a random graph as a space of its own, which solves on its own."""
-    dual = dual_kernel(generate(random_graph(m, 0.5, seed)))[0]
-    return KernelSpace(dual.name, dual.points, dual.kernel, dual.is_metric)
+    """C - K of a random graph, a space that solves on its own."""
+    return dual_kernel(generate(random_graph(m, 0.5, seed)))[0]
 
 
 # (name, fresh space, maximize): every case runs the multistart
@@ -748,13 +747,6 @@ class TestSharedPolish:
         fresh = generate(circle(256))
         assert minimize_quadratic_on_simplex(fresh, range(256)).kkt_solves == 16
 
-    def test_reflected_extremum_solves_nothing(self):
-        space = generate(random_graph(40, 0.5, 4))
-        dual = dual_kernel(space)[0]
-        for res in (minimize_quadratic_on_simplex(dual, range(40)),
-                    maximize_quadratic_on_simplex(dual, range(40))):
-            assert res.kkt_solves == res.fw_iterations == 0
-
     def test_shared_weights_are_read_only(self, monkeypatch):
         polishes = []
         real = optimize_mod._away_fw_block
@@ -837,16 +829,15 @@ class TestSharedPolish:
 
 def _negative_type_solves():
     """The two certified solves of ``dual_route_check`` on each suite instance
-    of negative type: the maximal energy, and the minimum of C - K built as
-    a space of its own.  Returns (name, space, maximize) triples."""
+    of negative type: the maximal energy, and the minimum of C - K.
+    Returns (name, space, maximize) triples."""
     cases = []
     for seed in range(100):
         space = instance_space(seed)
         if not sum_zero_definiteness(space.kernel)["nsd"]:
             continue
         dual = dual_kernel(space)[0]
-        unlinked = KernelSpace(dual.name, dual.points, dual.kernel, is_metric=False)
-        cases += [(f"seed {seed} max", space, True), (f"seed {seed} C - K min", unlinked, False)]
+        cases += [(f"seed {seed} max", space, True), (f"seed {seed} C - K min", dual, False)]
     return cases
 
 

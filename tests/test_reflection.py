@@ -1,15 +1,15 @@
 """One energy problem, one solve.
 
-On the simplex mu' (C 11' - K) mu = C - mu' K mu, so an extremum of the dual
-kernel C - k is the opposite extremum of k.  A dual space built by
-``dual_kernel`` reads it from its primal; a ``KernelSpace`` built directly
-from C - k solves on its own, and the two must agree on every QP route.  The
-maximum and the minimum of one kernel share one stacked support pass, and
-each equals the one-support-at-a-time loop bit for bit.
+On the simplex mu' (C 11' - K) mu = C - mu' K mu, so the minimal energy of
+the dual kernel C - k is the maximal energy of k.  An analysis reads
+everything about C - k from k (``dual_equilibrium``) and builds no C - k;
+the space that ``dual_kernel`` builds solves on its own, and the two must
+agree on every QP route.  The maximum and the minimum of one kernel share
+one stacked support pass, and each equals the one-support-at-a-time loop
+bit for bit.
 """
-import gc
 import math
-import weakref
+import sys
 
 import numpy as np
 import pytest
@@ -19,12 +19,16 @@ from rdv import (
     KernelSpace,
     SubsetPair,
     circle,
+    dual_equilibrium,
     dual_kernel,
+    frostman_check,
     generate,
     hypercube,
     interval_grid,
+    maximal_energy,
     random_graph,
     rendezvous_number,
+    wiener_energy,
 )
 from rdv.cli import build_analysis
 from rdv.optimize import (
@@ -40,11 +44,10 @@ MAPPED = {"global_convex": "global_concave_max", "global_concave_max": "global_c
           "enumerated_exact": "enumerated_exact", "heuristic_bound": "heuristic_bound"}
 SOLVERS = {"min": minimize_quadratic_on_simplex, "max": maximize_quadratic_on_simplex}
 OPPOSITE = {"min": "max", "max": "min"}
-
-
-def unlinked(space):
-    """The same kernel as a space of its own, with no link to a primal."""
-    return KernelSpace(space.name, space.points, space.kernel, space.is_metric)
+# the nine spaces of the benchmark's analyze workloads
+PERFBENCH_SPECS = [circle(64), interval_grid(101), hypercube(6), circle(256), interval_grid(257),
+                   random_graph(12, 0.5, 1), random_graph(13, 0.5, 2), random_graph(14, 0.5, 3),
+                   random_graph(40, 0.5, 4)]
 
 
 def _primals():
@@ -55,43 +58,54 @@ def _primals():
     return cases
 
 
-def assert_agree(reflected, solved, C):
-    assert abs(reflected.value - solved.value) <= 1e-12 * (1.0 + C)
-    assert np.max(np.abs(reflected.measure.weights - solved.measure.weights)) <= 1e-12
-    assert reflected.certificate == solved.certificate
+def assert_dual_read_matches_a_solve(space, constant):
+    """``dual_equilibrium`` read from k equals C - k solved on its own: the
+    value, the measure, the mapped certificate and Frostman's verdicts."""
+    eq = dual_equilibrium(space, constant)
+    dual, C = dual_kernel(space, constant)
+    solved = wiener_energy(dual)
+    rep = frostman_check(dual, range(space.m), solved.measure)
+    label = (space.name, constant)
+    assert eq.constant == C, label
+    assert abs(eq.value - solved.value) <= 1e-12 * (1.0 + C), label
+    assert np.max(np.abs(eq.measure.weights - solved.measure.weights)) <= 1e-12, label
+    assert eq.certificate == solved.certificate == MAPPED[maximal_energy(space).certificate], label
+    assert (eq.verdict_a, eq.verdict_b, eq.verdict_c) == (
+        rep.verdict_a, rep.verdict_b, rep.verdict_c), label
 
 
 @pytest.mark.parametrize("shift", [None, 1.5], ids=["max-entry", "dual-constant"])
 @pytest.mark.parametrize("desc", _primals())
 def test_reflected_extrema_match_unlinked_solves(desc, shift):
     space = generate(desc)
-    constant = None if shift is None else space.max_entry() + shift
-    dual, C = dual_kernel(space, constant)
-    # the dual of a dual reflects twice, back to the primal's own extremum
-    twice, C2 = dual_kernel(dual, C + 1.0)
-    full = range(space.m)
-    for kind, solve in SOLVERS.items():
-        primal = SOLVERS[OPPOSITE[kind]](space, full)
-        reflected = solve(dual, full)
-        assert reflected.measure is primal.measure
-        assert reflected.certificate == MAPPED[primal.certificate]
-        assert reflected.notes[-1] == (
-            f"read from the primal's {'minimum' if kind == 'max' else 'maximum'} through C = {C!r}")
-        assert_agree(reflected, solve(unlinked(dual), full), C)
-        assert_agree(solve(twice, full), solve(unlinked(twice), full), C2)
-        assert solve(twice, full).measure is SOLVERS[kind](space, full).measure
+    assert_dual_read_matches_a_solve(space, None if shift is None else space.max_entry() + shift)
+
+
+@pytest.mark.parametrize("max_points", [8, 12])
+def test_dual_read_on_suite_instances(max_points):
+    for seed in range(200):
+        space = instance_space(seed, max_points)
+        for constant in (None, space.max_entry() + 1.5):
+            assert_dual_read_matches_a_solve(space, constant)
+
+
+@pytest.mark.parametrize("desc", PERFBENCH_SPECS, ids=lambda d: generate(d).name)
+def test_dual_read_on_benchmark_spaces(desc):
+    space = generate(desc)
+    for constant in (None, space.max_entry() + 1.5):
+        assert_dual_read_matches_a_solve(space, constant)
 
 
 def test_every_route_is_reflected():
-    # min and max on the duals of the primals above, by the primal's route
+    # the primals above reach every maximal-energy route, so the tag map is
+    # checked on each
     seen = set()
     for param in _primals():
         space = generate(param.values[0])
-        dual = dual_kernel(space)[0]
-        seen.update(SOLVERS[kind](dual, range(space.m)).certificate for kind in SOLVERS)
-        seen.update(SOLVERS[kind](dual_kernel(dual)[0], range(space.m)).certificate
-                    for kind in SOLVERS)
-    assert seen == set(MAPPED)
+        seen.add((maximal_energy(space).certificate, dual_equilibrium(space).certificate))
+    assert seen == {("global_concave_max", "global_convex"),
+                    ("enumerated_exact", "enumerated_exact"),
+                    ("heuristic_bound", "heuristic_bound")}
 
 
 def test_reflection_on_a_subset():
@@ -99,12 +113,17 @@ def test_reflection_on_a_subset():
     dual, C = dual_kernel(space)
     H = (0, 2, 3, 7, 8)
     for kind, solve in SOLVERS.items():
-        assert_agree(solve(dual, H), solve(unlinked(dual), H), C)
+        primal = SOLVERS[OPPOSITE[kind]](space, H)
+        solved = solve(dual, H)
+        assert abs((C - primal.value) - solved.value) <= 1e-12 * (1.0 + C)
+        assert np.max(np.abs(primal.measure.weights - solved.measure.weights)) <= 1e-12
+        assert solved.certificate == MAPPED[primal.certificate]
         outside = [i for i in range(space.m) if i not in H]
-        assert np.all(solve(dual, H).measure.weights[outside] == 0.0)
+        assert np.all(solved.measure.weights[outside] == 0.0)
 
 
 def test_an_unlinked_dual_solves_on_its_own(monkeypatch):
+    # every space solves its own extrema, the one dual_kernel builds too
     space = generate(random_graph(7, 0.5, 3))
     dual = dual_kernel(space)[0]
     calls = []
@@ -116,41 +135,48 @@ def test_an_unlinked_dual_solves_on_its_own(monkeypatch):
 
     monkeypatch.setattr(optimize_mod, "_solve_extremum", counted)
     minimize_quadratic_on_simplex(dual, range(7))
-    assert calls == [space]
-    fresh = unlinked(dual)
-    assert fresh.reflection is None and dual.reflection == (space, dual.kernel[0, 0])
-    minimize_quadratic_on_simplex(fresh, range(7))
-    assert calls == [space, fresh]
+    assert calls == [dual]
+    maximize_quadratic_on_simplex(space, range(7))
+    assert calls == [dual, space]
 
 
-def test_the_primal_owns_its_dual(monkeypatch):
-    # no reference cycle: a space and its dual are freed as soon as the
-    # last reference goes, with the collector off
-    gc.disable()
-    try:
-        space = generate(random_graph(7, 0.5, 3))
-        build_analysis(space, SubsetPair.full(7), n_max=2)
-        dual, alive = dual_kernel(space)[0], weakref.ref(space)
-        del space
-        assert alive() is None
-        # a dual that outlived its primal keeps what it read, and solves
-        # anything new on its own
-        assert dual.reflection is None
-        calls = []
-        real = optimize_mod._solve_extremum
+def _refuse(*args, **kwargs):
+    raise AssertionError("an analysis built C - k")
 
-        def counted(target, *args):
-            calls.append(target)
-            return real(target, *args)
 
-        monkeypatch.setattr(optimize_mod, "_solve_extremum", counted)
-        minimize_quadratic_on_simplex(dual, range(7))
-        assert calls == []
-        maximize_quadratic_on_simplex(dual, range(7))
-        assert calls == [dual]
-        del dual
-    finally:
-        gc.enable()
+@pytest.mark.parametrize("desc", [circle(64), random_graph(13, 0.5, 2), random_graph(7, 0.5, 5)],
+                         ids=lambda d: generate(d).name)
+def test_analysis_builds_no_dual_kernel(monkeypatch, desc):
+    space = generate(desc)
+    C = space.max_entry() + 1.5
+    built = []
+    real_post_init = KernelSpace.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real_post_init(self)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "rdv"]:
+        if hasattr(module, "dual_kernel"):
+            monkeypatch.setattr(module, "dual_kernel", _refuse)
+    monkeypatch.setattr(KernelSpace, "__post_init__", counted)
+    report, code = build_analysis(space, SubsetPair.full(space.m), n_max=2, dual_constant=C)
+    assert code == 0 and built == []
+    assert report.scalars["dual_constant"] == C
+    assert report.scalars["w_dual"] == C - report.scalars["max_energy"]
+
+
+@pytest.mark.parametrize("desc, present", [(circle(64), True), (random_graph(13, 0.5, 2), True),
+                                           (random_graph(40, 0.5, 4), False)],
+                         ids=["certified-metric", "enumerated", "heuristic"])
+def test_dual_route_scalar_presence(desc, present):
+    # reported on a metric with a certified concave maximum, or up to
+    # QP_ENUM_LIMIT points
+    space = generate(desc)
+    scalars = build_analysis(space, SubsetPair.full(space.m), n_max=1)[0].scalars
+    assert ("max_energy_dual_route" in scalars) is present
+    if present:
+        assert scalars["max_energy_dual_route"] == scalars["dual_constant"] - scalars["w_dual"]
 
 
 def test_full_pair_analysis_solves_each_problem_once(monkeypatch):
@@ -211,5 +237,4 @@ def test_dual_rendezvous_number_is_c_minus_r():
     for seed in range(100):
         space = instance_space(seed)
         dual, C = dual_kernel(space)
-        unlinked = KernelSpace(dual.name, dual.points, dual.kernel, is_metric=False)
-        assert abs(rendezvous_number(unlinked) - (C - rendezvous_number(space))) <= 1e-12, seed
+        assert abs(rendezvous_number(dual) - (C - rendezvous_number(space))) <= 1e-12, seed

@@ -1,7 +1,7 @@
 """Solves cached on their space: a warm space answers as a fresh one does.
 
-Every LP, QP, order scan, invariant candidate, sum-zero spectrum and dual
-space is solved once per ``KernelSpace`` and argument list.  Each public
+Every LP, QP, order scan, invariant candidate and sum-zero spectrum is
+solved once per ``KernelSpace`` and argument list.  Each public
 reader, called on a space whose cache a full analysis has already filled,
 must match the same call on a fresh space built from the same kernel bit
 for bit, measures included, and must solve nothing: no LP, no Frank-Wolfe
@@ -26,7 +26,7 @@ from rdv import (
     chebyshev_table,
     circle,
     converse_check,
-    dual_kernel,
+    dual_equilibrium,
     elton_measures,
     frostman_check,
     generate,
@@ -139,13 +139,12 @@ def test_full_pair_readers(monkeypatch, space, pair, constant):
 @pytest.mark.parametrize("space, pair, constant", CASES)
 def test_energy_readers(monkeypatch, space, pair, constant):
     def frostman(s, H):
-        dual = dual_kernel(s, constant)[0]
-        return frostman_check(dual, H, wiener_energy(dual).measure)
+        return frostman_check(s, H, wiener_energy(s, H).measure)
 
     assert_warm_matches_fresh(monkeypatch, space, pair, constant, [
-        lambda s: maximal_energy(s, constant),
+        maximal_energy,
         lambda s: wiener_energy(s, pair.H),
-        lambda s: dual_kernel(s, constant),
+        lambda s: dual_equilibrium(s, constant),
         lambda s: frostman(s, range(s.m)),
         lambda s: frostman(s, pair.H),
     ])
@@ -165,13 +164,6 @@ def test_the_cache_is_not_part_of_the_space():
     assert [f.name for f in dataclasses.fields(space)] == ["name", "points", "kernel",
                                                           "is_metric"]
     assert "memo" not in repr(space)
-
-
-def test_one_dual_space_per_constant():
-    space = generate(random_graph(6, 0.5, 2))
-    dual, C = dual_kernel(space)
-    assert dual_kernel(space, C)[0] is dual
-    assert dual_kernel(space, C + 1.0)[0] is not dual
 
 
 def test_smaller_cap_still_raises_after_a_scan():
