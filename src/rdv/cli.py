@@ -24,7 +24,7 @@ from .energy import (
     wiener_energy,
 )
 from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain, rendezvous_number
-from .optimize import QP_ENUM_LIMIT
+from .optimize import QP_ENUM_LIMIT, subset_definiteness
 from .report import AnalysisReport
 from .spaces import (
     FAMILY_FIELDS,
@@ -42,7 +42,6 @@ from .structure import (
     INVARIANCE_TOL,
     converse_check,
     invariant_measure,
-    negative_type_test,
 )
 from .suites import (
     DEFAULT_MAX_POINTS,
@@ -117,7 +116,8 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     me = maximal_energy(space)
     w_pair = wiener_energy(space, pair.H)
     inv = invariant_measure(space, pair)
-    nt = negative_type_test(space)
+    # the verdict and eigenvalue of negative_type_test, with no witness vector
+    nt = subset_definiteness(space, tuple(range(space.m)))
     chain = inequality_chain(space, pair, n_max=min(3, n_max), cap=enum_cap)
     conv = converse_check(space, pair)
 
@@ -135,7 +135,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "chain_residual_lower": chain.residual_lower_side,
         "chain_residual_upper": chain.residual_upper_side,
         "chain_equality_residual": chain.equality_residual,
-        "negative_type_eigenvalue": nt.extreme_eigenvalue,
+        "negative_type_eigenvalue": nt["lam_max"],
         "dual_constant": eq.constant,
     }
     for n, lo, hi in zip(table.n_values, table.lower, table.upper):
@@ -154,7 +154,7 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         measures["invariant"] = list(inv.measure.weights)
 
     verdicts = {
-        "negative_type": nt.holds,
+        "negative_type": nt["nsd"],
         "frostman_a": eq.verdict_a,
         "frostman_b": eq.verdict_b,
         "frostman_c": eq.verdict_c,

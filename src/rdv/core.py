@@ -251,7 +251,8 @@ class Measure:
         if abs(total - 1.0) > MEASURE_SUM_TOL:
             raise InvalidMeasureError(f"measure weights sum to {total!r}, not 1")
         w /= total
-        object.__setattr__(self, "weights", _as_readonly(w))
+        w.flags.writeable = False  # w is this measure's own copy
+        object.__setattr__(self, "weights", w)
 
     @property
     def m(self) -> int:

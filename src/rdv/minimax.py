@@ -10,6 +10,11 @@ coincide (up to solver tolerance) and the common value is the rendezvous
 number of the subspace; a persistent gap there is reported as a hard
 failure, never averaged away.
 
+Every LP the package solves is a level program (``level_program``), and
+only this module reads a solved one: ``q_value``, ``q_floor_value`` and
+``min_invariance_gap`` its primal, through one reader; ``q_lower_value``
+its duals.
+
 For H = L an invariant measure, one whose potential is constant on L,
 settles both values without an LP: ``invariant_candidate`` tries the
 uniform measure and the normalized solution of K[H, H] z = 1, and accepts
@@ -89,11 +94,33 @@ def solve_level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
                       lambda: solve_lp(level_program(space, pair, roof, floor)))
 
 
+def _level_read(space: KernelSpace, pair: SubsetPair, roof: bool,
+                floor: bool) -> tuple[float, Measure]:
+    """The optimal level of a level program (t or s alone, else t - s clipped
+    at zero) and its measure on H."""
+    h = len(pair.H)
+    sol = solve_level_program(space, pair, roof, floor)
+    level = max(0.0, float(sol.objective)) if roof and floor else float(sol.x[h])
+    return level, Measure.from_subvector(space.m, pair.H, sol.x[:h])
+
+
 def q_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
     """Smallest achievable worst-case potential on L for measures on H."""
-    h = len(pair.H)
-    sol = solve_level_program(space, pair, roof=True, floor=False)
-    return float(sol.x[h]), Measure.from_subvector(space.m, pair.H, sol.x[:h])
+    return _level_read(space, pair, roof=True, floor=False)
+
+
+def q_floor_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
+    """The lower value from its own floor LP, the independent check
+    (``rdv verify --suite duality``) of ``q_lower_value``'s dual read."""
+    return _level_read(space, pair, roof=False, floor=True)
+
+
+def min_invariance_gap(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
+    """Least possible potential oscillation over L for a measure on H.
+
+    Solves: minimize t - s subject to s <= potential <= t on all of L.
+    """
+    return _level_read(space, pair, roof=True, floor=True)
 
 
 def q_lower_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:

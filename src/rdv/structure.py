@@ -1,10 +1,13 @@
 """Invariant measures, quasi-invariance, negative type, and converse checks.
 
 A measure on H is invariant for the pair (H, L) when its potential is
-constant across L.  The least achievable potential oscillation is itself a
-linear program; invariance means that minimum is (numerically) zero.  For
+constant across L.  The least achievable potential oscillation g is itself
+a linear program, ``minimax.min_invariance_gap`` (``minimax`` alone reads
+level programs); invariance means that minimum is (numerically) zero.  For
 H = L the program is skipped when ``minimax.invariant_candidate`` proves a
-uniform or linear-solve measure invariant.
+uniform or linear-solve measure invariant.  Quasi-invariance is the same
+program read once more: the least-oscillation measure's level on L is
+within g of both minimax values.
 Negative type is decided spectrally: the centered kernel must be negative
 semidefinite, which is exactly the statement that no sum-zero charge has
 positive energy.
@@ -12,7 +15,7 @@ positive energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .minimax import (
     AverageResult,
     average_interval,
     invariant_candidate,
-    solve_level_program,
+    min_invariance_gap,
 )
 from .optimize import (
     maximize_quadratic_on_simplex,
@@ -35,18 +38,6 @@ from .spectral import centered, recenter_unit
 from .spectral import sum_zero_definiteness
 
 AGREEMENT_TOL = 1e-7
-_EPS_SLACK = 1e-9
-
-
-def min_invariance_gap(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]:
-    """Least possible potential oscillation over L for a measure on H.
-
-    Solves: minimize t - s subject to s <= potential <= t on all of L.
-    """
-    sol = solve_level_program(space, pair, roof=True, floor=True)
-    gap = max(0.0, float(sol.objective))
-    measure = Measure.from_subvector(space.m, pair.H, sol.x[: len(pair.H)])
-    return gap, measure
 
 
 @dataclass(frozen=True)
@@ -100,61 +91,43 @@ def invariant_measure(space: KernelSpace, pair: SubsetPair) -> InvarianceResult:
 
 
 @dataclass(frozen=True)
-class QuasiEntry:
-    eps: float
-    feasible: bool
+class QuasiReport:
+    """The level of the least-oscillation measure against the average interval.
+
+    The invariance LP's measure mu has potential in [s, t] on L, with
+    t - s = ``minimal_gap``.  When the average interval is not empty,
+    s <= min K mu <= q_lower <= q <= max K mu <= t, so ``rho``, mu's
+    potential at L[0], lies within the gap of both values: ``deviation`` =
+    max(|q - rho|, |q_lower - rho|) is at most the gap, which
+    ``within_bound`` checks at ``INVARIANCE_TOL``.  On an empty interval
+    the statement does not apply, and the last three fields are None.
+    """
+
+    applicable: bool
+    minimal_gap: float
+    measure: Measure
+    average: AverageResult
     rho: Optional[float]
     deviation: Optional[float]
     within_bound: Optional[bool]
 
 
-@dataclass(frozen=True)
-class QuasiReport:
-    """Potential levels of near-invariant measures against the average interval.
+def quasi_invariant_convergence(space: KernelSpace, pair: SubsetPair) -> QuasiReport:
+    """Check that the least-oscillation measure's level is within its gap of
+    both minimax values.
 
-    Each feasible tolerance eps admits a measure whose potential oscillates
-    by at most eps on L; its level at the first point of L must then land
-    within eps (plus solver slack) of every point of the average interval.
-    """
-
-    applicable: bool
-    minimal_gap: float
-    measure: Optional[Measure]
-    average: Optional[AverageResult]
-    entries: tuple[QuasiEntry, ...]
-
-
-def quasi_invariant_convergence(space: KernelSpace, pair: SubsetPair,
-                                eps_sequence: Sequence[float]) -> QuasiReport:
-    """Check that near-invariant potential levels squeeze the average interval.
-
-    The level rho is the potential at L[0] of the measure at the vertex the
-    invariance LP returns.  That optimal measure is often not unique, so
-    rho and each entry's deviation belong to that measure, not to the space.
+    The bound holds for every measure of least oscillation, so the verdict
+    does not depend on which optimal vertex the LP returns; rho and the
+    deviation do.
     """
     avg = average_interval(space, pair)
     gap, measure = min_invariance_gap(space, pair)
     if avg.interval.empty:
-        return QuasiReport(applicable=False, minimal_gap=gap, measure=measure,
-                           average=avg, entries=())
+        return QuasiReport(False, gap, measure, avg, None, None, None)
     rho = float(space.kernel[pair.L[0]] @ measure.weights)
-    entries = []
-    for eps in eps_sequence:
-        eps = float(eps)
-        if gap > eps + _EPS_SLACK:
-            entries.append(QuasiEntry(eps=eps, feasible=False, rho=None,
-                                      deviation=None, within_bound=None))
-            continue
-        deviation = max(abs(avg.q_upper - rho), abs(avg.q_lower - rho))
-        entries.append(QuasiEntry(
-            eps=eps,
-            feasible=True,
-            rho=rho,
-            deviation=deviation,
-            within_bound=bool(deviation <= eps + INVARIANCE_TOL),
-        ))
-    return QuasiReport(applicable=True, minimal_gap=gap, measure=measure,
-                       average=avg, entries=tuple(entries))
+    deviation = max(abs(avg.q_upper - rho), abs(avg.q_lower - rho))
+    return QuasiReport(True, gap, measure, avg, rho, deviation,
+                       bool(deviation <= gap + INVARIANCE_TOL))
 
 
 @dataclass(frozen=True)

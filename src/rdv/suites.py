@@ -5,6 +5,11 @@ random-graph metric spaces (and, for the quasi-invariance suite, a small
 family of vertex-transitive spaces).  Outcomes carry residual summaries
 so failures are diagnosable from the report alone; the offending space
 can be dumped to a file for replay.
+
+The duality suite solves the lower value from its own floor LP
+(``minimax.q_floor_value``); the quasi suite prints the minimal gap g, the
+deviation d of the least-oscillation level and d - g, which must be at most
+``INVARIANCE_TOL``.
 """
 from __future__ import annotations
 
@@ -24,20 +29,16 @@ from .core import (
 )
 from .energy import dual_equilibrium, dual_route_check, wolf_relations
 from .minimax import (
-    GAP_UNIQUE_TOL,
+    INVARIANCE_TOL,
     _average,
     _elton,
     inequality_chain,
+    min_invariance_gap,
+    q_floor_value,
     q_value,
-    solve_level_program,
 )
 from .spaces import circle, generate, hypercube, random_graph, save_space
-from .structure import (
-    INVARIANCE_TOL,
-    converse_check,
-    min_invariance_gap,
-    quasi_invariant_convergence,
-)
+from .structure import converse_check, quasi_invariant_convergence
 
 SUITE_NAMES = ("duality", "chain", "frostman", "wolf", "converse", "quasi")
 DEFAULT_SEEDS = 100
@@ -49,7 +50,6 @@ DEFAULT_MAX_POINTS = 8
 REGRESSION_SEED = 3
 ELTON_UPPER_TOL = 1e-8
 ELTON_LOWER_TOL = 2e-8
-QUASI_EPS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
 _UNIFORM_TOL = 1e-12
 
 
@@ -117,20 +117,14 @@ def _check_duality(space: KernelSpace) -> tuple[bool, str]:
     # Two separate LP solves, even where an invariant measure would settle
     # the pair: the upper value's LP, and the lower value's own floor LP in
     # place of the first LP's duals.  Nowhere else in the program is the
-    # floor solved.
+    # floor solved.  On H = L, _average raises UniquenessViolatedError, a
+    # failing outcome, when the two values differ by more than 1e-8.
     full = SubsetPair.full(space.m)
-    qu, mu = q_value(space, full)
-    floor = solve_level_program(space, full, roof=False, floor=True)
-    nu = Measure.from_subvector(space.m, full.H, floor.x[:space.m])
-    avg = _average(space, full, qu, float(floor.x[space.m]), mu, nu)
+    (qu, mu), (ql, nu) = q_value(space, full), q_floor_value(space, full)
+    avg = _average(space, full, qu, ql, mu, nu)
     gap = abs(avg.q_upper - avg.q_lower)
     elton = _elton(space, full, avg)
-    ok = (
-        gap <= GAP_UNIQUE_TOL
-        and avg.unique_point is not None
-        and elton.residual_upper <= ELTON_UPPER_TOL
-        and elton.residual_lower <= ELTON_LOWER_TOL
-    )
+    ok = elton.residual_upper <= ELTON_UPPER_TOL and elton.residual_lower <= ELTON_LOWER_TOL
     detail = "gap={:.3g} elton_up={:.3g} elton_lo={:.3g}".format(
         gap, elton.residual_upper, elton.residual_lower)
     return ok, detail
@@ -194,15 +188,12 @@ def _check_converse(space: KernelSpace) -> tuple[bool, str]:
 
 def _check_quasi(space: KernelSpace, seed: int) -> tuple[bool, str]:
     nested, _ = instance_pairs(space.m, seed)
-    rep = quasi_invariant_convergence(space, nested, QUASI_EPS)
+    rep = quasi_invariant_convergence(space, nested)
     if not rep.applicable:
         return True, "not applicable (empty average interval)"
-    feasible = [e for e in rep.entries if e.feasible]
-    ok = all(e.within_bound for e in feasible)
-    worst = max((e.deviation - e.eps for e in feasible), default=float("-inf"))
-    detail = "gap={:.3g} feasible={}/{} worst_excess={:.3g}".format(
-        rep.minimal_gap, len(feasible), len(rep.entries), worst)
-    return ok, detail
+    detail = "gap={:.3g} deviation={:.3g} excess={:.3g}".format(
+        rep.minimal_gap, rep.deviation, rep.deviation - rep.minimal_gap)
+    return rep.within_bound, detail
 
 
 def _check_transitive(space: KernelSpace) -> tuple[bool, str]:

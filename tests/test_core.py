@@ -35,6 +35,15 @@ def test_kernel_array_is_read_only(t2):
         t2.kernel[0, 1] = 5.0
 
 
+def test_measure_weights_are_a_read_only_copy():
+    raw = np.array([0.25, 0.75])
+    mu = Measure(raw)
+    raw[0] = 0.5
+    assert mu.weights.tolist() == [0.25, 0.75]
+    with pytest.raises(ValueError):
+        mu.weights[0] = 1.0
+
+
 def test_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         validate_kernel([[0.0, 1.0]])

@@ -28,6 +28,7 @@ from rdv import (
     validate_kernel,
 )
 import rdv.minimax as minimax
+from rdv.optimize import solve_lp
 from rdv.suites import instance_pairs, instance_space
 
 from oracles import circle_rendezvous_closed_form, grid_minimax, hypercube_rendezvous
@@ -221,6 +222,24 @@ class TestLowerValueFromDuals:
                 assert not np.signbit(nu.weights).any(), label
             if not dual:
                 assert q_lower_value(space, point)[0] == 0.0
+
+
+class TestFloorValue:
+    """q_floor_value, the duality suite's own floor LP, against the read the
+    suite made inline before it, on a fresh solve of the same program."""
+
+    @pytest.mark.parametrize("max_points", [8, 12])
+    def test_matches_the_inline_floor_read(self, max_points):
+        for seed in range(200):
+            space = instance_space(seed, max_points)
+            m = space.m
+            for pair in (SubsetPair.full(m), *instance_pairs(m, seed)):
+                h = len(pair.H)
+                floor = solve_lp(minimax.level_program(space, pair, roof=False, floor=True))
+                nu = Measure.from_subvector(m, pair.H, floor.x[:h])
+                value, measure = minimax.q_floor_value(space, pair)
+                assert value == float(floor.x[h]), (seed, pair)
+                assert measure.weights.tobytes() == nu.weights.tobytes(), (seed, pair)
 
 
 class TestAverageInterval:

@@ -45,8 +45,9 @@ from rdv import (
     wolf_relations,
 )
 from rdv.cli import build_analysis
+from rdv.minimax import q_floor_value
 from rdv.optimize import maximize_quadratic_on_simplex
-from rdv.suites import QUASI_EPS, instance_pairs
+from rdv.suites import instance_pairs
 
 
 def plain(value):
@@ -115,12 +116,13 @@ def test_pair_readers(monkeypatch, space, pair, constant):
         lambda s: average_interval(s, pair),
         lambda s: q_value(s, pair),
         lambda s: q_lower_value(s, pair),
+        lambda s: q_floor_value(s, pair),
         lambda s: min_invariance_gap(s, pair),
         lambda s: invariant_measure(s, pair),
         lambda s: converse_check(s, pair),
         lambda s: inequality_chain(s, pair),
         lambda s: chebyshev_table(s, pair, 3),
-        lambda s: quasi_invariant_convergence(s, pair, QUASI_EPS),
+        lambda s: quasi_invariant_convergence(s, pair),
         lambda s: build_analysis(s, pair, n_max=3, dual_constant=constant)[0],
     ])
 

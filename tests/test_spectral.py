@@ -79,11 +79,11 @@ class TestEigenvectorCalls:
     def test_full_pair_analysis(self, calls, spec):
         space = instance_space(5) if spec == "random" else generate(spec)
         report, _ = build_analysis(space, SubsetPair.full(space.m), n_max=2)
-        # Both spaces are of negative type, so no eigh: negative_type_test
-        # needs eigenvectors only for a witness.  eigvalsh: the space's
-        # spectrum, read by both QP routers, the converse hypotheses and
-        # negative_type_test.  The dual kernel's minimal energy is read from
-        # the maximal energy, with no router of its own.
+        # No eigh: the analysis reads the negative-type verdict from the
+        # space's spectrum.  eigvalsh: that spectrum, read by both QP
+        # routers, the converse hypotheses and the negative-type verdict.
+        # The dual kernel's minimal energy is read from the maximal energy,
+        # with no router of its own.
         assert report.verdicts["negative_type"] is True
         assert calls == {"eigh": 0, "eigvalsh": 1}
         assert report.tolerances["negative_type"] == DEFINITENESS_TOL
@@ -96,10 +96,13 @@ class TestEigenvectorCalls:
 
     def test_eigenvectors_only_for_a_witness(self, calls):
         # a space that fails the negative-type test (circle(64), which
-        # passes, is pinned at 0 above): one eigh, for its witness vector
+        # passes, is pinned above): the report prints no witness vector, so
+        # the analysis reads the cached spectrum and makes no eigh
         space = generate(random_graph(12, 0.5, 1))
         report, _ = build_analysis(space, SubsetPair.full(space.m), n_max=2)
         assert report.verdicts["negative_type"] is False
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        assert negative_type_test(space).violating_vector is not None
         assert calls == {"eigh": 1, "eigvalsh": 1}
 
     def test_definiteness_reads_no_eigenvector(self, monkeypatch):

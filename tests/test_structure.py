@@ -21,7 +21,7 @@ from rdv import (
     validate_kernel,
 )
 from rdv.spectral import centered
-from rdv.suites import REGRESSION_SEED, instance_space
+from rdv.suites import REGRESSION_SEED, instance_pairs, instance_space
 
 from oracles import centered_by_projection, invariance_gap_grid, max_sum_zero_energy_probe
 
@@ -92,43 +92,65 @@ class TestInvarianceGap:
 
 class TestQuasiInvariance:
     def test_feasibility_threshold(self, k3):
+        # g = 1/2 is the least oscillation a measure on {0, 1} reaches on L,
+        # the threshold from which an eps-flat measure exists.  Its level at
+        # point 0 is 1/2, the lower value is 1/2 and the upper value 1, so
+        # the deviation meets the bound g exactly.
         pair = SubsetPair((0, 1), (0, 1, 2))
-        rep = quasi_invariant_convergence(k3, pair, (1.0, 0.5, 0.4, 0.2))
+        rep = quasi_invariant_convergence(k3, pair)
         assert rep.applicable
         assert rep.minimal_gap == pytest.approx(0.5, abs=1e-9)
-        flags = [e.feasible for e in rep.entries]
-        assert flags == [True, True, False, False]
-        for entry in rep.entries[:2]:
-            assert entry.rho == pytest.approx(0.5, abs=1e-8)
-            assert entry.within_bound is True
-        for entry in rep.entries[2:]:
-            assert entry.rho is None and entry.within_bound is None
+        assert rep.rho == pytest.approx(0.5, abs=1e-9)
+        assert (rep.average.q_lower, rep.average.q_upper) == pytest.approx((0.5, 1.0), abs=1e-9)
+        assert rep.deviation == pytest.approx(0.5, abs=1e-9)
+        assert rep.within_bound is True
+        # mass on {1, 2}: the level at point 0 is the upper value 1, and the
+        # deviation g comes from the lower value's side
+        rep = quasi_invariant_convergence(k3, SubsetPair((1, 2), (0, 1, 2)))
+        assert rep.rho == pytest.approx(1.0, abs=1e-9)
+        assert rep.deviation == pytest.approx(0.5, abs=1e-9)
+        assert rep.within_bound is True
 
     def test_levels_squeeze_on_invariant_pair(self, t2):
-        rep = quasi_invariant_convergence(t2, SubsetPair.full(2), (0.5, 0.1, 0.01, 1e-6))
+        rep = quasi_invariant_convergence(t2, SubsetPair.full(2))
         assert rep.applicable
-        assert all(e.feasible for e in rep.entries)
-        assert all(e.within_bound for e in rep.entries)
-        assert all(abs(e.rho - 0.5) <= 1e-8 for e in rep.entries)
+        assert rep.minimal_gap <= 1e-12
+        assert rep.rho == pytest.approx(0.5, abs=1e-12)
+        assert rep.deviation <= 1e-12
+        assert rep.within_bound is True
 
     def test_not_applicable_on_crossing_pair(self, t2):
-        rep = quasi_invariant_convergence(t2, SubsetPair((0, 1), (0,)), (1.0, 0.1))
+        rep = quasi_invariant_convergence(t2, SubsetPair((0, 1), (0,)))
         assert not rep.applicable
-        assert rep.entries == ()
         assert rep.average.interval.empty
+        assert (rep.rho, rep.deviation, rep.within_bound) == (None, None, None)
+        assert rep.minimal_gap == pytest.approx(0.0, abs=1e-12)
 
-    def test_deviation_decreases_with_eps_on_random_pairs(self, instances100):
-        # the bound deviation <= eps + tol is the squeezing statement
+    def test_deviation_within_gap_on_random_pairs(self, instances100):
         for space in instances100[:8]:
             pair = SubsetPair((0, 1, 2), tuple(range(space.m)))
-            rep = quasi_invariant_convergence(
-                space, pair, (2.0, 1.0, 0.5, 0.25, 0.125)
-            )
-            if not rep.applicable:
-                continue
-            for entry in rep.entries:
-                if entry.feasible:
-                    assert entry.within_bound is True
+            rep = quasi_invariant_convergence(space, pair)
+            assert rep.applicable  # a nested pair's interval is never empty
+            assert 0.0 <= rep.deviation <= rep.minimal_gap + 1e-12
+            assert rep.within_bound is True
+
+    @pytest.mark.parametrize("max_points", [8, 12])
+    def test_sharp_bound_on_suite_instances(self, max_points):
+        # both pairs of every suite seed; the bound is d <= g, up to rounding
+        applicable = 0
+        for seed in range(200):
+            space = instance_space(seed, max_points)
+            for pair in instance_pairs(space.m, seed):
+                rep = quasi_invariant_convergence(space, pair)
+                if not rep.applicable:
+                    assert rep.deviation is None and rep.within_bound is None
+                    continue
+                applicable += 1
+                label = (seed, pair)
+                assert 0.0 <= rep.deviation <= rep.minimal_gap + 1e-12, label
+                assert rep.within_bound is True, label
+                assert rep.rho == float(space.kernel[pair.L[0]] @ rep.measure.weights), label
+        assert applicable >= 200  # every nested pair, and some general ones
 
 
 class TestNegativeType:
