@@ -1,14 +1,17 @@
-"""Time the Chebyshev multiset scan per order on the benchmark's structured spaces.
+"""Time the Chebyshev multiset scan per order on the benchmark's analyzed spaces.
 
-One order pass computes both order-n constants from the kernel sums of all
+One order pass computes both order-n constants from the kernel sums of the
 size-n multisets of H, each seen from every point of L: multisets x |L|
-cells.  On a transitive space (all four here: cyclic circles and the
-XOR-invariant hypercube) the pass of order n >= 2 forms only the multisets
-that contain point 0, C(h + n - 2, n - 1) of them; those rows are marked
-"anchored".  For each space and order this prints the multisets and cells
-the pass forms, the best of three pass times on a fresh space, and the time
-per formed cell, so a change to the scan can be read as less work or as
-faster work.
+cells.  On a transitive space (the cyclic circles and the XOR-invariant
+hypercube here) the pass of order n >= 2 forms only the multisets that
+contain point 0, C(h + n - 2, n - 1) of them; those rows are marked
+"anchored".  A pass too large for one block is bounded: it evaluates only
+the cells that could still move either constant, after bounding each prefix
+and each tile of 8 last indices; those rows are marked "bounded".  For each
+space and order this prints the multisets and cells of the pass, the cells
+it evaluated and its bound cells, the best of three pass times on a fresh
+space, and the time per cell of the pass, so a change to the scan can be
+read as less work or as faster work.
 
 Usage: python scripts/scan_rate.py
 """
@@ -17,35 +20,39 @@ import time
 
 sys.path.insert(0, "src")
 
-from rdv.chebyshev import _transitive, multiset_count, rendezvous_n
+from rdv.chebyshev import _ScanWork, _scan, _transitive, multiset_count
 from rdv.core import SubsetPair
-from rdv.spaces import circle, generate, hypercube, interval_grid
+from rdv.spaces import circle, generate, hypercube, interval_grid, random_graph
 
 # (space, largest order): the orders that `rdv analyze` scans on the
-# analyze-structured and analyze-large benchmark items under the default cap.
-CASES = ((circle(64), 4), (hypercube(6), 4), (interval_grid(101), 3), (circle(256), 2))
+# benchmark's analyze items under the default cap (random(40) is the
+# analyze-random item of workload seed 0).
+CASES = ((circle(64), 4), (hypercube(6), 4), (interval_grid(101), 3), (circle(256), 2),
+         (interval_grid(257), 2), (random_graph(40, 0.5, 4), 4))
 REPEATS = 3
 
 
-def pass_seconds(desc, n: int) -> float:
-    """Best time of one order-n pass; each run gets a fresh space, so no cached pass.
+def pass_seconds(desc, n: int) -> tuple[float, _ScanWork]:
+    """Best time of one order-n pass, and the cells it evaluated and bound;
+    each run gets a fresh space, so no cached pass.
 
-    ``rendezvous_n`` reads both constants and nothing else, so the time is
-    the pass alone, without a witness search.
+    ``_scan`` is the pass that ``rendezvous_n`` memoizes: both constants
+    and nothing else, without a witness search.
     """
     best = float("inf")
     for _ in range(REPEATS):
         space = generate(desc)
         pair = SubsetPair.full(space.m)
+        work = _ScanWork()
         start = time.perf_counter()
-        rendezvous_n(space, pair, n)
+        _scan(space, pair, n, work)
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, work
 
 
 def main() -> None:
-    print(f"{'space':<22} {'n':>2} {'multisets':>10} {'cells':>12} {'seconds':>9} "
-          f"{'ns/cell':>8}  pass")
+    print(f"{'space':<30} {'n':>2} {'multisets':>10} {'cells':>12} {'evaluated':>11} "
+          f"{'bound':>11} {'seconds':>9} {'ns/cell':>8}  pass")
     for desc, n_max in CASES:
         space = generate(desc)
         pair = SubsetPair.full(space.m)
@@ -53,9 +60,11 @@ def main() -> None:
             anchored = _transitive(space, pair, n)
             multisets = multiset_count(space.m, n - 1 if anchored else n)
             cells = multisets * space.m
-            seconds = pass_seconds(desc, n)
-            print(f"{space.name:<22} {n:>2} {multisets:>10,} {cells:>12,} {seconds:>9.4f} "
-                  f"{seconds / cells * 1e9:>8.2f}  {'anchored' if anchored else 'full'}")
+            seconds, work = pass_seconds(desc, n)
+            kind = ("anchored" if anchored else "full") + (", bounded" if work.bound else "")
+            print(f"{space.name:<30} {n:>2} {multisets:>10,} {cells:>12,} "
+                  f"{work.evaluated:>11,} {work.bound:>11,} {seconds:>9.4f} "
+                  f"{seconds / cells * 1e9:>8.2f}  {kind}")
 
 
 if __name__ == "__main__":

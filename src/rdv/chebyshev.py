@@ -2,15 +2,36 @@
 
 The order-n constant maximizes, over size-n multisets from H, the smallest
 averaged kernel sum seen from L; the dual constant minimizes the largest
-one.  One pass over all multisets (combinations with replacement) yields
-both, with a hard cap on the enumeration size.  The pass keeps the sums of
-order n - 2 in a table ordered by largest index (colex), and forms every
-sum with second-largest index b by one broadcast add over the table's first
-columns and the indices c >= b; no multiset tuples or index arrays are
-built.  The table and every block of sums stay within ``_CHUNK_CELLS``
-float64 cells.  The pass computes the two constants only.  A witness, the
-lexicographically smallest optimizer, is searched for when
+one.  One pass over the multisets (combinations with replacement) yields
+both, with a hard cap on the enumeration size.  A cell is the sum of one
+multiset seen from one point of L, divided by n; every sum runs left to
+right from 0.0 in sorted index order, so the pass and the witness search
+compute the same bits.  The pass computes the two constants only.  A
+witness, the lexicographically smallest optimizer, is searched for when
 ``chebyshev_n`` or ``dual_chebyshev_n`` asks for one (``_search``).
+
+A pass of order 1 forms every cell, in blocks of ``_CHUNK_CELLS // 4``
+float64 cells; a pass of higher order whose cells fit one block forms them
+all at once (``_whole``).  A larger pass is bounded (``_bounded``): it
+forms the sums of order n - 1, the prefixes, in colex order (by largest
+index), a chunk at a time, and a prefix P with largest index x only meets
+the last indices c >= x.  For each prefix it computes
+
+    ub = fl(min over L of fl(P + max_c k_c) / n)
+    lb = fl(max over L of fl(P + min_c k_c) / n)
+
+with the max and min taken per point of L over the c of x's tile and all
+later ones, which include every c >= x.  Rounded addition and division are
+monotone, so ub is at least the smallest-over-L value of every cell
+``fl(P + k_c)`` as computed, and lb at most its largest-over-L value.  A
+prefix with ub <= lo and lb >= hi therefore has no cell that could raise
+the running constant lo or lower the running dual hi, and is skipped; the
+result is bit for bit the full pass's.  The pass first forms every cell of
+the prefixes with the largest ub and the smallest lb, for a good lo and hi
+early, then bounds each surviving prefix again on tiles of ``_TILE``
+consecutive c, and forms only the tiles that survive.  Every table and
+block stays within ``_CHUNK_CELLS`` cells, and the bounds go chunk by
+chunk.
 
 On the full pair of a kernel invariant under a group of index permutations
 that acts transitively (the cyclic shift, or the XOR translations of 2^d
@@ -45,6 +66,9 @@ DEFAULT_ENUM_CAP = 2_000_000
 # Cells (float64) of the largest temporary of a pass: 2 MB, enough for the
 # order-2 table of 64 points (2,080 columns of 64).
 _CHUNK_CELLS = 2 ** 18
+# Last indices per tile: a pass bounds, and forms, the sums of one prefix
+# with up to this many consecutive last indices at a time.
+_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -53,6 +77,14 @@ class ChebyshevWitness:
 
     points: tuple[int, ...]
     extremal: int
+
+
+@dataclass
+class _ScanWork:
+    """The cells one pass formed: sums evaluated, and bound cells."""
+
+    evaluated: int = 0
+    bound: int = 0
 
 
 @dataclass(frozen=True)
@@ -108,33 +140,22 @@ def _order_pass(space: KernelSpace, pair: SubsetPair, n: int, cap: Optional[int]
     return space.memo(("order_pass", pair, n), lambda: _scan(space, pair, n))
 
 
-def _scan(space: KernelSpace, pair: SubsetPair, n: int) -> tuple[float, float]:
+def _scan(space: KernelSpace, pair: SubsetPair, n: int,
+          work: Optional[_ScanWork] = None) -> tuple[float, float]:
     """Both order-n constants; on a transitive space (see the module
-    docstring) only the multisets that contain point 0 are formed."""
+    docstring) only the multisets that contain point 0 are formed.  The
+    cells the pass forms are added to ``work``."""
+    work = _ScanWork() if work is None else work
     H, L = pair.H, pair.L
     # Column i holds the kernel from H[i] to every point of L.  L leads, so the
-    # reductions over L run elementwise across contiguous slabs.
-    cols = np.ascontiguousarray(space.kernel[np.ix_(L, H)])
-    anchored = _transitive(space, pair, n)
-    # The anchored pass forms the rest of each multiset after a first term 0.
-    order, offset = (n - 1, 0.0 + cols[:, :1]) if anchored else (n, None)
-    # counts[j][x]: multisets of order j with largest index at most x.
-    counts = [np.ones(len(H), dtype=np.int64)]
-    for _ in range(order - 2):
-        counts.append(np.cumsum(counts[-1]))
-    lo, hi = -math.inf, math.inf
-    for sums, invalid in _blocks(cols, order, counts, offset):
-        # Divide before comparing: sums that differ can tie once divided by n.
-        low = sums.min(axis=0)
-        low /= n
-        high = sums.max(axis=0)
-        high /= n
-        if invalid is not None:
-            low[invalid] = -np.inf
-            high[invalid] = np.inf
-        lo = max(lo, float(low.max()))
-        hi = min(hi, float(high.min()))
-    return lo, hi
+    # reductions over L run elementwise across contiguous slabs.  Copies of the
+    # last column fill the last tile; their cells repeat the last column's.
+    padded = H + H[-1:] * (-len(H) % _TILE)
+    cols = np.ascontiguousarray(space.kernel[np.ix_(L, padded)])
+    if _transitive(space, pair, n):
+        # the rest of each multiset after a first term 0
+        return _pass(cols, len(H), n - 1, n, 0.0 + cols[:, :1], work)
+    return _pass(cols, len(H), n, n, None, work)
 
 
 def _transitive(space: KernelSpace, pair: SubsetPair, n: int) -> bool:
@@ -156,7 +177,9 @@ def _transitive(space: KernelSpace, pair: SubsetPair, n: int) -> bool:
     built.
     """
     m = space.m
-    if n < 2 or m < 2 or pair != SubsetPair.full(m):
+    # H and L hold sorted distinct indices: m of them ending at m - 1 are all
+    full = len(pair.H) == len(pair.L) == pair.H[-1] + 1 == pair.L[-1] + 1 == m
+    if n < 2 or m < 2 or not full:
         return False
     return n <= space.memo(("transitive",), lambda: _anchored_orders(space.kernel))
 
@@ -198,74 +221,194 @@ def _xor(k: np.ndarray) -> bool:
     return True
 
 
-def _blocks(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray] = None):
-    """Kernel sums of all order-n multisets, in blocks of bounded size.
+def _pass(cols: np.ndarray, h: int, order: int, n: int, offset: Optional[np.ndarray],
+          work: _ScanWork) -> tuple[float, float]:
+    """Both constants over the order-``order`` multisets of the first ``h``
+    columns of ``cols``, each sum divided by n.
 
-    Yields ``(sums, invalid)``.  ``sums`` holds L on its first axis;
-    ``invalid`` is ``None`` or masks the cells of ``sums[0]`` that are no
-    multiset.  Every sum accumulates left to right from 0.0,
+    Every sum accumulates left to right from 0.0,
     ``((0 + k_a1) + k_a2) + ... + k_an``, or from the column ``offset``
-    (|L| x 1) in place of 0.0.
-
-    The sums of order k = n - 2 sit in a table in colex order (by largest
-    index first), so those with largest index at most b are its first
-    ``counts[k][b]`` columns.  For each second-largest index b, one broadcast
-    add forms ``(T[q] + k_b) + k_c`` for every such prefix q and every
-    c >= b.  Consecutive b merge into one masked block while it fits; a b too
-    large for one block splits along q and c.  A table larger than
-    ``_CHUNK_CELLS`` is replaced by the largest order that fits, and each
-    chunk of prefixes is filled from it (``_fill``).  In a merged block the
-    cells with c < b hold no multiset; for order 2 from 0.0 they hold the sum
-    of (c, b) exactly, since ``k_b + k_c == k_c + k_b``, and stay unmasked,
-    but after an ``offset`` they are masked like the rest.
+    (|L| x 1) in place of 0.0.  Order 1 has one prefix, the start, so no
+    bound can skip a cell; its cells go in blocks of columns.  A larger
+    order is evaluated whole (``_whole``) if its sums fit one block, and is
+    bounded (``_bounded``) if not.
     """
-    n_l, h = cols.shape
+    n_l = cols.shape[0]
     # Blocks get a quarter of the budget: at 2**17 cells they raised the peak
     # RSS of a random(40) analysis by 1.3 MB, at 2**16 not measurably.
     budget = max(1, _CHUNK_CELLS // 4)
-    if n == 1:
+    if order == 1:
+        start = 0.0 if offset is None else offset
         width = max(1, budget // n_l)
-        for c0 in range(0, h, width):
-            yield (0.0 if offset is None else offset) + cols[:, c0:c0 + width], None
-        return
-    k = n - 2
+        folds = [_fold(start + cols[:, c0:min(c0 + width, h)], None, n, work)
+                 for c0 in range(0, h, width)]
+        return max(low for low, _ in folds), min(high for _, high in folds)
+    # counts[j][x]: multisets of order j with largest index at most x.
+    counts = [np.ones(h, dtype=np.int64)]
+    for _ in range(order - 1):
+        counts.append(np.cumsum(counts[-1]))
+    if n_l * h * h * int(counts[order - 2][-1]) <= budget:
+        return _fold(*_whole(cols[:, :h], order, counts, offset), n, work)
+    return _bounded(cols, n, counts, offset, budget, work)
+
+
+def _fold(sums: np.ndarray, invalid: Optional[np.ndarray], n: int, work: _ScanWork
+          ) -> tuple[float, float]:
+    """The evaluation step: over a block of sums with L on its first axis,
+    the largest smallest-over-L cell and the smallest largest-over-L cell,
+    both divided by n.  ``invalid`` masks the cells of ``sums[0]`` that are
+    no multiset of the pass."""
+    work.evaluated += sums.size
+    # Divide before comparing: sums that differ can tie once divided by n.
+    low = sums.min(axis=0)
+    low /= n
+    high = sums.max(axis=0)
+    high /= n
+    if invalid is not None:
+        low[invalid] = -np.inf
+        high[invalid] = np.inf
+    return float(low.max()), float(high.min())
+
+
+def _whole(cols: np.ndarray, order: int, counts: list, offset: Optional[np.ndarray]
+           ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """All sums of a pass of order 2 or more in one block, and the mask of
+    its cells that are no multiset of the pass.
+
+    The block holds ``(T[q] + k_b) + k_c`` for every sum T[q] of order
+    ``order - 2`` and all b and c; a cell is a multiset when q's largest
+    index is at most b and b <= c.  For order 2 from 0.0 a cell with c < b
+    holds the sum of (c, b) exactly, since k_b + k_c == k_c + k_b, and stays
+    unmasked.
+    """
+    table = _colex_table(cols, order - 2, counts, offset)
+    heads = table[:, :, None] + cols[:, None, :]
+    sums = heads[:, :, :, None] + cols[:, None, None, :]
+    if order == 2 and offset is None:
+        return sums, None
+    step = np.arange(cols.shape[1])
+    invalid = ((np.arange(table.shape[1])[:, None] >= counts[order - 2])[:, :, None]
+               | (step < step[:, None]))
+    return sums, invalid
+
+
+def _bound(heads: np.ndarray, edge: np.ndarray, t: np.ndarray, extreme: np.ufunc,
+           out: np.ndarray, n: int, work: _ScanWork) -> np.ndarray:
+    """Per column i, the ``extreme`` over L of ``heads + edge[:, t[i]]``,
+    divided by n; ``out`` is scratch of the shape of ``heads``.
+
+    With ``edge`` the largest kernel entries over some last indices c and
+    ``np.minimum``, no cell ``heads + k_c`` among them has a larger
+    smallest value, as computed: rounded addition and division are
+    monotone.  With the smallest entries and ``np.maximum``, none has a
+    smaller largest value.
+    """
+    work.bound += heads.size
+    # the indices are in range; "clip" only spares take a buffered copy
+    edge.take(t, axis=1, out=out, mode="clip")
+    value = extreme.reduce(np.add(heads, out, out=out), axis=0)
+    value /= n
+    return value
+
+
+def _tile_pairs(q: np.ndarray, t0: np.ndarray, tiles: int, size: int):
+    """The pairs (q[i], t) for every tile t0[i] <= t < ``tiles``, in that
+    order, ``size`` pairs at a time, as two index arrays."""
+    ends = np.cumsum(tiles - t0)
+    total = int(ends[-1]) if ends.size else 0
+    for j0 in range(0, total, size):
+        j = np.arange(j0, min(j0 + size, total))
+        i = np.searchsorted(ends, j, side="right")
+        yield q[i], j - (ends[i] - tiles)
+
+
+def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray],
+             budget: int, work: _ScanWork) -> tuple[float, float]:
+    """The pass of ``_pass`` that forms only the cells that can still raise
+    ``lo`` or lower ``hi`` (see the module docstring).
+
+    The prefixes, the sums of order ``len(counts) - 1``, are formed in colex
+    order (by largest index first), ``budget // (2 |L|)`` at a time; a prefix q
+    with largest index x forms ``P_q + k_c`` for every c >= x, in tiles of
+    ``_TILE`` consecutive c.  ``cols`` holds whole tiles; the columns past
+    ``len(counts[0])`` copy the last one.
+    """
+    n_l = cols.shape[0]
+    tiles = cols.shape[1] // _TILE
+    blocks = cols.reshape(n_l, tiles, _TILE)
+    k = len(counts) - 1
+    # The prefixes are filled chunk by chunk from the table of the largest
+    # lower order that fits the budget.
     t = 0
-    while t < k and n_l * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
+    while t + 1 < k and n_l * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
         t += 1
     table = _colex_table(cols, t, counts, offset)
+    # The largest and smallest kernel entry from each point of L over each
+    # tile, and over each tile and all tiles after it.
+    tile_max, tile_min = blocks[:, :, 0].copy(), blocks[:, :, 0].copy()
+    for j in range(1, _TILE):
+        # eight elementwise steps; a reduction over the short last axis is
+        # several times slower
+        np.maximum(tile_max, blocks[:, :, j], out=tile_max)
+        np.minimum(tile_min, blocks[:, :, j], out=tile_min)
+    rest_max = np.ascontiguousarray(np.maximum.accumulate(tile_max[:, ::-1], axis=1)[:, ::-1])
+    rest_min = np.ascontiguousarray(np.minimum.accumulate(tile_min[:, ::-1], axis=1)[:, ::-1])
+    lo, hi = -math.inf, math.inf
     last = counts[k]
-    b = 0
-    while b < h:
-        b1 = b + 1
-        if t == k:
-            while b1 < h and n_l * (b1 + 1 - b) * int(last[b1]) * (h - b) <= budget:
-                b1 += 1
-        if b1 > b + 1:
-            nq, nc = int(last[b1 - 1]), h - b
-            heads = table[:, None, :nq] + cols[:, b:b1, None]
-            # Cells with q >= counts[k][b] or c < b hold no multiset.  For
-            # order 2 from 0.0 a cell (b, c) with c < b holds the sum of (c, b)
-            # exactly, because addition commutes, so it needs no mask.
-            invalid = None if k == 0 and offset is None else (
-                (np.arange(nq) >= last[b:b1, None])[:, :, None]
-                | (np.arange(nc) < np.arange(b1 - b)[:, None])[:, None, :])
-            yield heads[:, :, :, None] + cols[:, None, None, b:], invalid
-        else:
-            nq, nc = int(last[b]), h - b
-            width = max(1, min(nc, budget // n_l))
-            rows = max(1, budget // (n_l * width))
-            for r0 in range(0, nq, rows):
-                r1 = min(r0 + rows, nq)
-                prefix = table[:, r0:r1] if t == k else _fill(cols, table, t, counts, k, r0, r1)
-                heads = prefix + cols[:, b, None]
-                for c0 in range(b, h, width):
-                    c1 = min(c0 + width, h)
-                    # the longer axis goes innermost, where numpy's loops run
-                    if r1 - r0 >= c1 - c0:
-                        yield heads[:, None, :] + cols[:, c0:c1, None], None
-                    else:
-                        yield heads[:, :, None] + cols[:, None, c0:c1], None
-        b = b1
+    prefixes = int(last[-1])
+    # Four scratch blocks of half the budget each, reused by every chunk: a
+    # fresh block each time costs more in page faults than its arithmetic.
+    # One allocation holds them all; freed whole, it leaves no heap behind.
+    rows = max(1, budget // (2 * n_l))
+    pairs = max(1, budget // (2 * n_l * _TILE))
+    scratch = np.empty(n_l * (3 * rows + pairs * (_TILE + 1)))
+    filled, edges, heads, sums, tails = np.split(
+        scratch, np.cumsum([n_l * rows] * 3 + [n_l * pairs * _TILE]))
+
+    def evaluate(prefix, first, q, t_):
+        nonlocal lo, hi
+        block = sums[:q.size * n_l * _TILE].reshape(n_l, q.size, _TILE)
+        blocks.take(t_, axis=1, out=block, mode="clip")
+        tail = tails[:q.size * n_l].reshape(n_l, q.size)
+        np.add(block, prefix.take(q, axis=1, out=tail, mode="clip")[:, :, None], out=block)
+        # the cells with c below the prefix's largest index
+        head = first[q] - t_ * _TILE
+        invalid = np.arange(_TILE) < head[:, None] if head.max() > 0 else None
+        low, high = _fold(block, invalid, n, work)
+        lo, hi = max(lo, low), min(hi, high)
+
+    for r0 in range(0, prefixes, rows):
+        r1 = min(r0 + rows, prefixes)
+        size = n_l * (r1 - r0)
+        prefix = _fill(cols, table, t, counts, k, r0, r1, filled[:size].reshape(n_l, r1 - r0))
+        first = np.searchsorted(last, np.arange(r0, r1), side="right")
+        t0 = first // _TILE
+        edge = edges[:size].reshape(n_l, r1 - r0)
+        upper = _bound(prefix, rest_max, t0, np.minimum, edge, n, work)
+        lower = _bound(prefix, rest_min, t0, np.maximum, edge, n, work)
+        # Seeds: every cell of the prefixes with the largest and the smallest bound.
+        seeds = np.array(sorted({int(np.argmax(upper)), int(np.argmin(lower))}), dtype=np.intp)
+        seeds = seeds[(upper[seeds] > lo) | (lower[seeds] < hi)]
+        for q, t_ in _tile_pairs(seeds, t0[seeds], tiles, pairs):
+            evaluate(prefix, first, q, t_)
+        alive = (upper > lo) | (lower < hi)
+        alive[seeds] = False
+        q_alive = np.flatnonzero(alive)
+        # A side no prefix can improve needs no tile bounds.
+        raise_lo, lower_hi = bool((upper[q_alive] > lo).any()), bool((lower[q_alive] < hi).any())
+        for q, t_ in _tile_pairs(q_alive, t0[q_alive], tiles, rows):
+            size = n_l * q.size
+            head = prefix.take(q, axis=1, out=heads[:size].reshape(n_l, q.size), mode="clip")
+            edge = edges[:size].reshape(n_l, q.size)
+            keep = np.zeros(q.size, dtype=bool)
+            if raise_lo:
+                keep |= _bound(head, tile_max, t_, np.minimum, edge, n, work) > lo
+            if lower_hi:
+                keep |= _bound(head, tile_min, t_, np.maximum, edge, n, work) < hi
+            q, t_ = q[keep], t_[keep]
+            for s in range(0, q.size, pairs):
+                evaluate(prefix, first, q[s:s + pairs], t_[s:s + pairs])
+    return lo, hi
 
 
 def _colex_table(cols: np.ndarray, t: int, counts: list,
@@ -273,7 +416,7 @@ def _colex_table(cols: np.ndarray, t: int, counts: list,
     """Sums of all order-t multisets in colex order, one column each, built
     one order at a time, starting from ``offset`` (|L| x 1) or 0.0."""
     start = np.zeros((cols.shape[0], 1)) if offset is None else offset
-    table = start if t == 0 else start + cols
+    table = start if t == 0 else start + cols[:, :len(counts[0])]
     for j in range(2, t + 1):
         table = _fill(cols, table, j - 1, counts, j, 0, int(counts[j][-1]))
     return table
@@ -281,24 +424,26 @@ def _colex_table(cols: np.ndarray, t: int, counts: list,
 
 def _fill(cols: np.ndarray, table: np.ndarray, t: int, counts: list, k: int,
           r0: int, r1: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sums of the order-k multisets of colex ranks r0..r1-1, from the order-t table.
+    """Sums of the order-k multisets of colex ranks r0..r1-1, from the table
+    of a lower order t.
 
     The multisets with largest index x are those of order k - 1 with largest
     index at most x, plus x; their sums add ``k_x`` last.
     """
     if out is None:
         out = np.empty((cols.shape[0], r1 - r0))
-    if k == t:
-        out[...] = table[:, r0:r1]
-        return out
     x = int(np.searchsorted(counts[k], r0, side="right"))
     pos = 0
     while r0 < r1:
         end, size = int(counts[k][x]), int(counts[k - 1][x])
         stop = min(end, r1)
         part = out[:, pos:pos + stop - r0]
-        _fill(cols, table, t, counts, k - 1, r0 - (end - size), stop - (end - size), part)
-        part += cols[:, x, None]
+        a, b = r0 - (end - size), stop - (end - size)
+        if k - 1 == t:
+            np.add(table[:, a:b], cols[:, x, None], out=part)
+        else:
+            _fill(cols, table, t, counts, k - 1, a, b, part)
+            part += cols[:, x, None]
         pos += stop - r0
         r0 = stop
         x += 1

@@ -130,22 +130,39 @@ def _hypercube_kernel(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def _floyd_warshall(weights: np.ndarray) -> np.ndarray:
     d = weights.copy()
-    m = d.shape[0]
-    for via in range(m):
-        np.minimum(d, d[:, via][:, None] + d[via, :][None, :], out=d)
+    step = np.empty_like(d)
+    for via in range(d.shape[0]):
+        np.add(d[:, via, None], d[via], out=step)
+        np.minimum(d, step, out=d)
     return d
 
 
+def _uniforms(rng: np.random.Generator, size: int):
+    """The values of successive ``rng.random()`` calls, drawn ``size`` at a
+    time: an array draw takes the same values from the stream in order."""
+    while True:
+        yield from rng.random(size).tolist()
+
+
 def _random_graph_kernel(m: int, edge_prob: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+    # One draw per pair, and one more per edge for its weight.  Python
+    # floats from buffered array draws cost a fraction of one Generator call
+    # per draw.
+    draw = _uniforms(np.random.default_rng(seed), max(1, m * m)).__next__
     for _ in range(_MAX_GRAPH_RETRIES):
         adj = np.full((m, m), np.inf)
         np.fill_diagonal(adj, 0.0)
+        ends, weights = [], []
         for i in range(m):
             for j in range(i + 1, m):
-                if rng.random() < edge_prob:
-                    w = 1.0 - rng.uniform(0.0, 0.9)  # uniform on (0.1, 1.0]
-                    adj[i, j] = adj[j, i] = w
+                if draw() < edge_prob:
+                    # rng.uniform(0.0, 0.9) is 0.0 + 0.9 * rng.random(), so
+                    # the weight is uniform on (0.1, 1.0]
+                    ends.append((i, j))
+                    weights.append(1.0 - (0.0 + 0.9 * draw()))
+        if ends:
+            i, j = np.array(ends).T
+            adj[i, j] = adj[j, i] = weights
         dist = _floyd_warshall(adj)
         if np.all(np.isfinite(dist)):
             return dist

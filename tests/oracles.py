@@ -17,7 +17,12 @@ from functools import lru_cache
 import numpy as np
 
 from rdv.chebyshev import ChebyshevWitness, DEFAULT_ENUM_CAP, multiset_count
-from rdv.core import DimensionMismatchError, EnumerationCapExceededError, NumericalBreakdownError
+from rdv.core import (
+    DimensionMismatchError,
+    DisconnectedAfterRetriesError,
+    EnumerationCapExceededError,
+    NumericalBreakdownError,
+)
 from rdv.optimize import (
     _PIVOT_TOL,
     _RATIO_TOL,
@@ -30,6 +35,7 @@ from rdv.optimize import (
     _fw_gap,
     _polish_support,
 )
+from rdv.spaces import _MAX_GRAPH_RETRIES, _floyd_warshall
 
 
 @lru_cache(maxsize=None)
@@ -553,3 +559,25 @@ def _reference_certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray, objectiv
         raise NumericalBreakdownError(
             f"duality gap {objective - dual_obj:.3e} exceeds {GAP_TOL:.0e}"
         )
+
+
+def random_graph_kernel_loop(m: int, edge_prob: float, seed: int) -> np.ndarray:
+    """The random-graph distance matrix as drawn before the buffered draws:
+    one ``rng.random()`` call per pair and one ``rng.uniform`` per edge;
+    kept as the bit-for-bit differential reference."""
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_GRAPH_RETRIES):
+        adj = np.full((m, m), np.inf)
+        np.fill_diagonal(adj, 0.0)
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < edge_prob:
+                    w = 1.0 - rng.uniform(0.0, 0.9)  # uniform on (0.1, 1.0]
+                    adj[i, j] = adj[j, i] = w
+        dist = _floyd_warshall(adj)
+        if np.all(np.isfinite(dist)):
+            return dist
+    raise DisconnectedAfterRetriesError(
+        f"no connected graph on {m} points with edge probability {edge_prob} "
+        f"after {_MAX_GRAPH_RETRIES} draws (seed {seed})"
+    )

@@ -510,16 +510,17 @@ class TestAnchoredScan:
 
     def test_benchmark_circle_takes_the_anchored_pass(self, monkeypatch):
         orders = []
-        blocks = chebyshev._blocks
+        bounded = chebyshev._bounded
 
-        def record(cols, n, counts, offset=None):
-            orders.append((n, offset is not None))
-            return blocks(cols, n, counts, offset)
+        def record(cols, n, counts, offset, budget, work):
+            orders.append((n, len(counts), offset is not None))
+            return bounded(cols, n, counts, offset, budget, work)
 
-        monkeypatch.setattr(chebyshev, "_blocks", record)
+        monkeypatch.setattr(chebyshev, "_bounded", record)
         space = generate(circle(64))
         chebyshev._scan(space, SubsetPair.full(64), 4)
-        assert orders == [(3, True)]
+        # one bounded pass of order 3 over the rest of each multiset, after point 0
+        assert orders == [(4, 3, True)]
 
     def test_cap_counts_every_multiset(self):
         # the anchored pass forms C(66, 3) multisets, but the cap is on C(67, 4)
@@ -529,6 +530,94 @@ class TestAnchoredScan:
             chebyshev_n(space, SubsetPair.full(64), 4, cap=needed - 1)
         assert e.value.required == needed
         assert chebyshev_table(space, SubsetPair.full(64), 4, cap=needed - 1).skipped == (4,)
+
+
+def _integer_kernel(m: int, top: int, seed: int):
+    """A symmetric kernel of integers 1..top off a zero diagonal: its sums
+    are exact, so many multisets tie."""
+    k = np.triu(np.random.default_rng(seed).integers(1, top + 1, (m, m)), 1).astype(float)
+    return validate_kernel(k + k.T, name=f"int{m}")
+
+
+def _tie_cases():
+    """Pairs whose bounds meet the running constants with equality."""
+    for seed in (0, 1):
+        space = _integer_kernel(10, 3, seed)
+        yield space, SubsetPair.full(10)
+        yield space, SubsetPair((0, 2, 3, 7), (1, 4, 5, 6, 8, 9))
+        yield space, SubsetPair(tuple(range(10)), (4,))
+    space = generate(hypercube(4))
+    yield space, SubsetPair.full(16)
+    yield space, SubsetPair(tuple(range(16)), (5,))
+    space = generate(interval_grid(17))
+    yield space, SubsetPair.full(17)
+    yield space, SubsetPair((0, 1, 2, 3, 4), (12, 13, 14, 15, 16))
+
+
+def _work(space, pair, n):
+    """The pass's constants, and the cells it evaluated and bound."""
+    work = chebyshev._ScanWork()
+    return chebyshev._scan(space, pair, n, work), work
+
+
+class TestBoundedPass:
+    """The pass that skips the prefixes and tiles whose bounds cannot move
+    either constant returns the prefix-loop pass's constants to the bit."""
+
+    @staticmethod
+    def assert_same(space, pair, n):
+        """The pass's constants are the prefix loop's; returns them and the
+        pass's work."""
+        lo, _, hi, _ = chebyshev_prefix_loop(space, pair, n)
+        result, work = _work(space, pair, n)
+        assert result == (lo, hi)
+        return result, work
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dyadic_grid(self, n):
+        # grid(65) has entries j / 64: exact sums, and both constants tie
+        # across thousands of multisets
+        _, work = self.assert_same(generate(interval_grid(65)), SubsetPair.full(65), n)
+        assert (work.bound > 0) == (n > 1)
+
+    def test_hypercube_constants_meet(self, monkeypatch):
+        # at even orders lo = hi, so a prefix is skipped only where both of
+        # its bounds meet that one value exactly
+        monkeypatch.setattr(chebyshev, "_transitive", lambda space, pair, n: False)
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", 1000)
+        space = generate(hypercube(4))
+        for n in (2, 4, 6):
+            (lo, hi), work = self.assert_same(space, SubsetPair.full(16), n)
+            assert work.bound > 0
+            assert lo == hi
+
+    @pytest.mark.parametrize("cells", [1, 100, 5000])
+    def test_small_budgets(self, monkeypatch, cells):
+        # one prefix, tile and seed per chunk at 1 cell; several at 5000
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", cells)
+        bounded = 0
+        for space, pair in _tie_cases():
+            for n in range(1, 6):
+                if multiset_count(len(pair.H), n) * len(pair.L) <= _LOOP_CELLS // 4:
+                    _, work = self.assert_same(space, pair, n)
+                    bounded += work.bound > 0
+        assert bounded >= 20
+
+    def test_order_forty_on_five_points(self):
+        # 135,751 multisets from prefixes filled out of a lower-order table
+        space = generate(random_graph(5, 0.5, 3))
+        assert multiset_count(5, 39) * 5 > chebyshev._CHUNK_CELLS
+        self.assert_same(space, SubsetPair.full(5), 40)
+
+    @pytest.mark.parametrize("desc, n", [(circle(64), 4), (hypercube(6), 4),
+                                         (interval_grid(101), 3), (interval_grid(257), 2)])
+    def test_benchmark_passes_skip_most_cells(self, desc, n):
+        # the cells evaluated and bound, against every cell of the pass
+        space = generate(desc)
+        pair = SubsetPair.full(space.m)
+        order = n - 1 if chebyshev._transitive(space, pair, n) else n
+        _, work = _work(space, pair, n)
+        assert work.evaluated + work.bound < multiset_count(space.m, order) * space.m / 4
 
 
 def _moved_by_one_ulp(desc):

@@ -420,13 +420,17 @@ class TestSubprocessEntry:
 
     def test_analysis_does_not_import_numpy_ma(self):
         # numpy.ma takes about 20 ms and 0.9 MB to import, inside every timed
-        # run; circle(16) reaches the multistart, whose starts once used np.unique
-        code = ("import os, sys; from rdv.cli import main; "
-                "main(['analyze', 'circle(16)', '--out', os.devnull]); "
-                "print('numpy.ma' in sys.modules)")
+        # run.  circle(16) reaches the multistart, whose starts once used
+        # np.unique; the other three run the bounded Chebyshev pass (grid(257)
+        # at orders 1 and 2 only, under the default cap), whose seeds must not.
+        specs = ["circle(16)", "grid(101)", "hypercube(6)", "grid(257)"]
+        code = ("import os, sys; from rdv.cli import main\n"
+                f"for spec in {specs!r}:\n"
+                "    main(['analyze', spec, '--out', os.devnull])\n"
+                "    print(spec, 'numpy.ma' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == [word for spec in specs for word in (spec, "False")]
 
     def test_console_script_if_installed(self, tmp_path):
         import shutil

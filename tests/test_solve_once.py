@@ -103,7 +103,7 @@ def assert_warm_matches_fresh(monkeypatch, space, pair, constant, readers):
     for read in readers:
         read(warm)
     for module, name in ((minimax_mod, "solve_lp"), (optimize_mod, "_away_fw_block"),
-                         (optimize_mod, "_enumerate_supports"), (chebyshev_mod, "_blocks"),
+                         (optimize_mod, "_enumerate_supports"), (chebyshev_mod, "_pass"),
                          (chebyshev_mod, "_search"),
                          (np.linalg, "solve"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, _refuse)

@@ -29,7 +29,9 @@ from rdv import (
     space_to_document,
     validate_kernel,
 )
-from rdv.spaces import DEFAULT_POINT_CAP
+from rdv.spaces import DEFAULT_POINT_CAP, _random_graph_kernel
+
+from oracles import random_graph_kernel_loop
 
 
 # --------------------------------------------------------------------------
@@ -150,6 +152,25 @@ class TestRandomGraph:
         with pytest.raises(DisconnectedAfterRetriesError) as e:
             generate(random_graph(4, 1e-12, 0))
         assert e.value.code == "DisconnectedAfterRetries"
+
+    def test_buffered_draws_match_one_call_per_draw(self):
+        # m = 1..14 at three densities and 300 seeds, retries and all: the
+        # buffered draws give the per-call loop's matrix to the bit, or the
+        # same error
+        failed = 0
+        for m in range(1, 15):
+            for p in (0.5, 0.2, 0.05):
+                for seed in range(300):
+                    try:
+                        old = random_graph_kernel_loop(m, p, seed)
+                    except DisconnectedAfterRetriesError as e:
+                        with pytest.raises(DisconnectedAfterRetriesError) as new:
+                            _random_graph_kernel(m, p, seed)
+                        assert str(new.value) == str(e)
+                        failed += 1
+                        continue
+                    assert np.array_equal(_random_graph_kernel(m, p, seed), old)
+        assert failed > 0
 
 
 # --------------------------------------------------------------------------
