@@ -23,8 +23,10 @@ routes, picked by the curvature of the kernel on the sum-zero subspace:
 a certified conditional-gradient method (away steps, exact line search,
 periodic exact solves on the current support), exhaustive stationary-point
 enumeration over supports for up to 14 points, and a multistart heuristic
-that only claims a bound.  Both Frank-Wolfe routes run one loop, which
-advances a block of starts with one matrix product per step: the
+that only claims a bound.  A minimum on a block with a zero diagonal entry,
+as on every metric, takes none of them: the kernel is nonnegative, so it
+is 0, at that point's Dirac mass.  Both Frank-Wolfe routes run one loop,
+which advances a block of starts with one matrix product per step: the
 certified route runs it from the uniform measure alone, and the 32 starts
 of a multistart run as one block that shares its exact support solves, so
 each distinct support's KKT system is solved once per multistart, not
@@ -365,13 +367,15 @@ class EnergyResult:
     ``certificate`` is one of ``global_convex``, ``global_concave_max``,
     ``enumerated_exact``, ``heuristic_bound``.  ``gap`` is the final
     conditional-gradient duality gap for the certified-gradient routes and
-    0 for exact enumeration.
+    0 for exact enumeration and for a minimum that a zero diagonal entry
+    proves.
 
     ``kkt_solves`` counts the one-support KKT solves of the Frank-Wolfe
     routes, each re-solve of a polish included, and ``fw_iterations`` their
     iterations, both summed over the starts of a multistart.  Both are 0 on an
     enumerated extremum, which solves its supports as stacked systems and
-    does not count its few one-support replays.
+    does not count its few one-support replays, and on a minimum that a zero
+    diagonal entry proves.
     """
 
     value: float
@@ -670,8 +674,10 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
                     gap_tol: float, max_iter: int) -> EnergyResult:
     """The extremum over measures on ``idx``, by the route the curvature picks.
 
-    A kernel definite in the right sense on the sum-zero subspace gets one
-    certified Frank-Wolfe run from the uniform measure; otherwise up to
+    A minimum on a block with a zero diagonal entry needs no route: it is 0,
+    at a Dirac mass (``_zero_diagonal_minimum``).  Otherwise a kernel
+    definite in the right sense on the sum-zero subspace gets one certified
+    Frank-Wolfe run from the uniform measure; failing that, up to
     ``QP_ENUM_LIMIT`` points are enumerated exactly, and above that a
     32-start Frank-Wolfe multistart gives a bound.  Both Frank-Wolfe routes
     run ``_away_fw_block``.  The certified run's polish drops the atoms
@@ -683,6 +689,12 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     system is solved once per multistart; nothing is kept after the solve
     returns.
     """
+    defin = subset_definiteness(space, idx)
+    certified = defin["nsd"] if maximize else defin["psd"]
+    if not maximize:
+        dirac = _zero_diagonal_minimum(space, idx, certified)
+        if dirac is not None:
+            return dirac
     Q = space.kernel[np.ix_(idx, idx)]
     h = len(idx)
     sign = -1.0 if maximize else 1.0
@@ -717,8 +729,6 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
                     w = snapped
         return w
 
-    defin = subset_definiteness(space, idx)
-    certified = defin["nsd"] if maximize else defin["psd"]
     notes: tuple[str, ...] = ()
     if certified:
         [(v, gap, fw_iterations)] = _away_fw_block(M, gap_tol, max_iter, repolish,
@@ -761,6 +771,27 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     value = float(measure.weights @ space.kernel @ measure.weights)
     return EnergyResult(value=value, measure=measure, certificate=cert, gap=float(gap), notes=notes,
                         kkt_solves=kkt_solves, fw_iterations=fw_iterations)
+
+
+def _zero_diagonal_minimum(space: KernelSpace, idx: tuple[int, ...],
+                           certified: bool) -> EnergyResult | None:
+    """The minimum over measures on ``idx`` where K[i, i] = 0 for some i in
+    ``idx``, else None.
+
+    K >= 0, so no measure has negative energy, and the Dirac mass at i has
+    none: the minimum is 0, a proof that solves nothing.  i is the largest
+    such index, the Dirac mass the enumeration's tie rule picks.  The
+    certificate is the one the router's branch gives (``certified`` is its
+    convexity verdict).  A kernel with a negative entry gets None.
+    """
+    zeros = np.flatnonzero(space.kernel.diagonal().take(idx) == 0.0)
+    if not zeros.size or space.kernel.min() < 0.0:
+        return None
+    i = idx[zeros[-1]]
+    cert = ("global_convex" if certified
+            else "enumerated_exact" if len(idx) <= QP_ENUM_LIMIT else "heuristic_bound")
+    return EnergyResult(value=0.0, measure=Measure.dirac(space.m, i), certificate=cert, gap=0.0,
+                        notes=(f"zero diagonal at point {i}: its Dirac mass reaches the minimum 0",))
 
 
 def minimize_quadratic_on_simplex(space: KernelSpace, H: Sequence[int],

@@ -418,19 +418,36 @@ class TestSubprocessEntry:
         space, _ = load_space_file(str(out))
         assert np.array_equal(space.kernel[0], [0.0, 0.5, 1.0])
 
-    def test_analysis_does_not_import_numpy_ma(self):
-        # numpy.ma takes about 20 ms and 0.9 MB to import, inside every timed
-        # run.  circle(16) reaches the multistart, whose starts once used
-        # np.unique; the other three run the bounded Chebyshev pass (grid(257)
-        # at orders 1 and 2 only, under the default cap), whose seeds must not.
-        specs = ["circle(16)", "grid(101)", "hypercube(6)", "grid(257)"]
+    @staticmethod
+    def _imported_after(specs: list[str], module: str) -> list[str]:
+        """``[spec, "True"/"False", ...]``: whether ``module`` is imported after
+        analyzing each spec in turn, in one fresh process."""
         code = ("import os, sys; from rdv.cli import main\n"
                 f"for spec in {specs!r}:\n"
                 "    main(['analyze', spec, '--out', os.devnull])\n"
-                "    print(spec, 'numpy.ma' in sys.modules)")
+                f"    print(spec, {module!r} in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [word for spec in specs for word in (spec, "False")]
+        return proc.stdout.split()
+
+    def test_analysis_does_not_import_numpy_ma(self):
+        # numpy.ma takes about 20 ms and 0.9 MB to import, inside every timed
+        # run.  The maximal energy of random(40,0.5,4) runs the multistart,
+        # whose starts once used np.unique; circle(16) runs one certified
+        # Frank-Wolfe column; the other three run the bounded Chebyshev pass
+        # (grid(257) at orders 1 and 2 only, under the default cap), whose
+        # seeds must not.
+        specs = ["circle(16)", "grid(101)", "hypercube(6)", "grid(257)", "random(40,0.5,4)"]
+        assert self._imported_after(specs, "numpy.ma") == [
+            word for spec in specs for word in (spec, "False")]
+
+    def test_metric_analysis_does_not_import_numpy_random(self):
+        # a metric's minimal energy is 0 at a Dirac mass, with no multistart
+        # and so no Dirichlet starts; the maximal energies of these spaces
+        # are certified concave, so nothing draws a random number
+        specs = ["circle(64)", "grid(101)", "hypercube(6)", "circle(256)", "grid(257)"]
+        assert self._imported_after(specs, "numpy.random") == [
+            word for spec in specs for word in (spec, "False")]
 
     def test_console_script_if_installed(self, tmp_path):
         import shutil
