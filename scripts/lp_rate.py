@@ -2,7 +2,8 @@
 
 Every rendezvous and minimax value the suites check is the optimum of a
 small level program (``minimax.level_program``).  This runs all six
-suites once, keeps every LP they hand to ``solve_lp``, and groups them by
+suites once, keeps every LP they hand to ``solve_lp`` (the suites share
+each instance's solves, so each distinct LP once), and groups them by
 shape (rows x columns of the constraint matrix).  For each shape it prints
 the number of LPs, their simplex pivots and basis inversions
 (refactorizations, each start basis included), the best of three timed

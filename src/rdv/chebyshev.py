@@ -58,7 +58,6 @@ from .core import (
     KernelSpace,
     NumericalBreakdownError,
     SubsetPair,
-    TIE_TOL,
     ValueInterval,
 )
 
@@ -503,10 +502,7 @@ def dual_chebyshev_n(space: KernelSpace, pair: SubsetPair, n: int,
 def rendezvous_n(space: KernelSpace, pair: SubsetPair, n: int,
                  cap: Optional[int] = None) -> ValueInterval:
     """Order-n interval between the constant and its dual; may be empty."""
-    lo, hi = _order_pass(space, pair, n, cap)
-    if lo > hi + TIE_TOL:
-        return ValueInterval(lo, hi, empty=True)
-    return ValueInterval(min(lo, hi), max(lo, hi))
+    return ValueInterval.between(*_order_pass(space, pair, n, cap))
 
 
 def chebyshev_limit_bounds(space: KernelSpace, pair: SubsetPair, n_max: int,

@@ -143,6 +143,7 @@ class KernelSpace:
             raise DimensionMismatchError(
                 f"{len(self.points)} point labels for a {k.shape[0]}x{k.shape[1]} kernel"
             )
+        _check_nonnegative(k)
         object.__setattr__(self, "kernel", _as_readonly(k))
         object.__setattr__(self, "points", tuple(str(p) for p in self.points))
         object.__setattr__(self, "_memo", {})
@@ -163,6 +164,13 @@ class KernelSpace:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+
+def _check_nonnegative(k: np.ndarray) -> None:
+    """A negative entry of ``k`` raises ``NegativeEntryError`` naming the least one."""
+    if k.size and np.min(k) < 0.0:
+        i, j = np.unravel_index(int(np.argmin(k)), k.shape)
+        raise NegativeEntryError(f"negative kernel entry {k[i, j]!r} at ({i}, {j})")
 
 
 def _check_index(i: int, what: str) -> int:
@@ -311,6 +319,14 @@ class ValueInterval:
     def point(cls, v: float) -> "ValueInterval":
         return cls(v, v)
 
+    @classmethod
+    def between(cls, lower: float, upper: float) -> "ValueInterval":
+        """[min, max] of a lower and an upper value; empty, with endpoints
+        (lower, upper), where lower exceeds upper by more than ``TIE_TOL``."""
+        if lower - upper > TIE_TOL:
+            return cls(lower, upper, empty=True)
+        return cls(min(lower, upper), max(lower, upper))
+
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -360,9 +376,7 @@ def validate_kernel(
         raise AsymmetricKernelError(
             f"kernel[{i}][{j}]={float(k[i, j])!r} differs from kernel[{j}][{i}]={float(k[j, i])!r}"
         )
-    if np.min(k) < 0.0:
-        i, j = np.unravel_index(int(np.argmin(k)), k.shape)
-        raise NegativeEntryError(f"negative kernel entry {k[i, j]!r} at ({i}, {j})")
+    _check_nonnegative(k)
 
     is_metric = True
     witness: tuple | None = None

@@ -33,7 +33,6 @@ from .core import (
     KernelSpace,
     Measure,
     SubsetPair,
-    TIE_TOL,
     UniquenessViolatedError,
     ValueInterval,
 )
@@ -237,15 +236,8 @@ def _average(space: KernelSpace, pair: SubsetPair, qu: float, ql: float,
         raise UniquenessViolatedError(
             f"upper and lower values differ by {gap:.3e} on H = L (space {space.name})"
         )
-    if ql <= qu:
-        interval = ValueInterval(ql, qu)
-    elif ql - qu <= TIE_TOL:
-        interval = ValueInterval(qu, ql)
-    else:
-        interval = ValueInterval(ql, qu, empty=True)
-    return AverageResult(
-        q_upper=qu, q_lower=ql, interval=interval, mu_opt=mu, nu_opt=nu, unique_point=unique
-    )
+    return AverageResult(q_upper=qu, q_lower=ql, interval=ValueInterval.between(ql, qu),
+                         mu_opt=mu, nu_opt=nu, unique_point=unique)
 
 
 def rendezvous_number(space: KernelSpace, subset: Optional[Sequence[int]] = None) -> float:

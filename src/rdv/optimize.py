@@ -778,14 +778,14 @@ def _zero_diagonal_minimum(space: KernelSpace, idx: tuple[int, ...],
     """The minimum over measures on ``idx`` where K[i, i] = 0 for some i in
     ``idx``, else None.
 
-    K >= 0, so no measure has negative energy, and the Dirac mass at i has
-    none: the minimum is 0, a proof that solves nothing.  i is the largest
-    such index, the Dirac mass the enumeration's tie rule picks.  The
-    certificate is the one the router's branch gives (``certified`` is its
-    convexity verdict).  A kernel with a negative entry gets None.
+    K >= 0 (``KernelSpace`` rejects a negative entry), so no measure has
+    negative energy, and the Dirac mass at i has none: the minimum is 0, a
+    proof that solves nothing.  i is the largest such index, the Dirac mass
+    the enumeration's tie rule picks.  The certificate is the one the
+    router's branch gives (``certified`` is its convexity verdict).
     """
     zeros = np.flatnonzero(space.kernel.diagonal().take(idx) == 0.0)
-    if not zeros.size or space.kernel.min() < 0.0:
+    if not zeros.size:
         return None
     i = idx[zeros[-1]]
     cert = ("global_convex" if certified

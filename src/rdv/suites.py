@@ -88,7 +88,6 @@ def vertex_transitive_family() -> Iterator[tuple[str, KernelSpace]]:
 class SuiteOutcome:
     """One instance-level verdict with a residual summary."""
 
-    suite: str
     name: str
     passed: bool
     detail: str
@@ -97,7 +96,11 @@ class SuiteOutcome:
 
 @dataclass(frozen=True)
 class SuiteReport:
-    """The outcomes of one suite and the wall time, in seconds, of the run that made them."""
+    """The outcomes of one suite and the wall time, in seconds, of its checks.
+
+    ``seconds`` leaves out the generation of the instances, which in a run
+    of several suites is shared by all of them.
+    """
 
     suite: str
     outcomes: tuple[SuiteOutcome, ...]
@@ -205,14 +208,39 @@ def _check_transitive(space: KernelSpace) -> tuple[bool, str]:
     return ok, f"gap={gap:.3g} uniform_oscillation={osc:.3g}"
 
 
-def _outcome(suite: str, name: str, space: KernelSpace, check, *args) -> SuiteOutcome:
-    """The outcome of ``check(space, *args)``; a typed error fails it."""
-    try:
-        ok, detail = check(space, *args)
-    except RdvError as exc:
-        ok, detail = False, f"error[{exc.code}] {exc}"
-    return SuiteOutcome(suite=suite, name=name, passed=ok, detail=detail,
-                        space=None if ok else space)
+def _run(names: tuple[str, ...], seeds: int, max_points: int) -> tuple[SuiteReport, ...]:
+    """The named suites over seeds 0..seeds-1.  Each instance is generated once and
+    checked by every suite in turn, which reads the solves memoized on it by the
+    ones before; one instance is alive at a time.  A typed error fails a check."""
+    if seeds < 1 or max_points < 3:
+        raise DimensionMismatchError(
+            f"a suite needs seeds >= 1 and max_points >= 3; got {seeds} and {max_points}")
+    # read when the suites run, so a check replaced on the module is the one run
+    checks = {"duality": _check_duality, "chain": _check_chain, "frostman": _check_frostman,
+              "wolf": _check_wolf, "converse": _check_converse, "quasi": _check_quasi}
+    outcomes = {name: [] for name in names}
+    seconds = dict.fromkeys(names, 0.0)
+
+    def check(suite: str, name: str, space: KernelSpace, fn, *args) -> None:
+        start = time.perf_counter()
+        try:
+            ok, detail = fn(space, *args)
+        except RdvError as exc:
+            ok, detail = False, f"error[{exc.code}] {exc}"
+        outcomes[suite].append(SuiteOutcome(name, ok, detail, None if ok else space))
+        seconds[suite] += time.perf_counter() - start
+
+    for seed in range(seeds):
+        space = instance_space(seed, max_points)
+        for suite in names:
+            # chain and quasi draw their subset pairs from the seed
+            args = (seed,) if suite in ("chain", "quasi") else ()
+            check(suite, f"{suite}[{seed}]", space, checks[suite], *args)
+    if "quasi" in names:
+        for fam_name, fam_space in vertex_transitive_family():
+            check("quasi", f"quasi[{fam_name}]", fam_space, _check_transitive)
+    return tuple(SuiteReport(suite=n, outcomes=tuple(outcomes[n]), seconds=seconds[n])
+                 for n in names)
 
 
 def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
@@ -220,33 +248,15 @@ def run_suite(suite: str, seeds: int = DEFAULT_SEEDS,
     """Run one named suite over seeds 0..seeds-1 (at least one seed, at least 3 points)."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
-    if seeds < 1 or max_points < 3:
-        raise DimensionMismatchError(
-            f"a suite needs seeds >= 1 and max_points >= 3; got {seeds} and {max_points}")
-    # read when the suite runs, so a check replaced on the module is the one run
-    checks = {"duality": _check_duality, "chain": _check_chain, "frostman": _check_frostman,
-              "wolf": _check_wolf, "converse": _check_converse, "quasi": _check_quasi}
-    start = time.perf_counter()
-    outcomes = []
-    # one instance at a time, so one space and its caches are alive at once
-    for seed in range(seeds):
-        # chain and quasi draw their subset pairs from the seed
-        args = (seed,) if suite in ("chain", "quasi") else ()
-        outcomes.append(_outcome(suite, f"{suite}[{seed}]", instance_space(seed, max_points),
-                                 checks[suite], *args))
-    if suite == "quasi":
-        for fam_name, fam_space in vertex_transitive_family():
-            outcomes.append(_outcome(suite, f"{suite}[{fam_name}]", fam_space,
-                                     _check_transitive))
-    return SuiteReport(suite=suite, outcomes=tuple(outcomes),
-                       seconds=time.perf_counter() - start)
+    return _run((suite,), seeds, max_points)[0]
 
 
 def run_suites(suite: str, seeds: int = DEFAULT_SEEDS,
                max_points: int = DEFAULT_MAX_POINTS) -> tuple[SuiteReport, ...]:
-    """Run one suite, or all of them when ``suite == "all"``."""
-    names = SUITE_NAMES if suite == "all" else (suite,)
-    return tuple(run_suite(n, seeds, max_points) for n in names)
+    """Run one suite, or all of them on each instance in turn when ``suite == "all"``."""
+    if suite == "all":
+        return _run(SUITE_NAMES, seeds, max_points)
+    return (run_suite(suite, seeds, max_points),)
 
 
 def dump_failures(reports: tuple[SuiteReport, ...], directory: str) -> tuple[str, ...]:

@@ -17,6 +17,7 @@ from rdv.core import (
     NegativeEntryError,
     NonFiniteEntryError,
     SchemaError,
+    TIE_TOL,
     SubsetPair,
     ValueInterval,
     dual_kernel,
@@ -221,6 +222,16 @@ def test_value_interval_basics():
     assert ValueInterval(0.5, 0.5).point
     empty = ValueInterval(0.7, 0.3, empty=True)
     assert empty.empty and not empty.contains(0.5)
+
+
+@pytest.mark.parametrize("lower, upper, expected", [
+    (0.25, 0.75, (0.25, 0.75, False)),  # in order: [lower, upper]
+    (0.5 + TIE_TOL / 2, 0.5, (0.5, 0.5 + TIE_TOL / 2, False)),  # a tie: [upper, lower]
+    (0.5 + 2 * TIE_TOL, 0.5, (0.5 + 2 * TIE_TOL, 0.5, True)),  # crossed: empty, (lower, upper)
+])
+def test_value_interval_between(lower, upper, expected):
+    iv = ValueInterval.between(lower, upper)
+    assert (iv.lo, iv.hi, iv.empty) == expected
 
 
 # --- dual kernels ---

@@ -327,7 +327,11 @@ class TestSimplexReference:
             sol = _assert_same_as_reference(lp, f"level program {k}")
             pivots += sol.pivots
             refactorizations += sol.refactorizations
-        assert (len(suite_level_programs), pivots, refactorizations) == (993, 1966, 1786)
+        # the suites share each instance's solves, so no program is solved twice
+        assert (len(suite_level_programs), pivots, refactorizations) == (657, 1360, 1174)
+        keys = {(lp.c.tobytes(), lp.A.shape, lp.A.tobytes(), lp.senses, lp.b.tobytes(), lp.basis)
+                for lp in suite_level_programs}
+        assert len(keys) == len(suite_level_programs)
 
     def test_random_lps(self):
         lps = [lp for *_, lp in _duality_lps()]

@@ -155,6 +155,46 @@ class TestRunSuite:
         assert len(reports_one) == 1
 
 
+
+class TestOnePass:
+    """``run_suites("all")`` runs every suite on each instance in turn."""
+
+    @pytest.mark.parametrize("max_points", [8, 12])
+    def test_all_equals_each_suite_alone(self, max_points):
+        together = run_suites("all", seeds=30, max_points=max_points)
+        alone = [run_suite(name, 30, max_points) for name in SUITE_NAMES]
+        assert [r.suite for r in together] == [r.suite for r in alone] == list(SUITE_NAMES)
+        for a, b in zip(together, alone):
+            assert [(o.name, o.passed, o.detail) for o in a.outcomes] == [
+                (o.name, o.passed, o.detail) for o in b.outcomes]
+
+    def test_each_instance_generated_and_solved_once(self, monkeypatch):
+        generated, lps, qps, spectra = [], [], [], []
+
+        def recording(module, attr, record, key):
+            real = getattr(module, attr)
+
+            def wrapper(*args):
+                record.append(key(*args))
+                return real(*args)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        recording(suites_mod, "generate", generated, lambda desc: desc)
+        recording(minimax_mod, "solve_lp", lps, lambda lp: (
+            lp.c.tobytes(), lp.A.shape, lp.A.tobytes(), lp.senses, lp.b.tobytes(), lp.basis))
+        recording(optimize_mod, "_solve_extremum", qps, lambda space, *args: (
+            space.name, space.kernel.tobytes(), *args))
+        recording(optimize_mod, "sum_zero_definiteness", spectra,
+                  lambda matrix: (matrix.shape, matrix.tobytes()))
+        assert all(r.passed for r in run_suites("all", 100))
+        # 100 seeds and the 10 vertex-transitive spaces; nothing solved twice
+        assert len(generated) == 110
+        assert (len(lps), len(qps), len(spectra)) == (657, 300, 200)
+        for record in (lps, qps, spectra):
+            assert len(set(record)) == len(record)
+
+
 class TestDumpFailures:
     def test_no_failures_no_files(self, tmp_path):
         from rdv.suites import dump_failures
@@ -168,9 +208,7 @@ class TestDumpFailures:
         from rdv.suites import SuiteOutcome, SuiteReport, dump_failures
 
         space = instance_space(4)
-        outcome = SuiteOutcome(
-            suite="wolf", name="wolf[4]", passed=False, detail="synthetic", space=space
-        )
+        outcome = SuiteOutcome(name="wolf[4]", passed=False, detail="synthetic", space=space)
         report = SuiteReport(suite="wolf", outcomes=(outcome,))
         paths = dump_failures((report,), str(tmp_path))
         assert len(paths) == 1

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rdv.optimize as optimize_mod
-from rdv import KernelSpace, generate
+from rdv import KernelSpace, NegativeEntryError, generate, validate_kernel
 from rdv.optimize import QP_ENUM_LIMIT, QP_GAP_TOL, QP_MAX_ITER, minimize_quadratic_on_simplex
 from rdv.suites import instance_pairs, instance_space, vertex_transitive_family
 
@@ -86,11 +86,16 @@ def test_measure_is_the_enumerations(proved):
     assert compared == 212
 
 
-def test_a_negative_entry_takes_the_router():
-    # outside a kernel's contract: the proof needs K >= 0
-    space = KernelSpace("negative", ("a", "b"), np.array([[0.0, -1.0], [-1.0, 0.0]]), False)
-    res = minimize_quadratic_on_simplex(space, (0, 1))
-    assert res.value == -0.5 and res.certificate == "global_convex"
+def test_a_negative_entry_is_rejected_at_construction():
+    # the proof needs K >= 0: a space with a negative entry cannot be built,
+    # and says so as validate_kernel does
+    kernel = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    with pytest.raises(NegativeEntryError) as direct:
+        KernelSpace("negative", ("a", "b"), kernel, False)
+    with pytest.raises(NegativeEntryError) as validated:
+        validate_kernel(kernel)
+    assert str(direct.value) == str(validated.value)
+    assert str(direct.value).endswith("at (0, 1)")
 
 
 @st.composite
