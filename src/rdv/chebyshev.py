@@ -60,6 +60,7 @@ from .core import (
     SubsetPair,
     ValueInterval,
 )
+from .spectral import exact_sum_terms, is_cyclic, is_xor_invariant
 
 DEFAULT_ENUM_CAP = 2_000_000
 # Cells (float64) of the largest temporary of a pass: 2 MB, enough for the
@@ -185,39 +186,10 @@ def _transitive(space: KernelSpace, pair: SubsetPair, n: int) -> bool:
 
 def _anchored_orders(k: np.ndarray) -> float:
     """The largest order whose pass may anchor at point 0, 0 for none."""
-    if _cyclic(k):
+    if is_cyclic(k):
         return math.inf
     # an XOR-invariant kernel holds K[i, j] = K[0, i ^ j]: row 0 has every entry
-    if not _xor(k) or not np.array_equal(k[0], np.floor(k[0])):
-        return 0
-    return 2.0 ** 53 // max(1.0, float(k[0].max()))
-
-
-def _cyclic(k: np.ndarray) -> bool:
-    """K[i + 1, j + 1] == K[i, j] for all i, j, indices mod m.
-
-    The pairs (i + t, j + t) form cycles, one relation per step, and each
-    cycle has one step from column m - 1 to column 0.  Equality along all
-    other steps implies it there too, so those steps are not compared.
-    """
-    return (np.array_equal(k[1:, 1:], k[:-1, :-1])
-            and np.array_equal(k[0, 1:], k[-1, :-1]))
-
-
-def _xor(k: np.ndarray) -> bool:
-    """K[i ^ p, j ^ p] == K[i, j] for all i, j and every power of two p < m."""
-    m = k.shape[0]
-    if m & (m - 1):
-        return False
-    p = 1
-    while p < m:
-        a = m // (2 * p)
-        # index i = (x * 2 + y) * p + z, and i ^ p flips y
-        blocks = k.reshape(a, 2, p, a, 2, p)
-        if not np.array_equal(blocks, blocks[:, ::-1, :, :, ::-1, :]):
-            return False
-        p *= 2
-    return True
+    return exact_sum_terms(k[0]) if is_xor_invariant(k) else 0
 
 
 def _pass(cols: np.ndarray, h: int, order: int, n: int, offset: Optional[np.ndarray],

@@ -170,7 +170,7 @@ def _check_nonnegative(k: np.ndarray) -> None:
     """A negative entry of ``k`` raises ``NegativeEntryError`` naming the least one."""
     if k.size and np.min(k) < 0.0:
         i, j = np.unravel_index(int(np.argmin(k)), k.shape)
-        raise NegativeEntryError(f"negative kernel entry {k[i, j]!r} at ({i}, {j})")
+        raise NegativeEntryError(f"negative kernel entry {float(k[i, j])!r} at ({i}, {j})")
 
 
 def _check_index(i: int, what: str) -> int:

@@ -8,9 +8,13 @@ H = L the program is skipped when ``minimax.invariant_candidate`` proves a
 uniform or linear-solve measure invariant.  Quasi-invariance is the same
 program read once more: the least-oscillation measure's level on L is
 within g of both minimax values.
-Negative type is decided spectrally: the centered kernel must be negative
-semidefinite, which is exactly the statement that no sum-zero charge has
-positive energy.
+Negative type means that no sum-zero charge has positive energy, that is,
+the centered kernel is negative semidefinite (every hypermetric is of
+negative type, not conversely).  ``spectral.sum_zero_definiteness`` decides
+it once per kernel: by a proof where one applies (the trace, the transform
+of a circulant or XOR-invariant kernel, Schoenberg's shifted Cholesky test
+for strict negative type), by ``eigvalsh`` of the centered kernel
+otherwise.  Only a failed test reads eigenvectors, for its witness.
 """
 from __future__ import annotations
 
@@ -135,9 +139,10 @@ class NegativeTypeCertificate:
     """Spectral negative-type verdict.
 
     ``extreme_eigenvalue`` is the largest eigenvalue of the centered
-    kernel; the test passes when it is at most 1e-10.  On failure the
-    certificate carries a sum-zero unit vector whose energy equals that
-    eigenvalue up to rounding, a directly checkable witness.
+    kernel, exactly 0.0 where strict negative type is proved; the test
+    passes when it is at most 1e-10.  On failure the certificate carries a
+    sum-zero unit vector whose energy equals that eigenvalue up to
+    rounding, a directly checkable witness.
     """
 
     holds: bool
@@ -149,9 +154,9 @@ class NegativeTypeCertificate:
 def negative_type_test(space: KernelSpace) -> NegativeTypeCertificate:
     """Decide whether sum-zero charges always have nonpositive energy.
 
-    Verdict and eigenvalue come from the space's cached spectrum, which the
-    QP router reads too; eigenvectors are computed only when the test fails
-    and a witness vector is needed.
+    Verdict and eigenvalue come from the space's cached definiteness
+    result, which the QP router reads too; eigenvectors are computed only
+    when the test fails and a witness vector is needed.
     """
     defin = subset_definiteness(space, tuple(range(space.m)))
     if defin["nsd"]:

@@ -95,7 +95,7 @@ def test_a_negative_entry_is_rejected_at_construction():
     with pytest.raises(NegativeEntryError) as validated:
         validate_kernel(kernel)
     assert str(direct.value) == str(validated.value)
-    assert str(direct.value).endswith("at (0, 1)")
+    assert str(direct.value) == "negative kernel entry -1.0 at (0, 1)"
 
 
 @st.composite
