@@ -33,6 +33,19 @@ consecutive c, and forms only the tiles that survive.  Every table and
 block stays within ``_CHUNK_CELLS`` cells, and the bounds go chunk by
 chunk.
 
+A bounded pass takes its prefixes, bounds and a first value of each cell
+on a screen S of L.  A min over S is at least the min over L and a max
+over S at most the max over L, so a bound on S only weakens, and a cell
+that cannot raise lo or lower hi on S cannot over L.  A tile is formed on
+all of L only if one of its cells could still move a constant on S, and
+lo and hi are updated from those cells over L alone: both constants stay
+the full pass's to the bit.  S is every 8th row of L and the last where
+the pass has more than ``_CHUNK_CELLS`` cells and its L x H block is
+row-smooth (no step between consecutive rows above 1/8 of its range, as on
+a grid or a circle).  Elsewhere S is L: a smaller pass costs less than the
+screen's set-up, and on a random graph or a hypercube few cells would fail
+on S.
+
 On the full pair of a kernel invariant under a group of index permutations
 that acts transitively (the cyclic shift, or the XOR translations of 2^d
 points), every multiset has an image that contains point 0 and the same
@@ -69,6 +82,8 @@ _CHUNK_CELLS = 2 ** 18
 # Last indices per tile: a pass bounds, and forms, the sums of one prefix
 # with up to this many consecutive last indices at a time.
 _TILE = 8
+# Rows of L per row of a screen, and the steps per range of a smooth block.
+_SCREEN = 8
 
 
 @dataclass(frozen=True)
@@ -81,10 +96,12 @@ class ChebyshevWitness:
 
 @dataclass
 class _ScanWork:
-    """The cells one pass formed: sums evaluated, and bound cells."""
+    """The cells one pass formed: sums evaluated, and bound cells; and the
+    rows of its screen if it was bounded."""
 
     evaluated: int = 0
     bound: int = 0
+    screen: int = 0
 
 
 @dataclass(frozen=True)
@@ -229,6 +246,14 @@ def _fold(sums: np.ndarray, invalid: Optional[np.ndarray], n: int, work: _ScanWo
     the largest smallest-over-L cell and the smallest largest-over-L cell,
     both divided by n.  ``invalid`` masks the cells of ``sums[0]`` that are
     no multiset of the pass."""
+    low, high = _cells(sums, invalid, n, work)
+    return float(low.max()), float(high.min())
+
+
+def _cells(sums: np.ndarray, invalid: Optional[np.ndarray], n: int, work: _ScanWork
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of a block of sums, its smallest and largest value over the
+    first axis, divided by n; an invalid cell reads -inf and inf."""
     work.evaluated += sums.size
     # Divide before comparing: sums that differ can tie once divided by n.
     low = sums.min(axis=0)
@@ -238,7 +263,7 @@ def _fold(sums: np.ndarray, invalid: Optional[np.ndarray], n: int, work: _ScanWo
     if invalid is not None:
         low[invalid] = -np.inf
         high[invalid] = np.inf
-    return float(low.max()), float(high.min())
+    return low, high
 
 
 def _whole(cols: np.ndarray, order: int, counts: list, offset: Optional[np.ndarray]
@@ -293,84 +318,132 @@ def _tile_pairs(q: np.ndarray, t0: np.ndarray, tiles: int, size: int):
         yield q[i], j - (ends[i] - tiles)
 
 
+def _screen(cols: np.ndarray) -> Optional[np.ndarray]:
+    """The rows of a pass's screen over the block ``cols`` (see the module
+    docstring), or None for all of L."""
+    n_l, width = cols.shape
+    # every 8th row and the last are all of two rows
+    if n_l <= 2:
+        return None
+    limit = (cols.max() - cols.min()) / _SCREEN
+    # a few rows at a time, up to the first step too large
+    span = min(n_l - 1, max(1, _CHUNK_CELLS // 64 // width))
+    steps = np.empty((span, width))
+    for r0 in range(0, n_l - 1, span):
+        step = steps[:min(span, n_l - 1 - r0)]
+        np.subtract(cols[r0 + 1:r0 + 1 + len(step)], cols[r0:r0 + len(step)], out=step)
+        if np.abs(step, out=step).max() > limit:
+            return None
+    return np.append(np.arange(0, n_l - 1, _SCREEN), n_l - 1)
+
+
 def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray],
              budget: int, work: _ScanWork) -> tuple[float, float]:
     """The pass of ``_pass`` that forms only the cells that can still raise
     ``lo`` or lower ``hi`` (see the module docstring).
 
     The prefixes, the sums of order ``len(counts) - 1``, are formed in colex
-    order (by largest index first), ``budget // (2 |L|)`` at a time; a prefix q
-    with largest index x forms ``P_q + k_c`` for every c >= x, in tiles of
-    ``_TILE`` consecutive c.  ``cols`` holds whole tiles; the columns past
-    ``len(counts[0])`` copy the last one.
+    order (by largest index first), ``budget // (2 |S|)`` at a time on the
+    screen S; a prefix q with largest index x forms ``P_q + k_c`` for every
+    c >= x, in tiles of ``_TILE`` consecutive c.  ``cols`` holds whole
+    tiles; the columns past ``len(counts[0])`` copy the last one.
     """
     n_l = cols.shape[0]
     tiles = cols.shape[1] // _TILE
     blocks = cols.reshape(n_l, tiles, _TILE)
     k = len(counts) - 1
+    # The cells of the pass, multisets times |L|: up to _CHUNK_CELLS of them
+    # cost less than a screen's set-up.
+    screen = _screen(cols) if n_l * int(counts[k].sum()) > _CHUNK_CELLS else None
+    n_s = work.screen = n_l if screen is None else screen.size
+    # Scratch blocks of half the budget each, reused by every chunk: a fresh
+    # block each time costs more in page faults than its arithmetic.  One
+    # allocation holds them all and S's rows of ``cols``; freed whole, it
+    # leaves no heap behind.
+    rows = max(1, budget // (2 * n_s))
+    pairs = max(1, budget // (2 * n_s * _TILE))
+    full = max(1, budget // (2 * n_l * _TILE))
+    cells = max(n_s * pairs, n_l * full)
+    sizes = [n_s * rows] * 3 + [cells * _TILE, cells]
+    if screen is not None:
+        sizes.append(n_s * cols.shape[1])
+    scratch = np.empty(sum(sizes))
+    filled, edges, heads, sums, tails, *on_screen = np.split(scratch, np.cumsum(sizes)[:-1])
+    seen_cols, start = cols, offset
+    if screen is not None:
+        seen_cols = cols.take(screen, axis=0, out=on_screen[0].reshape(n_s, -1), mode="clip")
+        start = None if offset is None else offset[screen]
+    seen_blocks = seen_cols.reshape(n_s, tiles, _TILE)
     # The prefixes are filled chunk by chunk from the table of the largest
     # lower order that fits the budget.
     t = 0
-    while t + 1 < k and n_l * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
+    while t + 1 < k and n_s * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
         t += 1
-    table = _colex_table(cols, t, counts, offset)
-    # The largest and smallest kernel entry from each point of L over each
+    table = _colex_table(seen_cols, t, counts, start)
+    # The largest and smallest kernel entry from each row of S over each
     # tile, and over each tile and all tiles after it.
-    tile_max, tile_min = blocks[:, :, 0].copy(), blocks[:, :, 0].copy()
+    tile_max, tile_min = seen_blocks[:, :, 0].copy(), seen_blocks[:, :, 0].copy()
     for j in range(1, _TILE):
         # eight elementwise steps; a reduction over the short last axis is
         # several times slower
-        np.maximum(tile_max, blocks[:, :, j], out=tile_max)
-        np.minimum(tile_min, blocks[:, :, j], out=tile_min)
+        np.maximum(tile_max, seen_blocks[:, :, j], out=tile_max)
+        np.minimum(tile_min, seen_blocks[:, :, j], out=tile_min)
     rest_max = np.ascontiguousarray(np.maximum.accumulate(tile_max[:, ::-1], axis=1)[:, ::-1])
     rest_min = np.ascontiguousarray(np.minimum.accumulate(tile_min[:, ::-1], axis=1)[:, ::-1])
     lo, hi = -math.inf, math.inf
     last = counts[k]
     prefixes = int(last[-1])
-    # Four scratch blocks of half the budget each, reused by every chunk: a
-    # fresh block each time costs more in page faults than its arithmetic.
-    # One allocation holds them all; freed whole, it leaves no heap behind.
-    rows = max(1, budget // (2 * n_l))
-    pairs = max(1, budget // (2 * n_l * _TILE))
-    scratch = np.empty(n_l * (3 * rows + pairs * (_TILE + 1)))
-    filled, edges, heads, sums, tails = np.split(
-        scratch, np.cumsum([n_l * rows] * 3 + [n_l * pairs * _TILE]))
 
-    def evaluate(prefix, first, q, t_):
-        nonlocal lo, hi
-        block = sums[:q.size * n_l * _TILE].reshape(n_l, q.size, _TILE)
-        blocks.take(t_, axis=1, out=block, mode="clip")
-        tail = tails[:q.size * n_l].reshape(n_l, q.size)
-        np.add(block, prefix.take(q, axis=1, out=tail, mode="clip")[:, :, None], out=block)
+    def form(source, tail, first, q, t_):
+        """``_cells`` of the pairs (q, t_) over the rows of ``source``;
+        ``tail`` holds the prefixes q on those rows."""
+        block = sums[:tail.size * _TILE].reshape(*tail.shape, _TILE)
+        source.take(t_, axis=1, out=block, mode="clip")
+        np.add(block, tail[:, :, None], out=block)
         # the cells with c below the prefix's largest index
         head = first[q] - t_ * _TILE
         invalid = np.arange(_TILE) < head[:, None] if head.max() > 0 else None
-        low, high = _fold(block, invalid, n, work)
-        lo, hi = max(lo, low), min(hi, high)
+        return _cells(block, invalid, n, work)
+
+    def evaluate(r0, seen, first, q, t_):
+        nonlocal lo, hi
+        tail = seen.take(q, axis=1, out=tails[:n_s * q.size].reshape(n_s, q.size), mode="clip")
+        low, high = form(seen_blocks, tail, first, q, t_)
+        if screen is None:
+            lo, hi = max(lo, float(low.max())), min(hi, float(high.min()))
+            return
+        # the tiles that could move lo or hi, formed on all of L
+        keep = np.flatnonzero(((low > lo) | (high < hi)).any(axis=1))
+        for s in range(0, keep.size, full):
+            i = keep[s:s + full]
+            tail = tails[:n_l * i.size].reshape(n_l, i.size)
+            _gather(cols, offset, counts, r0 + q[i], tail, sums[:tail.size].reshape(tail.shape))
+            low, high = form(blocks, tail, first, q[i], t_[i])
+            lo, hi = max(lo, float(low.max())), min(hi, float(high.min()))
 
     for r0 in range(0, prefixes, rows):
         r1 = min(r0 + rows, prefixes)
-        size = n_l * (r1 - r0)
-        prefix = _fill(cols, table, t, counts, k, r0, r1, filled[:size].reshape(n_l, r1 - r0))
+        size = n_s * (r1 - r0)
+        seen = _fill(seen_cols, table, t, counts, k, r0, r1, filled[:size].reshape(n_s, r1 - r0))
         first = np.searchsorted(last, np.arange(r0, r1), side="right")
         t0 = first // _TILE
-        edge = edges[:size].reshape(n_l, r1 - r0)
-        upper = _bound(prefix, rest_max, t0, np.minimum, edge, n, work)
-        lower = _bound(prefix, rest_min, t0, np.maximum, edge, n, work)
+        edge = edges[:size].reshape(n_s, r1 - r0)
+        upper = _bound(seen, rest_max, t0, np.minimum, edge, n, work)
+        lower = _bound(seen, rest_min, t0, np.maximum, edge, n, work)
         # Seeds: every cell of the prefixes with the largest and the smallest bound.
         seeds = np.array(sorted({int(np.argmax(upper)), int(np.argmin(lower))}), dtype=np.intp)
         seeds = seeds[(upper[seeds] > lo) | (lower[seeds] < hi)]
         for q, t_ in _tile_pairs(seeds, t0[seeds], tiles, pairs):
-            evaluate(prefix, first, q, t_)
+            evaluate(r0, seen, first, q, t_)
         alive = (upper > lo) | (lower < hi)
         alive[seeds] = False
         q_alive = np.flatnonzero(alive)
         # A side no prefix can improve needs no tile bounds.
         raise_lo, lower_hi = bool((upper[q_alive] > lo).any()), bool((lower[q_alive] < hi).any())
         for q, t_ in _tile_pairs(q_alive, t0[q_alive], tiles, rows):
-            size = n_l * q.size
-            head = prefix.take(q, axis=1, out=heads[:size].reshape(n_l, q.size), mode="clip")
-            edge = edges[:size].reshape(n_l, q.size)
+            size = n_s * q.size
+            head = seen.take(q, axis=1, out=heads[:size].reshape(n_s, q.size), mode="clip")
+            edge = edges[:size].reshape(n_s, q.size)
             keep = np.zeros(q.size, dtype=bool)
             if raise_lo:
                 keep |= _bound(head, tile_max, t_, np.minimum, edge, n, work) > lo
@@ -378,8 +451,25 @@ def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray
                 keep |= _bound(head, tile_min, t_, np.maximum, edge, n, work) < hi
             q, t_ = q[keep], t_[keep]
             for s in range(0, q.size, pairs):
-                evaluate(prefix, first, q[s:s + pairs], t_[s:s + pairs])
+                evaluate(r0, seen, first, q[s:s + pairs], t_[s:s + pairs])
     return lo, hi
+
+
+def _gather(cols: np.ndarray, offset: Optional[np.ndarray], counts: list, ranks: np.ndarray,
+            out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sums of the multisets of order ``len(counts) - 1`` of the given colex
+    ranks, added as ``_fill`` adds them; ``scratch`` is shaped as ``out``."""
+    # the order-j multisets with largest index x follow those with smaller
+    last = []
+    for j in range(len(counts) - 1, 0, -1):
+        x = np.searchsorted(counts[j], ranks, side="right")
+        ranks = ranks - (counts[j][x] - counts[j - 1][x])
+        last.append(x)
+    cols.take(last.pop(), axis=1, out=out, mode="clip")
+    out += 0.0 if offset is None else offset
+    while last:
+        out += cols.take(last.pop(), axis=1, out=scratch, mode="clip")
+    return out
 
 
 def _colex_table(cols: np.ndarray, t: int, counts: list,

@@ -656,10 +656,14 @@ def _enumerate_supports(Q: np.ndarray, sign: float, stacked=None):
 def subset_definiteness(space: KernelSpace, idx: tuple[int, ...]) -> dict:
     """``sum_zero_definiteness`` of K[idx, idx], once per space and subset.
 
-    ``idx`` is a checked subset, as ``check_subset`` returns it.
+    ``idx`` is a checked subset, as ``check_subset`` returns it: m distinct
+    indices are every point, read in place of a copy.
     """
-    return space.memo(("sum_zero_definiteness", idx),
-                      lambda: sum_zero_definiteness(space.kernel[np.ix_(idx, idx)]))
+    def definiteness() -> dict:
+        whole = len(idx) == space.m
+        return sum_zero_definiteness(space.kernel if whole else space.kernel[np.ix_(idx, idx)])
+
+    return space.memo(("sum_zero_definiteness", idx), definiteness)
 
 
 def _quadratic_extremum(space: KernelSpace, H: Sequence[int], maximize: bool,

@@ -620,6 +620,118 @@ class TestBoundedPass:
         assert work.evaluated + work.bound < multiset_count(space.m, order) * space.m / 4
 
 
+def _relabelled_grid(m):
+    """grid(m) with its points in a seeded random order: no step between
+    consecutive rows is small."""
+    k = generate(interval_grid(m)).kernel
+    order = np.random.default_rng(0).permutation(m)
+    return validate_kernel(k[np.ix_(order, order)], name=f"relabelled-grid{m}")
+
+
+def _screened_cases():
+    """Pairs whose bounded passes take a screen: grids, chord and arc
+    circles (anchored at point 0 on the full pair) and sub-pairs with
+    |H| != |L|."""
+    for m in (17, 40, 65, 101):
+        yield generate(interval_grid(m)), SubsetPair.full(m)
+    for m in (33, 41, 64):
+        for metric in ("chord", "arc"):
+            yield generate(circle(m, metric)), SubsetPair.full(m)
+    grid = generate(interval_grid(60))
+    yield grid, SubsetPair(tuple(range(0, 60, 3)), tuple(range(5, 50)))
+    yield grid, SubsetPair(tuple(range(5, 50)), tuple(range(0, 60, 3)))
+    arc = generate(circle(48, "arc"))
+    yield arc, SubsetPair(tuple(range(0, 48, 2)), tuple(range(10, 41)))
+
+
+class TestScreenedPass:
+    """A bounded pass of more than ``_CHUNK_CELLS`` cells over a row-smooth
+    block bounds and first evaluates its cells on every 8th row of L and the
+    last, forms a tile on all of L only where a screen value could still
+    move a constant, and returns the constants of the pass over all of L to
+    the bit."""
+
+    @pytest.mark.parametrize("cells, n, least", [(None, 2, 1), (None, 3, 4), (4096, 2, 6),
+                                                 (4096, 3, 13), (200, 2, 7), (200, 3, 13)])
+    def test_against_prefix_loop(self, monkeypatch, cells, n, least):
+        if cells is not None:
+            monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", cells)
+        screened = 0
+        for space, pair in _screened_cases():
+            lo, _, hi, _ = chebyshev_prefix_loop(space, pair, n)
+            result, work = _work(space, pair, n)
+            assert result == (lo, hi)
+            screened += 0 < work.screen < len(pair.L)
+        # Order 2 on a full circle is an anchored pass of order 1, never
+        # bounded; at the full budget the smaller passes keep all of L.
+        assert screened >= least
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_old_scan(self, monkeypatch, n):
+        # the witnesses too: the search reads the screened pass's values
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", 4096)
+        for space, pair in _screened_cases():
+            if len(pair.H) <= 65:
+                assert chebyshev_n(space, pair, n) == chebyshev_scan(space, pair, n)
+                assert dual_chebyshev_n(space, pair, n) == chebyshev_scan(space, pair, n,
+                                                                          dual=True)
+
+    @pytest.mark.parametrize("desc, n, rows", [(interval_grid(101), 3, 14), (circle(64), 4, 9),
+                                               (interval_grid(257), 2, 33),
+                                               (circle(256), 3, 33)])
+    def test_smooth_blocks_take_the_screen(self, monkeypatch, desc, n, rows):
+        space = generate(desc)
+        result, work = _work(space, SubsetPair.full(space.m), n)
+        assert work.screen == rows
+        monkeypatch.setattr(chebyshev, "_screen", lambda cols: None)
+        assert result == chebyshev._scan(space, SubsetPair.full(space.m), n)
+
+    @pytest.mark.parametrize("space, n, evaluated, bound", [
+        (generate(hypercube(6)), 3, 83_968, 42_496),
+        (generate(hypercube(6)), 4, 5_120, 266_240),
+        (generate(random_graph(40, 0.5, 4)), 3, 146_880, 174_160),
+        (generate(random_graph(40, 0.5, 4)), 4, 166_080, 1_312_840),
+        (_relabelled_grid(101), 2, 438_744, 87_971),
+        (_relabelled_grid(101), 3, 12_150_704, 4_641_354),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_rough_blocks_keep_all_of_l(self, space, n, evaluated, bound):
+        # the unscreened pass's counts: steps between consecutive rows of
+        # nearly the whole range fail the gate, and S = L
+        _, work = _work(space, SubsetPair.full(space.m), n)
+        assert (work.evaluated, work.bound, work.screen) == (evaluated, bound, space.m)
+
+    def test_gate(self):
+        def screen(k):
+            return chebyshev._screen(np.ascontiguousarray(k))
+
+        ramp = np.arange(17.0)[:, None] * np.ones((1, 3))
+        assert screen(ramp).tolist() == [0, 8, 16]
+        assert screen(ramp[:10]).tolist() == [0, 8, 9]
+        # steps of exactly 1/8 of the range pass; one a little larger does not
+        eighths = np.arange(9.0)[:, None] * np.ones((1, 2))
+        assert screen(eighths).tolist() == [0, 8]
+        eighths[8, 1] = 8.5
+        assert screen(eighths) is None
+        # two rows or fewer are their own screen
+        assert screen(ramp[:2]) is None
+        assert screen(ramp[:1]) is None
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_gather_adds_as_fill(self, order):
+        space = generate(random_graph(11, 0.5, 6))
+        cols = np.ascontiguousarray(space.kernel[:, :9])
+        counts = [np.ones(9, dtype=np.int64)]
+        for _ in range(order):
+            counts.append(np.cumsum(counts[-1]))
+        ranks = np.random.default_rng(order).integers(0, int(counts[-1][-1]), 40)
+        for offset in (None, 0.0 + cols[:, 3:4]):
+            table = chebyshev._colex_table(cols, 0, counts, offset)
+            whole = chebyshev._fill(cols, table, 0, counts, order, 0, int(counts[-1][-1]))
+            out, scratch = np.empty((11, 40)), np.empty((11, 40))
+            gathered = chebyshev._gather(cols, offset, counts, ranks, out, scratch)
+            assert np.array_equal(gathered, whole[:, ranks])
+
+
 def _moved_by_one_ulp(desc):
     k = generate(desc).kernel.copy()
     k[0, 2] = k[2, 0] = np.nextafter(k[0, 2], np.inf)
@@ -711,3 +823,12 @@ class TestMemoryBound:
     def test_anchored_order_two(self):
         # the transitivity check compares views of the kernel, it copies none
         self.assert_bounded(generate(circle(256)), 2)
+
+    def test_screened_passes(self):
+        # the screen's rows of the block live in the pass's one scratch block
+        for desc, n in ((interval_grid(257), 2), (circle(256), 3)):
+            space = generate(desc)
+            work = chebyshev._ScanWork()
+            chebyshev._scan(space, SubsetPair.full(space.m), n, work)
+            assert work.screen == 33
+            self.assert_bounded(space, n)

@@ -515,6 +515,23 @@ class TestQuadraticRoutes:
         with pytest.raises(IndexOutOfRangeError):
             minimize_quadratic_on_simplex(k3, [0, 7])
 
+    def test_definiteness_reads_the_kernel_of_every_point(self, monkeypatch):
+        # every point: the kernel itself, no m x m copy; a proper subset: its block
+        seen = []
+
+        def spy(matrix):
+            seen.append(matrix)
+            return sum_zero_definiteness(matrix)
+
+        monkeypatch.setattr(optimize_mod, "sum_zero_definiteness", spy)
+        space = generate(random_graph(9, 0.5, 3))
+        every = optimize_mod.subset_definiteness(space, tuple(range(9)))
+        part = optimize_mod.subset_definiteness(space, (1, 4, 6, 8))
+        assert seen[0] is space.kernel
+        assert np.array_equal(seen[1], space.kernel[np.ix_((1, 4, 6, 8), (1, 4, 6, 8))])
+        assert every == sum_zero_definiteness(space.kernel.copy())
+        assert part == sum_zero_definiteness(seen[1].copy())
+
 
 class TestQuadraticAgainstGrid:
     @settings(max_examples=8)
