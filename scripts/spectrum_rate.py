@@ -28,6 +28,7 @@ import numpy as np
 
 from rdv import spectral
 from rdv.spaces import circle, generate, hypercube, interval_grid, random_graph
+from rdv.tolerances import DEFINITENESS_TOL
 
 SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512, 1024, 2048)
 FAMILIES = {
@@ -55,7 +56,7 @@ def best_seconds(call, budget: float = 0.05) -> float:
 
 def route(k: np.ndarray) -> str:
     """Which route proves the result on K, "-" for none."""
-    if spectral._proof(k, spectral.DEFINITENESS_TOL) is None:
+    if spectral._proof(k, DEFINITENESS_TOL) is None:
         return "-"
     if spectral._transitive_spectrum(k) is not None:
         return "cosine" if spectral.is_cyclic(k) else "walsh"
@@ -63,7 +64,6 @@ def route(k: np.ndarray) -> str:
 
 
 def main(largest: int) -> None:
-    tol = spectral.DEFINITENESS_TOL
     print(f"{'family':>9} {'m':>5} {'eigvalsh_s':>11} {'proof_s':>10} {'route':>8} {'ratio':>7}")
     cheaper = {}
     for family, make in FAMILIES.items():
@@ -73,7 +73,7 @@ def main(largest: int) -> None:
                 continue
             k = generate(make(m)).kernel
             eig = best_seconds(lambda: np.linalg.eigvalsh(spectral.centered(k)))
-            proof = best_seconds(lambda: spectral._proof(k, tol))
+            proof = best_seconds(lambda: spectral._proof(k, DEFINITENESS_TOL))
             how = route(k)
             cost = proof if how != "-" else proof + eig
             cheaper.setdefault(m, []).append(proof < eig)

@@ -16,14 +16,12 @@ from typing import Optional
 from .chebyshev import DEFAULT_ENUM_CAP, chebyshev_table
 from .core import RdvError, SchemaError, SubsetPair
 from .energy import (
-    FROSTMAN_TOL,
-    ORDER_TOL,
     dual_equilibrium,
     maximal_energy,
     order_side,
     wiener_energy,
 )
-from .minimax import GAP_UNIQUE_TOL, average_interval, inequality_chain, rendezvous_number
+from .minimax import average_interval, inequality_chain, rendezvous_number
 from .optimize import QP_ENUM_LIMIT, subset_definiteness
 from .report import AnalysisReport
 from .spaces import (
@@ -36,13 +34,7 @@ from .spaces import (
     save_space,
     write_text,
 )
-from .spectral import DEFINITENESS_TOL
-from .structure import (
-    AGREEMENT_TOL,
-    INVARIANCE_TOL,
-    converse_check,
-    invariant_measure,
-)
+from .structure import converse_check, invariant_measure
 from .suites import (
     DEFAULT_MAX_POINTS,
     DEFAULT_SEEDS,
@@ -50,6 +42,7 @@ from .suites import (
     dump_failures,
     run_suites,
 )
+from .tolerances import ANALYZE_TOLERANCES, VERIFY_TOLERANCES
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -180,18 +173,9 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
         "certificate_max_energy": me.certificate,
         "certificate_equilibrium_dual": eq.certificate,
     }
-    tolerances = {
-        "duality_gap": GAP_UNIQUE_TOL,
-        "uniqueness": GAP_UNIQUE_TOL,
-        "chain": GAP_UNIQUE_TOL,
-        "invariance": INVARIANCE_TOL,
-        "agreement": AGREEMENT_TOL,
-        "frostman": FROSTMAN_TOL,
-        "negative_type": DEFINITENESS_TOL,
-    }
     report = AnalysisReport(space_name=space.name, parameters=parameters,
                             scalars=scalars, measures=measures,
-                            verdicts=verdicts, tolerances=tolerances)
+                            verdicts=verdicts, tolerances=dict(ANALYZE_TOLERANCES))
     code = EXIT_OK if chain.ok else EXIT_VERDICT
     return report, code
 
@@ -249,9 +233,7 @@ def cmd_verify(args) -> int:
             scalars={"passed": float(good), "total": float(len(verdicts))},
             measures={},
             verdicts=verdicts,
-            tolerances={"duality_gap": GAP_UNIQUE_TOL, "chain": GAP_UNIQUE_TOL,
-                        "frostman": FROSTMAN_TOL, "invariance": INVARIANCE_TOL,
-                        "order": ORDER_TOL},
+            tolerances=dict(VERIFY_TOLERANCES),
         )
         save_report(summary, args.out)
     if not all_ok:

@@ -15,12 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-12
-METRIC_TOL = 1e-12
-MEASURE_SUM_TOL = 1e-9
-MEASURE_NEG_TOL = 1e-9
-SUPPORT_EPS = 1e-12
-TIE_TOL = 1e-9
+from .tolerances import (
+    MEASURE_NEG_TOL,
+    MEASURE_SUM_TOL,
+    METRIC_TOL,
+    SUPPORT_EPS,
+    SYMMETRY_TOL,
+    TIE_TOL,
+)
 
 
 class RdvError(Exception):
@@ -266,9 +268,9 @@ class Measure:
     def m(self) -> int:
         return self.weights.size
 
-    def support(self, eps: float = SUPPORT_EPS) -> tuple[int, ...]:
-        """Indices actually carrying mass (weight above ``eps``)."""
-        return tuple(int(i) for i in np.flatnonzero(self.weights > eps))
+    def support(self) -> tuple[int, ...]:
+        """Indices actually carrying mass (weight above ``SUPPORT_EPS``)."""
+        return tuple(int(i) for i in np.flatnonzero(self.weights > SUPPORT_EPS))
 
     @classmethod
     def dirac(cls, m: int, i: int) -> "Measure":
@@ -331,8 +333,8 @@ class ValueInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, v: float, tol: float = 0.0) -> bool:
-        return (not self.empty) and (self.lo - tol <= v <= self.hi + tol)
+    def contains(self, v: float) -> bool:
+        return (not self.empty) and (self.lo <= v <= self.hi)
 
 
 def _first_triangle_violation(k: np.ndarray, tol: float) -> tuple | None:
@@ -355,11 +357,12 @@ def validate_kernel(
 ) -> KernelSpace:
     """Validate a square matrix as a kernel and classify it as metric or not.
 
-    Checks, in order: finiteness, symmetry (tolerance 1e-12), nonnegativity,
-    then the metric axioms (zero diagonal, positive off-diagonal, triangle
-    inequality with tolerance 1e-12).  ``is_metric`` on the result records
-    whether all axioms hold; with ``require_metric`` a failure raises
-    ``MetricViolationError`` carrying a witnessing triple instead.
+    Checks, in order: finiteness, symmetry (tolerance ``SYMMETRY_TOL``),
+    nonnegativity, then the metric axioms (zero diagonal, positive
+    off-diagonal, triangle inequality, both within ``METRIC_TOL``).
+    ``is_metric`` on the result records whether all axioms hold; with
+    ``require_metric`` a failure raises ``MetricViolationError`` carrying a
+    witnessing triple instead.
     """
     k = np.asarray(matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    SUPPORT_EPS,
     DimensionMismatchError,
     DualMismatchError,
     KernelSpace,
@@ -43,11 +42,13 @@ from .optimize import (
 # not called here; perfbench's binding test pins it until its repin
 from .spectral import sum_zero_definiteness
 from .structure import invariant_measure
-
-FROSTMAN_TOL = 1e-6
-DUAL_MATCH_TOL = 1e-7
-ORDER_TOL = 1e-8
-EQUALITY_TOL = 1e-7
+from .tolerances import (
+    DUAL_MATCH_TOL,
+    EQUALITY_TOL,
+    FROSTMAN_TOL,
+    ORDER_TOL,
+    SUPPORT_EPS,
+)
 
 
 def wiener_energy(space: KernelSpace, H: Optional[Sequence[int]] = None) -> EnergyResult:
@@ -94,15 +95,15 @@ def _principle(pot: np.ndarray, value: float, weights: np.ndarray,
                           verdict_b=top <= value + tol, verdict_c=mass <= tol)
 
 
-def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure,
-                   tol: float = FROSTMAN_TOL) -> FrostmanReport:
-    """Test the three maximum-principle statements for ``mu`` on H."""
+def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure) -> FrostmanReport:
+    """Test the three maximum-principle statements for ``mu`` on H, within
+    ``FROSTMAN_TOL``."""
     subset = list(check_subset(H, space.m))
     if mu.weights.shape[0] != space.m:
         raise DimensionMismatchError(
             f"measure has {mu.weights.shape[0]} weights, space has {space.m} points")
     w = wiener_energy(space, subset).value
-    return _principle(space.kernel[subset, :] @ mu.weights, w, mu.weights[subset], tol)
+    return _principle(space.kernel[subset, :] @ mu.weights, w, mu.weights[subset], FROSTMAN_TOL)
 
 
 def maximal_energy(space: KernelSpace) -> EnergyResult:

@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    MEASURE_NEG_TOL,
     KernelSpace,
     Measure,
     SubsetPair,
@@ -39,10 +38,7 @@ from .core import (
 from .chebyshev import check_n_max, chebyshev_table
 from .optimize import EQ, LE, LinearProgram, LpSolution, solve_lp
 from .potential import profile
-
-GAP_UNIQUE_TOL = 1e-8
-INVARIANCE_TOL = 1e-8
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+from .tolerances import GAP_UNIQUE_TOL, INVARIANCE_TOL, MEASURE_NEG_TOL, gamma
 
 
 def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
@@ -140,12 +136,12 @@ def _certified_invariant(space: KernelSpace, pair: SubsetPair,
                          z: np.ndarray) -> Optional[Measure]:
     """z / sum(z) as a measure on H = L, if its potential is provably near constant.
 
-    Weights within 1e-9 of zero, relative to the largest, are snapped to
-    zero; any other negative weight rejects z.  K and mu are nonnegative, so
-    each computed potential is off by at most gamma_h max(K mu), with
-    gamma_h = h u / (1 - h u) the rounding bound of a dot product of h
-    nonzero terms (Higham, 2002).  The computed oscillation plus twice that
-    must be at most ``INVARIANCE_TOL``.
+    Weights within ``MEASURE_NEG_TOL`` of zero, relative to the largest,
+    are snapped to zero; any other negative weight rejects z.  K and mu are
+    nonnegative, so each computed potential is off by at most
+    gamma_h max(K mu), with gamma_h (``tolerances.gamma``) the rounding
+    bound of a dot product of h nonzero terms.  The computed oscillation
+    plus twice that must be at most ``INVARIANCE_TOL``.
     """
     if not np.all(np.isfinite(z)):
         return None
@@ -154,8 +150,7 @@ def _certified_invariant(space: KernelSpace, pair: SubsetPair,
         return None
     mu = Measure.from_subvector(space.m, pair.H, z / z.sum())
     levels = profile(space, mu, pair.L).interval
-    hu = len(pair.H) * _UNIT_ROUNDOFF
-    return mu if levels.width + 2.0 * hu / (1.0 - hu) * levels.hi <= INVARIANCE_TOL else None
+    return mu if levels.width + 2.0 * gamma(len(pair.H)) * levels.hi <= INVARIANCE_TOL else None
 
 
 def invariant_candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
@@ -191,10 +186,10 @@ class AverageResult:
 
     ``interval`` is the set of simultaneously achievable average levels;
     it collapses to ``unique_point`` when the two values agree within
-    1e-8, and is flagged empty when the lower value strictly exceeds the
-    upper one (possible for general subset pairs).  When an invariant
-    measure settled the values, ``mu_opt`` and ``nu_opt`` are that one
-    measure, the same object.
+    ``GAP_UNIQUE_TOL``, and is flagged empty when the lower value exceeds
+    the upper one by more than ``TIE_TOL`` (possible for general subset
+    pairs).  When an invariant measure settled the values, ``mu_opt`` and
+    ``nu_opt`` are that one measure, the same object.
     """
 
     q_upper: float
@@ -215,9 +210,9 @@ def average_interval(space: KernelSpace, pair: SubsetPair) -> AverageResult:
     the measure of both sides.  Otherwise the upper value is solved on
     (H, L) and the lower value read from the upper value's LP on (L, H):
     one LP for H = L, two for other pairs.  For H = L the values must agree
-    within 1e-8 (the interval is a single point there); any larger
-    discrepancy raises ``UniquenessViolatedError`` rather than returning a
-    fudged answer.
+    within ``GAP_UNIQUE_TOL`` (the interval is a single point there); any
+    larger discrepancy raises ``UniquenessViolatedError`` rather than
+    returning a fudged answer.
     """
     mu = invariant_candidate(space, pair)
     if mu is not None:
@@ -231,12 +226,16 @@ def average_interval(space: KernelSpace, pair: SubsetPair) -> AverageResult:
 def _average(space: KernelSpace, pair: SubsetPair, qu: float, ql: float,
              mu: Measure, nu: Measure) -> AverageResult:
     gap = qu - ql
-    unique = 0.5 * (qu + ql) if abs(gap) <= GAP_UNIQUE_TOL else None
-    if pair.H == pair.L and unique is None:
+    if abs(gap) <= GAP_UNIQUE_TOL:
+        unique = 0.5 * (qu + ql)
+        interval = ValueInterval.point(unique)
+    elif pair.H == pair.L:
         raise UniquenessViolatedError(
             f"upper and lower values differ by {gap:.3e} on H = L (space {space.name})"
         )
-    return AverageResult(q_upper=qu, q_lower=ql, interval=ValueInterval.between(ql, qu),
+    else:
+        unique, interval = None, ValueInterval.between(ql, qu)
+    return AverageResult(q_upper=qu, q_lower=ql, interval=interval,
                          mu_opt=mu, nu_opt=nu, unique_point=unique)
 
 
@@ -296,8 +295,8 @@ class ChainReport:
 
     ``q_lower`` is the lower value on (H, L), read from the duals of the
     upper value's LP on (L, H); ``equality_residual`` is their distance,
-    which must be at most 1e-8.  Multiset bounds participate one-sided
-    only, since finite orders merely bracket their limits:
+    which must be at most ``GAP_UNIQUE_TOL``.  Multiset bounds participate
+    one-sided only, since finite orders merely bracket their limits:
     ``residual_lower_side`` is ``q_lower`` less the best constant of the
     (H, L) table over ``orders_lower``, ``residual_upper_side`` the best
     dual constant of the (L, H) table over ``orders_upper`` less the upper
@@ -320,7 +319,7 @@ class ChainReport:
 
 def inequality_chain(space: KernelSpace, pair: SubsetPair, n_max: int = 3,
                      cap: Optional[int] = None) -> ChainReport:
-    """Verify the two-sided sandwich of minimax values at tolerance 1e-8.
+    """Verify the two-sided sandwich of minimax values within ``GAP_UNIQUE_TOL``.
 
     The lower value on (H, L) and the upper value on (L, H) come from one
     LP.  Nested pairs read both values from ``average_interval``, which for

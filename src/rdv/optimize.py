@@ -50,8 +50,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MEASURE_NEG_TOL,
-    SUPPORT_EPS,
     CapExceededError,
     DimensionMismatchError,
     KernelSpace,
@@ -61,24 +59,30 @@ from .core import (
     check_subset,
 )
 from .spectral import sum_zero_definiteness
+from .tolerances import (
+    DUAL_TOL,
+    EQUAL_VALUE_TOL,
+    GAP_TOL,
+    MEASURE_NEG_TOL,
+    PIVOT_TOL,
+    PRIMAL_TOL,
+    QP_GAP_TOL,
+    RATIO_TIE_TOL,
+    RATIO_TOL,
+    REPLAY_BAND_TOL,
+    RESID_TOL,
+    STOP_TOL,
+    SUPPORT_EPS,
+    VALUE_TIE_TOL,
+    WEIGHT_TOL,
+)
 
 LP_SIZE_CAP = 10_000
-PRIMAL_TOL = 1e-9
-DUAL_TOL = 1e-9
-GAP_TOL = 1e-8
-_STOP_TOL = 1e-10
-_RATIO_TOL = 1e-10
-_PIVOT_TOL = 1e-7
 _REFRESH = 64
 
-QP_GAP_TOL = 1e-10
 QP_MAX_ITER = 100_000
 QP_ENUM_LIMIT = 14
 _ENUM_CHUNK = 512
-# _polish_support accepts a support when its KKT residual is at most
-# _RESID_TOL * (1 + max|M|) and its lowest weight at least -_WEIGHT_TOL
-_RESID_TOL = 1e-8
-_WEIGHT_TOL = 1e-10
 
 LE, EQ = "<=", "="
 
@@ -205,11 +209,11 @@ class _Simplex:
         """Ratio test on the entering column ``d`` and the basic values ``xb``.
         Drift-negative basic values are clamped to zero so the walk cannot
         leave the feasible region."""
-        ratios = {i: max(xb[i], 0.0) / di for i, di in enumerate(d) if di > _RATIO_TOL}
+        ratios = {i: max(xb[i], 0.0) / di for i, di in enumerate(d) if di > RATIO_TOL}
         if not ratios:
             raise NumericalBreakdownError("empty ratio test: no row bounds the entering column")
         best = min(ratios.values())
-        cut = best + 1e-12 * (1.0 + abs(best))
+        cut = best + RATIO_TIE_TOL * (1.0 + abs(best))
         tied = [i for i, ratio in ratios.items() if ratio <= cut]
         if blands:
             return min(tied, key=self.basis.tolist().__getitem__)
@@ -217,7 +221,7 @@ class _Simplex:
         return max(tied, key=d.__getitem__)
 
     def run(self, c: np.ndarray) -> None:
-        """Pivot until no column prices out negative (tolerance 1e-10)."""
+        """Pivot until no column prices out below ``-STOP_TOL``."""
         dantzig_limit = 10 * (self.rows + self.cols)
         hard_cap = 200 * (self.rows + self.cols) + 10_000
         fresh = True  # __init__ has just factorized the basis
@@ -228,10 +232,10 @@ class _Simplex:
                 )
             y = c[self.basis] @ self.B_inv
             reduced = (c - y @ self.A).tolist()
-            candidates = [j for j, r in enumerate(reduced) if r < -_STOP_TOL]
+            candidates = [j for j, r in enumerate(reduced) if r < -STOP_TOL]
             if not candidates:
                 if fresh:
-                    if min(self.x_basic().tolist()) < -10 * _PIVOT_TOL:
+                    if min(self.x_basic().tolist()) < -10 * PIVOT_TOL:
                         raise NumericalBreakdownError(
                             "simplex lost primal feasibility on a degenerate path")
                     return
@@ -254,9 +258,9 @@ class _Simplex:
                 piv = abs(d_list[row])
                 if piv > best_piv:
                     enter, leave_row, d, best_piv = cand, row, d_cand, piv
-                if piv >= _PIVOT_TOL:
+                if piv >= PIVOT_TOL:
                     break
-            if best_piv < _PIVOT_TOL and not fresh:
+            if best_piv < PIVOT_TOL and not fresh:
                 # suspiciously small pivots everywhere: refresh and retry
                 self.refactor()
                 fresh = True
@@ -399,7 +403,7 @@ def _polish_support(M: np.ndarray, support: np.ndarray, h: int):
 
 def _kkt_weights(M: np.ndarray, support: np.ndarray):
     """The weights w of M_S w = lam, sum w = 1, or None when the system is
-    singular or its residual exceeds ``_RESID_TOL * (1 + max|M|)``."""
+    singular or its residual exceeds ``RESID_TOL * (1 + max|M|)``."""
     s = support.size
     M_S = M[np.ix_(support, support)]
     kkt = np.zeros((s + 1, s + 1))
@@ -416,16 +420,16 @@ def _kkt_weights(M: np.ndarray, support: np.ndarray):
     if not np.all(np.isfinite(w_s)):
         return None
     resid = float(np.max(np.abs(M_S @ w_s - sol[s])))
-    # every scale admits a residual up to _RESID_TOL: max|M| is read only above it
-    if resid > _RESID_TOL and resid > _RESID_TOL * (1.0 + np.max(np.abs(M))):
+    # every scale admits a residual up to RESID_TOL: max|M| is read only above it
+    if resid > RESID_TOL and resid > RESID_TOL * (1.0 + np.max(np.abs(M))):
         return None
     return w_s
 
 
 def _on_simplex(w_s, support: np.ndarray, h: int):
     """KKT weights on a support as a point of the simplex in R^h, or None
-    when they are None or one is below ``-_WEIGHT_TOL``."""
-    if w_s is None or np.min(w_s) < -_WEIGHT_TOL:
+    when they are None or one is below ``-WEIGHT_TOL``."""
+    if w_s is None or np.min(w_s) < -WEIGHT_TOL:
         return None
     w = np.zeros(h)
     w[support] = np.clip(w_s, 0.0, None)
@@ -538,7 +542,7 @@ def _away_fw_block(M: np.ndarray, gap_tol: float, max_iter: int, polish,
         v = V[:, j].copy()
         w = polish(np.flatnonzero(v > SUPPORT_EPS))
         # 0.5 * gv is v' M v of the last iterate
-        if w is not None and float(w @ M @ w) <= 0.5 * gv[j] + 1e-15:
+        if w is not None and float(w @ M @ w) <= 0.5 * gv[j] + VALUE_TIE_TOL:
             v = w
         leave(j, v, max_iter)
     return results
@@ -578,7 +582,7 @@ def _support_pass(Q: np.ndarray):
     -Q, up to the sign of the value, bit for bit.
     """
     h = Q.shape[0]
-    resid_tol = _RESID_TOL * (1.0 + np.max(np.abs(Q)))
+    resid_tol = RESID_TOL * (1.0 + np.max(np.abs(Q)))
     # [[Q, -1], [1, 0]]: indexing it with a support plus index h gives that
     # support's KKT matrix
     bordered = np.zeros((h + 1, h + 1))
@@ -603,9 +607,9 @@ def _support_pass(Q: np.ndarray):
                 resid = np.abs(np.einsum("nij,nj->ni", Q_S, w_s) - sol[:, size:]).max(axis=1)
                 low = w_s.min(axis=1)
                 finite = np.isfinite(w_s).all(axis=1)
-                keep = finite & (resid <= 0.5 * resid_tol) & (low >= -0.5 * _WEIGHT_TOL)
+                keep = finite & (resid <= 0.5 * resid_tol) & (low >= -0.5 * WEIGHT_TOL)
                 unsure = (finite & ~keep & ~(resid > 2.0 * resid_tol)
-                          & ~(low < -2.0 * _WEIGHT_TOL))
+                          & ~(low < -2.0 * WEIGHT_TOL))
             for i in np.flatnonzero(unsure):
                 keep[i] = _polish_support(Q, S[i], h) is not None
             skipped += len(S) - int(keep.sum())
@@ -620,20 +624,21 @@ def _enumerate_supports(Q: np.ndarray, sign: float, stacked=None):
 
     ``stacked`` is ``_support_pass(Q)``, computed here when not given; one
     pass serves both signs.  The supports whose stacked value of
-    ``sign * Q`` is within ``1e-9 * (1 + max|Q|)`` of the smallest are
-    replayed through ``_polish_support``, and the tie rule runs on their
-    replayed points in visiting order, so measure, value and notes are those
-    of solving every support on its own.
+    ``sign * Q`` is within ``REPLAY_BAND_TOL * (1 + max|Q|)`` of the
+    smallest are replayed through ``_polish_support``, and the tie rule runs
+    on their replayed points in visiting order, so measure, value and notes
+    are those of solving every support on its own.
     """
     accepted, skipped = _support_pass(Q) if stacked is None else stacked
     h = Q.shape[0]
     M = sign * Q
-    # The tie rule looks 1e-15 and 1e-12 apart.  A support more than 1e-9
-    # above the best can neither win nor tie, and with under 2**14 values in
-    # that band some empty 1e-15 window walls it off from the ones that
-    # decide, so leaving it out changes nothing.
+    # The tie rule looks VALUE_TIE_TOL and EQUAL_VALUE_TOL apart.  A support
+    # more than REPLAY_BAND_TOL above the best can neither win nor tie, and
+    # with under 2**14 values in that band some empty VALUE_TIE_TOL window
+    # walls it off from the ones that decide, so leaving it out changes
+    # nothing.
     cutoff = (min((sign * vals).min() for _, vals in accepted if vals.size)
-              + 1e-9 * (1.0 + np.max(np.abs(Q))))
+              + REPLAY_BAND_TOL * (1.0 + np.max(np.abs(Q))))
     best_w = None
     best_val = math.inf
     for supports, vals in accepted:
@@ -643,9 +648,10 @@ def _enumerate_supports(Q: np.ndarray, sign: float, stacked=None):
                 skipped += 1
                 continue
             val = float(w @ M @ w)
-            if val < best_val - 1e-15:
+            if val < best_val - VALUE_TIE_TOL:
                 best_w, best_val = w, val
-            elif abs(val - best_val) <= 1e-12 and best_w is not None and tuple(w) < tuple(best_w):
+            elif (abs(val - best_val) <= EQUAL_VALUE_TOL and best_w is not None
+                  and tuple(w) < tuple(best_w)):
                 best_w = w
     notes = []
     if skipped:
@@ -717,7 +723,7 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         # drop the atoms of negative weight and solve again on the rest; the
         # weights sum to 1, so some atom stays
         w_s = solve(support)
-        while w_s is not None and np.min(w_s) < -_WEIGHT_TOL:
+        while w_s is not None and np.min(w_s) < -WEIGHT_TOL:
             support = support[w_s >= 0.0]
             w_s = solve(support)
         w = _on_simplex(w_s, support, h)
@@ -762,7 +768,7 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         for cand, cand_gap, iterations in runs:
             fw_iterations += iterations
             val = float(cand @ M @ cand)
-            if val < best_val - 1e-15:
+            if val < best_val - VALUE_TIE_TOL:
                 v, best_val, gap = cand, val, cand_gap
         cert = "heuristic_bound"
         notes = ("multistart bound only; no global certificate",)

@@ -18,10 +18,10 @@ from .core import (
     IndexOutOfRangeError,
     KernelSpace,
     Measure,
-    TIE_TOL,
     ValueInterval,
     _check_index,
 )
+from .tolerances import TIE_TOL
 
 
 def _check_measure(space: KernelSpace, mu: Measure) -> None:
@@ -51,8 +51,7 @@ class PotentialProfile:
     """Potential values of one measure over an evaluation subset L.
 
     ``values[j]`` is the potential at ``L[j]``; ``argmin``/``argmax`` list
-    the point indices of L attaining the extremes within a 1e-9 tie
-    tolerance.
+    the point indices of L attaining the extremes within ``TIE_TOL``.
     """
 
     L: tuple[int, ...]

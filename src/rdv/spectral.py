@@ -34,17 +34,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# The one zero threshold of every sum-zero definiteness decision
-DEFINITENESS_TOL = 1e-10
+from .tolerances import DEFINITENESS_TOL, ETA, U, gamma
+
 # Below this many points every decision reads eigvalsh.  From here up, a
 # proof attempt on each family that scripts/spectrum_rate.py times, proved
 # or not, takes less time than eigvalsh; at 32 points hypercube(5)'s took
 # 1.2 times as long, and at 12-16 points eigvalsh takes about 20-25 us
 # against 25-45 us for an attempt.
 PROOF_MIN_POINTS = 48
-# The unit roundoff of float64, and its smallest subnormal
-_U = 2.0 ** -53
-_ETA = 2.0 ** -1074
 
 
 def centered(matrix: np.ndarray) -> np.ndarray:
@@ -74,11 +71,6 @@ def sum_zero_definiteness(matrix: np.ndarray, tol: float = DEFINITENESS_TOL) -> 
     return {"lam_max": lam_max, "psd": float(vals[0]) >= -tol, "nsd": lam_max <= tol}
 
 
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u), the bound on the relative error of n roundings."""
-    return n * _U / (1.0 - n * _U)
-
-
 def _proof(k: np.ndarray, tol: float) -> dict | None:
     """``sum_zero_definiteness`` of K (m >= 2 points) proved without an
     eigendecomposition, or None where no route proves every field."""
@@ -88,7 +80,7 @@ def _proof(k: np.ndarray, tol: float) -> dict | None:
     # scale, then three more roundings: the mean errs by at most
     # gamma_(m^2 + 3) * 2m * scale / (m - 1) <= 4 gamma_(m^2 + 3) * scale.
     mean = (float(np.trace(k)) - float(k.sum()) / m) / (m - 1)
-    slack = tol + 4.0 * _gamma(m * m + 3) * scale
+    slack = tol + 4.0 * gamma(m * m + 3) * scale
     if mean > slack:
         return None
     spectrum = _transitive_spectrum(k)
@@ -135,7 +127,7 @@ def _transitive_spectrum(k: np.ndarray) -> tuple[np.ndarray, float] | None:
     row = k[0]
     m = row.size
     if is_cyclic(k) and np.array_equal(row[1:], row[:0:-1]):
-        return _cosine_sums(row), _gamma(m + 32) * float(np.abs(row).sum())
+        return _cosine_sums(row), gamma(m + 32) * float(np.abs(row).sum())
     if m <= exact_sum_terms(row) and is_xor_invariant(k):
         return _walsh_hadamard(row)[1:], 0.0
     return None
@@ -204,9 +196,9 @@ def _strictly_negative_type(k: np.ndarray, scale: float) -> bool:
     gram *= -0.5
     diag = np.abs(gram.diagonal())
     top = float(diag.max())
-    c = _gamma(n + 1) / (1.0 - _gamma(n + 1))
-    shift = (2.0 * (c * float(diag.sum()) + 2.0 * n * _gamma(3) * scale + _U * top)
-             + 4.0 * (n + 1) * (2.0 * (n + 1) + top) * _ETA)
+    c = gamma(n + 1) / (1.0 - gamma(n + 1))
+    shift = (2.0 * (c * float(diag.sum()) + 2.0 * n * gamma(3) * scale + U * top)
+             + 4.0 * (n + 1) * (2.0 * (n + 1) + top) * ETA)
     gram.flat[::n + 1] -= shift
     try:
         np.linalg.cholesky(gram)

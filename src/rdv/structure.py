@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import KernelSpace, Measure, SubsetPair
 from .minimax import (
-    INVARIANCE_TOL,
     AverageResult,
     average_interval,
     invariant_candidate,
@@ -40,8 +39,7 @@ from .optimize import (
 from .spectral import centered, recenter_unit
 # not called here; perfbench's binding test pins it until its repin
 from .spectral import sum_zero_definiteness
-
-AGREEMENT_TOL = 1e-7
+from .tolerances import AGREEMENT_TOL, INVARIANCE_TOL
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class InvarianceResult:
 
     When found, ``constant`` is the common potential level on L and
     ``average_matches`` records whether both minimax values sit at that
-    level (they must, within 1e-7).
+    level (they must, within ``AGREEMENT_TOL``).
     """
 
     found: bool
@@ -140,9 +138,9 @@ class NegativeTypeCertificate:
 
     ``extreme_eigenvalue`` is the largest eigenvalue of the centered
     kernel, exactly 0.0 where strict negative type is proved; the test
-    passes when it is at most 1e-10.  On failure the certificate carries a
-    sum-zero unit vector whose energy equals that eigenvalue up to
-    rounding, a directly checkable witness.
+    passes when it is at most ``tolerances.DEFINITENESS_TOL``.  On failure
+    the certificate carries a sum-zero unit vector whose energy equals that
+    eigenvalue up to rounding, a directly checkable witness.
     """
 
     holds: bool

@@ -29,7 +29,6 @@ from .core import (
 )
 from .energy import dual_equilibrium, dual_route_check, wolf_relations
 from .minimax import (
-    INVARIANCE_TOL,
     _average,
     _elton,
     inequality_chain,
@@ -39,6 +38,7 @@ from .minimax import (
 )
 from .spaces import circle, generate, hypercube, random_graph, save_space
 from .structure import converse_check, quasi_invariant_convergence
+from .tolerances import ELTON_LOWER_TOL, ELTON_UPPER_TOL, INVARIANCE_TOL, UNIFORM_TOL
 
 SUITE_NAMES = ("duality", "chain", "frostman", "wolf", "converse", "quasi")
 DEFAULT_SEEDS = 100
@@ -48,9 +48,6 @@ DEFAULT_MAX_POINTS = 8
 # scripts/find_energy_gap_seed.py) exercises the branch where the equality
 # implication is vacuous.
 REGRESSION_SEED = 3
-ELTON_UPPER_TOL = 1e-8
-ELTON_LOWER_TOL = 2e-8
-_UNIFORM_TOL = 1e-12
 
 
 def instance_space(seed: int, max_points: int = DEFAULT_MAX_POINTS) -> KernelSpace:
@@ -121,7 +118,7 @@ def _check_duality(space: KernelSpace) -> tuple[bool, str]:
     # the pair: the upper value's LP, and the lower value's own floor LP in
     # place of the first LP's duals.  Nowhere else in the program is the
     # floor solved.  On H = L, _average raises UniquenessViolatedError, a
-    # failing outcome, when the two values differ by more than 1e-8.
+    # failing outcome, when the two values differ by more than GAP_UNIQUE_TOL.
     full = SubsetPair.full(space.m)
     (qu, mu), (ql, nu) = q_value(space, full), q_floor_value(space, full)
     avg = _average(space, full, qu, ql, mu, nu)
@@ -204,7 +201,7 @@ def _check_transitive(space: KernelSpace) -> tuple[bool, str]:
     uniform = Measure.uniform(space.m)
     pot = space.kernel @ uniform.weights
     osc = float(pot.max() - pot.min())
-    ok = gap <= INVARIANCE_TOL and osc <= _UNIFORM_TOL
+    ok = gap <= INVARIANCE_TOL and osc <= UNIFORM_TOL
     return ok, f"gap={gap:.3g} uniform_oscillation={osc:.3g}"
 
 

@@ -23,19 +23,17 @@ from rdv.core import (
     EnumerationCapExceededError,
     NumericalBreakdownError,
 )
-from rdv.optimize import (
-    _PIVOT_TOL,
-    _RATIO_TOL,
-    _REFRESH,
-    _STOP_TOL,
+from rdv.optimize import _REFRESH, LE, _fw_gap, _polish_support
+from rdv.spaces import _MAX_GRAPH_RETRIES, _floyd_warshall
+from rdv.tolerances import (
     DUAL_TOL,
     GAP_TOL,
-    LE,
+    PIVOT_TOL,
     PRIMAL_TOL,
-    _fw_gap,
-    _polish_support,
+    RATIO_TIE_TOL,
+    RATIO_TOL,
+    STOP_TOL,
 )
-from rdv.spaces import _MAX_GRAPH_RETRIES, _floyd_warshall
 
 
 @lru_cache(maxsize=None)
@@ -419,19 +417,19 @@ class _ReferenceSimplex:
     def _leave_row(self, d: np.ndarray, xb: np.ndarray, blands: bool) -> int:
         """Ratio test.  Drift-negative basic values are clamped to zero so the
         walk cannot leave the feasible region."""
-        pos = np.flatnonzero(d > _RATIO_TOL)
+        pos = np.flatnonzero(d > RATIO_TOL)
         if pos.size == 0:
             raise NumericalBreakdownError("empty ratio test: no row bounds the entering column")
         ratios = np.maximum(xb[pos], 0.0) / d[pos]
         best = float(np.min(ratios))
-        tied = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        tied = pos[ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best))]
         if blands:
             return int(tied[np.argmin(self.basis[tied])])
         # favor the largest pivot element for numerical stability
         return int(tied[np.argmax(d[tied])])
 
     def run(self, c: np.ndarray) -> None:
-        """Pivot until no column prices out negative (tolerance 1e-10)."""
+        """Pivot until no column prices out below ``-STOP_TOL``."""
         dantzig_limit = 10 * (self.rows + self.cols)
         hard_cap = 200 * (self.rows + self.cols) + 10_000
         fresh = True  # __init__ has just factorized the basis
@@ -442,10 +440,10 @@ class _ReferenceSimplex:
                 )
             y = c[self.basis] @ self.B_inv
             reduced = c - y @ self.A
-            candidates = np.flatnonzero(reduced < -_STOP_TOL)
+            candidates = np.flatnonzero(reduced < -STOP_TOL)
             if candidates.size == 0:
                 if fresh:
-                    if float(self.x_basic().min()) < -10 * _PIVOT_TOL:
+                    if float(self.x_basic().min()) < -10 * PIVOT_TOL:
                         raise NumericalBreakdownError(
                             "simplex lost primal feasibility on a degenerate path")
                     return
@@ -468,9 +466,9 @@ class _ReferenceSimplex:
                 piv = abs(d_cand[row])
                 if piv > best_piv:
                     enter, leave_row, d, best_piv = int(cand), row, d_cand, piv
-                if piv >= _PIVOT_TOL:
+                if piv >= PIVOT_TOL:
                     break
-            if best_piv < _PIVOT_TOL and not fresh:
+            if best_piv < PIVOT_TOL and not fresh:
                 # suspiciously small pivots everywhere: refresh and retry
                 self.refactor()
                 fresh = True

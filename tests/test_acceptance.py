@@ -187,7 +187,7 @@ def test_criterion_07_equilibrium_maximum_principle(capsys, instances100):
     for space in instances100:
         dual, _ = dual_kernel(space)
         eq = wiener_energy(dual).measure
-        rep = frostman_check(dual, range(space.m), eq, tol=1e-6)
+        rep = frostman_check(dual, range(space.m), eq)
         worst_mass = max(worst_mass, rep.violation_mass)
         if not (rep.verdict_a and rep.verdict_b and rep.verdict_c):
             failures += 1

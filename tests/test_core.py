@@ -17,12 +17,12 @@ from rdv.core import (
     NegativeEntryError,
     NonFiniteEntryError,
     SchemaError,
-    TIE_TOL,
     SubsetPair,
     ValueInterval,
     dual_kernel,
     validate_kernel,
 )
+from rdv.tolerances import TIE_TOL
 
 
 def test_validate_accepts_metric_and_flags_it(t2):

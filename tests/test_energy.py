@@ -26,7 +26,7 @@ from rdv import (
     wolf_relations,
 )
 from rdv.cli import build_analysis
-from rdv.energy import EQUALITY_TOL, ORDER_TOL, maximal_energy_raw, order_side
+from rdv.energy import maximal_energy_raw, order_side
 from rdv.optimize import maximize_quadratic_on_simplex
 import sys
 
@@ -34,6 +34,7 @@ import sys
 # attribute; grab the module object itself for monkeypatching
 energy_mod = sys.modules["rdv.energy"]
 from rdv.suites import REGRESSION_SEED, instance_space
+from rdv.tolerances import EQUALITY_TOL, FROSTMAN_TOL, ORDER_TOL
 
 from oracles import grid_energy
 
@@ -96,12 +97,17 @@ class TestFrostmanCheck:
             assert rep.verdict_a and rep.verdict_b and rep.verdict_c
 
     def test_tolerance_is_adjustable(self, k3):
+        # frostman_check reads FROSTMAN_TOL; the principle it shares with
+        # dual_equilibrium takes any tolerance
         dual, _ = dual_kernel(k3)
         uneven = Measure(np.array([0.34, 0.33, 0.33]))
-        strict = frostman_check(dual, range(3), uneven, tol=1e-12)
-        loose = frostman_check(dual, range(3), uneven, tol=0.05)
+        pot, w = dual.kernel @ uneven.weights, wiener_energy(dual).value
+        strict = energy_mod._principle(pot, w, uneven.weights, 1e-12)
+        loose = energy_mod._principle(pot, w, uneven.weights, 0.05)
         assert not (strict.verdict_a and strict.verdict_b and strict.verdict_c)
         assert loose.verdict_a and loose.verdict_b and loose.verdict_c
+        assert frostman_check(dual, range(3), uneven) == energy_mod._principle(
+            pot, w, uneven.weights, FROSTMAN_TOL)
 
     def test_input_validation(self, k3):
         with pytest.raises(EmptySubsetError):

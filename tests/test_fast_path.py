@@ -25,8 +25,9 @@ from rdv import (
     rendezvous_number,
     validate_kernel,
 )
-from rdv.minimax import INVARIANCE_TOL, _certified_invariant, invariant_candidate
+from rdv.minimax import _certified_invariant, invariant_candidate
 from rdv.suites import instance_space
+from rdv.tolerances import INVARIANCE_TOL
 import rdv.minimax as minimax_mod
 import rdv.structure as structure_mod
 

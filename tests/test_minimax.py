@@ -9,6 +9,7 @@ from rdv import (
     Measure,
     SubsetPair,
     UniquenessViolatedError,
+    ValueInterval,
     average_interval,
     chebyshev_table,
     circle,
@@ -23,11 +24,13 @@ from rdv import (
     profile,
     q_lower_value,
     q_value,
+    quasi_invariant_convergence,
     random_graph,
     rendezvous_number,
     validate_kernel,
 )
 import rdv.minimax as minimax
+import rdv.structure as structure_mod
 from rdv.optimize import solve_lp
 from rdv.suites import instance_pairs, instance_space
 
@@ -248,7 +251,23 @@ class TestAverageInterval:
         avg = average_interval(space, SubsetPair.full(space.m))
         assert avg.unique_point is not None
         assert avg.interval.width <= 1e-8
-        assert avg.interval.contains(avg.unique_point, tol=1e-9)
+        assert not avg.interval.empty
+        assert avg.interval.lo - 1e-9 <= avg.unique_point <= avg.interval.hi + 1e-9
+
+    def test_unique_point_is_the_interval(self, monkeypatch):
+        # q_lower above q by 5e-9: within GAP_UNIQUE_TOL, so the values agree,
+        # though above TIE_TOL, where ValueInterval.between reads them as
+        # crossed.  The interval is the unique point, never empty.
+        space = generate(random_graph(5, 0.5, 1))
+        full = SubsetPair.full(space.m)
+        mu = Measure.uniform(space.m)
+        avg = minimax._average(space, full, 1.0, 1.0 + 5e-9, mu, mu)
+        assert avg.unique_point == 0.5 * (1.0 + (1.0 + 5e-9))
+        assert avg.interval == ValueInterval.point(avg.unique_point)
+        assert not avg.interval.empty
+        # so the quasi-invariance check applies to the pair
+        monkeypatch.setattr(structure_mod, "average_interval", lambda space, pair: avg)
+        assert quasi_invariant_convergence(space, full).applicable
 
     def test_crossing_values_flagged_empty(self, t2):
         # measures on both points, judged only from point 0: the guaranteed

@@ -38,6 +38,7 @@ from rdv.optimize import (
 )
 from rdv.spectral import sum_zero_definiteness
 from rdv.suites import instance_pairs, instance_space, run_suites
+from rdv.tolerances import QP_GAP_TOL
 
 import oracles
 from oracles import away_fw_loop, enumerate_supports_loop, grid_energy, simplex_reference
@@ -901,7 +902,7 @@ class TestRepolish:
         certs = {True: "global_concave_max", False: "global_convex"}
         assert len(repolished) > 50
         for _, _, maximize, res in repolished:
-            assert res.certificate == certs[maximize] and res.gap <= optimize_mod.QP_GAP_TOL
+            assert res.certificate == certs[maximize] and res.gap <= QP_GAP_TOL
         # the few open cases still certify through Frank-Wolfe steps
         open_cases = [name for name, _, _, res in repolished if res.fw_iterations > 0]
         assert 1 <= len(open_cases) <= 3
@@ -914,8 +915,8 @@ class TestRepolish:
             def polish(support):
                 return optimize_mod._polish_support(M, support, h)
 
-            v, gap, _ = away_fw_loop(M, optimize_mod.QP_GAP_TOL, optimize_mod.QP_MAX_ITER, polish)
-            assert gap <= optimize_mod.QP_GAP_TOL, name
+            v, gap, _ = away_fw_loop(M, QP_GAP_TOL, optimize_mod.QP_MAX_ITER, polish)
+            assert gap <= QP_GAP_TOL, name
             want = float(v @ space.kernel @ v)
             tol = 1e-12 * (1.0 + space.kernel.max())
             assert res.value == pytest.approx(want, rel=0, abs=tol), name

@@ -24,12 +24,8 @@ from rdv import (
 )
 from rdv import spectral
 from rdv.cli import build_analysis
-from rdv.spectral import (
-    DEFINITENESS_TOL,
-    centered,
-    recenter_unit,
-    sum_zero_definiteness,
-)
+from rdv.spectral import centered, recenter_unit, sum_zero_definiteness
+from rdv.tolerances import DEFINITENESS_TOL
 from rdv.suites import instance_space
 
 

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import rdv.optimize as optimize_mod
 from rdv import KernelSpace, NegativeEntryError, generate, validate_kernel
-from rdv.optimize import QP_ENUM_LIMIT, QP_GAP_TOL, QP_MAX_ITER, minimize_quadratic_on_simplex
+from rdv.optimize import QP_ENUM_LIMIT, QP_MAX_ITER, minimize_quadratic_on_simplex
 from rdv.suites import instance_pairs, instance_space, vertex_transitive_family
+from rdv.tolerances import QP_GAP_TOL
 
 from oracles import enumerate_supports_loop
 from test_reflection import PERFBENCH_SPECS
