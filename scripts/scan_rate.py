@@ -15,9 +15,12 @@ its rows out of |L|.  For
 each space and order this prints the multisets and cells of the pass, the
 cells it evaluated and its bound cells, the screen, the best of three pass
 times on a fresh space, and the time per cell of the pass, so a change to
-the scan can be read as less work or as faster work.  The last four rows
+the scan can be read as less work or as faster work.  The next four rows
 test the screen's gate from both sides, one order each: a circle and a grid
-that take the screen, and a hypercube and a random graph that do not.
+that take the screen, and a hypercube and a random graph that do not.  The
+last row is a high order on a small space, grid(5) at order 60: 635,376
+multisets of five points, whose prefix sums come from a table 28 orders
+lower, so its time is spent per multiset and per order, not per cell.
 
 Usage: python scripts/scan_rate.py
 """
@@ -38,6 +41,8 @@ CASES = ((circle(64), 4), (hypercube(6), 4), (interval_grid(101), 3), (circle(25
 # (space, order): single bounded passes on either side of the screen's gate.
 GATE_CASES = ((circle(256), 3), (hypercube(8), 3), (random_graph(100, 0.5, 1), 3),
               (interval_grid(1001), 2))
+# (space, order): a single pass of high order on a small space.
+HIGH_ORDER_CASES = ((interval_grid(5), 60),)
 REPEATS = 3
 
 
@@ -63,7 +68,7 @@ def main() -> None:
     print(f"{'space':<30} {'n':>2} {'multisets':>10} {'cells':>12} {'evaluated':>11} "
           f"{'bound':>11} {'screen':>9} {'seconds':>9} {'ns/cell':>8}  pass")
     orders = [(desc, n) for desc, n_max in CASES for n in range(1, n_max + 1)]
-    for desc, n in orders + list(GATE_CASES):
+    for desc, n in orders + list(GATE_CASES) + list(HIGH_ORDER_CASES):
         space = generate(desc)
         pair = SubsetPair.full(space.m)
         anchored = _transitive(space, pair, n)

@@ -33,6 +33,10 @@ consecutive c, and forms only the tiles that survive.  Every table and
 block stays within ``_CHUNK_CELLS`` cells, and the bounds go chunk by
 chunk.
 
+Every multiset sum above order 1 comes from one routine, ``_sums``: a
+colex rank splits into one index per order, and a sum adds their columns to
+a column of a lower order's table in increasing index order.
+
 A bounded pass takes its prefixes, bounds and a first value of each cell
 on a screen S of L.  A min over S is at least the min over L and a max
 over S at most the max over L, so a bound on S only weakens, and a cell
@@ -277,7 +281,10 @@ def _whole(cols: np.ndarray, order: int, counts: list, offset: Optional[np.ndarr
     holds the sum of (c, b) exactly, since k_b + k_c == k_c + k_b, and stays
     unmasked.
     """
-    table = _colex_table(cols, order - 2, counts, offset)
+    n_l, width = cols.shape[0], int(counts[order - 2][-1])
+    start = np.zeros((n_l, 1)) if offset is None else offset
+    table = _sums(cols, start, 0, counts, order - 2, np.arange(width), np.empty((n_l, width)),
+                  np.empty(n_l * width))
     heads = table[:, :, None] + cols[:, None, :]
     sums = heads[:, :, :, None] + cols[:, None, None, :]
     if order == 2 and offset is None:
@@ -359,7 +366,8 @@ def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray
     # Scratch blocks of half the budget each, reused by every chunk: a fresh
     # block each time costs more in page faults than its arithmetic.  One
     # allocation holds them all and S's rows of ``cols``; freed whole, it
-    # leaves no heap behind.
+    # leaves no heap behind.  ``heads`` is free until a chunk's prefixes are
+    # filled, and ``sums`` until a tile is formed: ``_sums`` works in them.
     rows = max(1, budget // (2 * n_s))
     pairs = max(1, budget // (2 * n_s * _TILE))
     full = max(1, budget // (2 * n_l * _TILE))
@@ -369,17 +377,20 @@ def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray
         sizes.append(n_s * cols.shape[1])
     scratch = np.empty(sum(sizes))
     filled, edges, heads, sums, tails, *on_screen = np.split(scratch, np.cumsum(sizes)[:-1])
-    seen_cols, start = cols, offset
+    start = np.zeros((n_l, 1)) if offset is None else offset
+    seen_cols, seen_start = cols, start
     if screen is not None:
         seen_cols = cols.take(screen, axis=0, out=on_screen[0].reshape(n_s, -1), mode="clip")
-        start = None if offset is None else offset[screen]
+        seen_start = start[screen]
     seen_blocks = seen_cols.reshape(n_s, tiles, _TILE)
     # The prefixes are filled chunk by chunk from the table of the largest
     # lower order that fits the budget.
     t = 0
     while t + 1 < k and n_s * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
         t += 1
-    table = _colex_table(seen_cols, t, counts, start)
+    width = int(counts[t][-1])
+    table = _sums(seen_cols, seen_start, 0, counts, t, np.arange(width), np.empty((n_s, width)),
+                  heads)
     # The largest and smallest kernel entry from each row of S over each
     # tile, and over each tile and all tiles after it.
     tile_max, tile_min = seen_blocks[:, :, 0].copy(), seen_blocks[:, :, 0].copy()
@@ -417,15 +428,16 @@ def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray
         for s in range(0, keep.size, full):
             i = keep[s:s + full]
             tail = tails[:n_l * i.size].reshape(n_l, i.size)
-            _gather(cols, offset, counts, r0 + q[i], tail, sums[:tail.size].reshape(tail.shape))
+            _sums(cols, start, 0, counts, k, r0 + q[i], tail, sums)
             low, high = form(blocks, tail, first, q[i], t_[i])
             lo, hi = max(lo, float(low.max())), min(hi, float(high.min()))
 
     for r0 in range(0, prefixes, rows):
         r1 = min(r0 + rows, prefixes)
         size = n_s * (r1 - r0)
-        seen = _fill(seen_cols, table, t, counts, k, r0, r1, filled[:size].reshape(n_s, r1 - r0))
-        first = np.searchsorted(last, np.arange(r0, r1), side="right")
+        ranks = np.arange(r0, r1)
+        seen = _sums(seen_cols, table, t, counts, k, ranks, filled[:size].reshape(n_s, -1), heads)
+        first = np.searchsorted(last, ranks, side="right")
         t0 = first // _TILE
         edge = edges[:size].reshape(n_s, r1 - r0)
         upper = _bound(seen, rest_max, t0, np.minimum, edge, n, work)
@@ -455,59 +467,38 @@ def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray
     return lo, hi
 
 
-def _gather(cols: np.ndarray, offset: Optional[np.ndarray], counts: list, ranks: np.ndarray,
-            out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Sums of the multisets of order ``len(counts) - 1`` of the given colex
-    ranks, added as ``_fill`` adds them; ``scratch`` is shaped as ``out``."""
-    # the order-j multisets with largest index x follow those with smaller
-    last = []
-    for j in range(len(counts) - 1, 0, -1):
-        x = np.searchsorted(counts[j], ranks, side="right")
-        ranks = ranks - (counts[j][x] - counts[j - 1][x])
-        last.append(x)
-    cols.take(last.pop(), axis=1, out=out, mode="clip")
-    out += 0.0 if offset is None else offset
-    while last:
-        out += cols.take(last.pop(), axis=1, out=scratch, mode="clip")
-    return out
+def _sums(cols: np.ndarray, table: np.ndarray, t: int, counts: list, k: int,
+          ranks: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sums of the order-k multisets of the given colex ranks, contiguous or
+    scattered, into ``out`` (|L| x ranks), from ``table``, the sums of every
+    order-t multiset (t <= k) in colex order; ``scratch`` is a flat block.
 
-
-def _colex_table(cols: np.ndarray, t: int, counts: list,
-                 offset: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sums of all order-t multisets in colex order, one column each, built
-    one order at a time, starting from ``offset`` (|L| x 1) or 0.0."""
-    start = np.zeros((cols.shape[0], 1)) if offset is None else offset
-    table = start if t == 0 else start + cols[:, :len(counts[0])]
-    for j in range(2, t + 1):
-        table = _fill(cols, table, j - 1, counts, j, 0, int(counts[j][-1]))
-    return table
-
-
-def _fill(cols: np.ndarray, table: np.ndarray, t: int, counts: list, k: int,
-          r0: int, r1: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sums of the order-k multisets of colex ranks r0..r1-1, from the table
-    of a lower order t.
-
-    The multisets with largest index x are those of order k - 1 with largest
-    index at most x, plus x; their sums add ``k_x`` last.
+    In colex order the order-j multisets with largest index x are those of
+    order j - 1 with largest index at most x, plus x, and follow those with
+    a smaller largest index (the combinatorial number system).  One
+    ``searchsorted`` per order peels a rank's largest index off, down to its
+    order-t prefix, a column of ``table``.  A sum takes that column and adds
+    ``k_x`` for the peeled indices in increasing order, as every sum of a
+    pass is added.  Ranks go a slice at a time: a slice's kernel columns
+    fill at most ``scratch``, and its indices, one per order above t, at
+    most ``_CHUNK_CELLS // 4`` entries.
     """
-    if out is None:
-        out = np.empty((cols.shape[0], r1 - r0))
-    x = int(np.searchsorted(counts[k], r0, side="right"))
-    pos = 0
-    while r0 < r1:
-        end, size = int(counts[k][x]), int(counts[k - 1][x])
-        stop = min(end, r1)
-        part = out[:, pos:pos + stop - r0]
-        a, b = r0 - (end - size), stop - (end - size)
-        if k - 1 == t:
-            np.add(table[:, a:b], cols[:, x, None], out=part)
-        else:
-            _fill(cols, table, t, counts, k - 1, a, b, part)
-            part += cols[:, x, None]
-        pos += stop - r0
-        r0 = stop
-        x += 1
+    n_l = cols.shape[0]
+    size = max(1, min(scratch.size // n_l, _CHUNK_CELLS // 4 // max(1, k - t)))
+    # firsts[j][x]: the rank of the first order-j multiset with largest index x
+    firsts = {j: counts[j] - counts[j - 1] for j in range(t + 1, k + 1)}
+    for s0 in range(0, ranks.size, size):
+        rest = ranks[s0:s0 + size]
+        part = out[:, s0:s0 + rest.size]
+        block = scratch[:n_l * rest.size].reshape(n_l, rest.size)
+        last = []
+        for j in range(k, t, -1):
+            x = np.searchsorted(counts[j], rest, side="right")
+            rest = rest - firsts[j].take(x)
+            last.append(x)
+        np.copyto(part, table.take(rest, axis=1, out=block, mode="clip"))
+        while last:
+            np.add(part, cols.take(last.pop(), axis=1, out=block, mode="clip"), out=part)
     return out
 
 

@@ -75,6 +75,8 @@ ANALYZE_TOLERANCES = MappingProxyType({
     "agreement": AGREEMENT_TOL,
     "frostman": FROSTMAN_TOL,
     "negative_type": DEFINITENESS_TOL,
+    "order": ORDER_TOL,
+    "equality": EQUALITY_TOL,
 })
 VERIFY_TOLERANCES = MappingProxyType({
     "duality_gap": GAP_UNIQUE_TOL,
@@ -82,4 +84,10 @@ VERIFY_TOLERANCES = MappingProxyType({
     "frostman": FROSTMAN_TOL,
     "invariance": INVARIANCE_TOL,
     "order": ORDER_TOL,
+    "elton_upper": ELTON_UPPER_TOL,
+    "elton_lower": ELTON_LOWER_TOL,
+    "dual_match": DUAL_MATCH_TOL,
+    "equality": EQUALITY_TOL,
+    "agreement": AGREEMENT_TOL,
+    "uniform": UNIFORM_TOL,
 })

@@ -29,7 +29,13 @@ from rdv import (
 )
 import rdv.chebyshev as chebyshev
 
-from oracles import chebyshev_brute, chebyshev_prefix_loop, chebyshev_scan, dual_chebyshev_brute
+from oracles import (
+    _prefix_loop_sum,
+    chebyshev_brute,
+    chebyshev_prefix_loop,
+    chebyshev_scan,
+    dual_chebyshev_brute,
+)
 from rdv.cli import build_analysis
 from rdv.core import validate_kernel
 from rdv.suites import vertex_transitive_family
@@ -716,20 +722,53 @@ class TestScreenedPass:
         assert screen(ramp[:2]) is None
         assert screen(ramp[:1]) is None
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 5])
-    def test_gather_adds_as_fill(self, order):
-        space = generate(random_graph(11, 0.5, 6))
-        cols = np.ascontiguousarray(space.kernel[:, :9])
-        counts = [np.ones(9, dtype=np.int64)]
-        for _ in range(order):
+
+def _colex_multisets(h, k):
+    """Every order-k multiset of range(h) in colex order (largest index
+    first), one row each.  Colex order is lexicographic order reversed on
+    the mirrored multisets i -> h - 1 - i, which
+    ``combinations_with_replacement`` lists in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(h), k))
+    lex = np.fromiter(flat, dtype=np.intp, count=multiset_count(h, k) * k)
+    return h - 1 - lex.reshape(-1, k)[::-1, ::-1] if k else np.empty((1, 0), dtype=np.intp)
+
+
+def _loop_sums(rows, lead, multisets):
+    """The prefix loop's sum of ``lead`` followed by each multiset, one
+    column each."""
+    heads = np.broadcast_to(np.array(lead, dtype=np.intp), (len(multisets), len(lead)))
+    return np.ascontiguousarray(_prefix_loop_sum(rows, np.hstack([heads, multisets]).T).T)
+
+
+class TestColexSums:
+    """``_sums`` adds each multiset as the prefix loop does, left to right
+    from the start, from a table of any lower order, for contiguous and
+    scattered colex ranks."""
+
+    @pytest.mark.parametrize("h, k, cells", [(9, 1, 4096), (9, 2, 4096), (9, 3, 4096),
+                                             (9, 5, 4096), (9, 5, 64), (5, 40, 2 ** 15)])
+    def test_against_prefix_loop(self, h, k, cells):
+        # 64 cells of scratch hold a slice of 5 ranks; at order 40 on 5 points
+        # the contiguous ranks span two slices or more from every table
+        cols = np.ascontiguousarray(generate(random_graph(11, 0.5, 6)).kernel[:, :h])
+        rows = cols.T
+        counts = [np.ones(h, dtype=np.int64)]
+        for _ in range(k):
             counts.append(np.cumsum(counts[-1]))
-        ranks = np.random.default_rng(order).integers(0, int(counts[-1][-1]), 40)
-        for offset in (None, 0.0 + cols[:, 3:4]):
-            table = chebyshev._colex_table(cols, 0, counts, offset)
-            whole = chebyshev._fill(cols, table, 0, counts, order, 0, int(counts[-1][-1]))
-            out, scratch = np.empty((11, 40)), np.empty((11, 40))
-            gathered = chebyshev._gather(cols, offset, counts, ranks, out, scratch)
-            assert np.array_equal(gathered, whole[:, ranks])
+        total = multiset_count(h, k)
+        rng = np.random.default_rng(k)
+        a = int(rng.integers(0, max(1, total - 3000)))
+        ranks = (np.arange(a, min(a + 3000, total)), rng.integers(0, total, 40))
+        multisets = _colex_multisets(h, k)
+        for t in range(k):
+            lower = _colex_multisets(h, t)
+            # the start is 0.0, or the column 0.0 + k_3: the sums that begin with 3
+            for lead, start in (((), np.zeros((11, 1))), ((3,), 0.0 + cols[:, 3:4])):
+                table = _loop_sums(rows, lead, lower) if t else start
+                for r in ranks:
+                    out, scratch = np.empty((11, r.size)), np.empty(cells)
+                    got = chebyshev._sums(cols, table, t, counts, k, r, out, scratch)
+                    assert np.array_equal(got, _loop_sums(rows, lead, multisets[r]))
 
 
 def _moved_by_one_ulp(desc):

@@ -106,9 +106,11 @@ def test_every_entry_is_read():
 
 
 ANALYZE = {"duality_gap": 1e-08, "uniqueness": 1e-08, "chain": 1e-08, "invariance": 1e-08,
-           "agreement": 1e-07, "frostman": 1e-06, "negative_type": 1e-10}
+           "agreement": 1e-07, "frostman": 1e-06, "negative_type": 1e-10, "order": 1e-08,
+           "equality": 1e-07}
 VERIFY = {"duality_gap": 1e-08, "chain": 1e-08, "frostman": 1e-06, "invariance": 1e-08,
-          "order": 1e-08}
+          "order": 1e-08, "elton_upper": 1e-08, "elton_lower": 2e-08, "dual_match": 1e-07,
+          "equality": 1e-07, "agreement": 1e-07, "uniform": 1e-12}
 
 
 @pytest.mark.parametrize("argv, expected", [
