@@ -11,11 +11,11 @@ witness, the lexicographically smallest optimizer, is searched for when
 ``chebyshev_n`` or ``dual_chebyshev_n`` asks for one (``_search``).
 
 A pass of order 1 forms every cell, in blocks of ``_CHUNK_CELLS // 4``
-float64 cells; a pass of higher order whose cells fit one block forms them
-all at once (``_whole``).  A larger pass is bounded (``_bounded``): it
-forms the sums of order n - 1, the prefixes, in colex order (by largest
-index), a chunk at a time, and a prefix P with largest index x only meets
-the last indices c >= x.  For each prefix it computes
+float64 cells; a pass of higher order whose cells fit one block is plain:
+its sums are one table of every multiset.  A larger pass is bounded
+(``_bounded``): it forms the sums of order n - 1, the prefixes, in colex
+order (by largest index), a chunk at a time, and a prefix P with largest
+index x only meets the last indices c >= x.  For each prefix it computes
 
     ub = fl(min over L of fl(P + max_c k_c) / n)
     lb = fl(max over L of fl(P + min_c k_c) / n)
@@ -35,7 +35,8 @@ chunk.
 
 Every multiset sum above order 1 comes from one routine, ``_sums``: a
 colex rank splits into one index per order, and a sum adds their columns to
-a column of a lower order's table in increasing index order.
+a column of a lower order's table in increasing index order.  ``_table``
+builds the table of every multiset of an order from the order below.
 
 A bounded pass takes its prefixes, bounds and a first value of each cell
 on a screen S of L.  A min over S is at least the min over L and a max
@@ -222,35 +223,34 @@ def _pass(cols: np.ndarray, h: int, order: int, n: int, offset: Optional[np.ndar
     ``((0 + k_a1) + k_a2) + ... + k_an``, or from the column ``offset``
     (|L| x 1) in place of 0.0.  Order 1 has one prefix, the start, so no
     bound can skip a cell; its cells go in blocks of columns.  A larger
-    order is evaluated whole (``_whole``) if its sums fit one block, and is
-    bounded (``_bounded``) if not.
+    order whose cells fit one block is plain: its sums are one table
+    (``_table``).  A pass too large for that is bounded (``_bounded``).
     """
     n_l = cols.shape[0]
     # Blocks get a quarter of the budget: at 2**17 cells they raised the peak
     # RSS of a random(40) analysis by 1.3 MB, at 2**16 not measurably.
     budget = max(1, _CHUNK_CELLS // 4)
+    start = np.zeros((n_l, 1)) if offset is None else offset
     if order == 1:
-        start = 0.0 if offset is None else offset
         width = max(1, budget // n_l)
-        folds = [_fold(start + cols[:, c0:min(c0 + width, h)], None, n, work)
+        folds = [_fold(start + cols[:, c0:min(c0 + width, h)], n, work)
                  for c0 in range(0, h, width)]
         return max(low for low, _ in folds), min(high for _, high in folds)
     # counts[j][x]: multisets of order j with largest index at most x.
     counts = [np.ones(h, dtype=np.int64)]
-    for _ in range(order - 1):
+    for _ in range(order):
         counts.append(np.cumsum(counts[-1]))
-    if n_l * h * h * int(counts[order - 2][-1]) <= budget:
-        return _fold(*_whole(cols[:, :h], order, counts, offset), n, work)
-    return _bounded(cols, n, counts, offset, budget, work)
+    cells = n_l * int(counts[order][-1])
+    if cells <= budget:
+        return _fold(_table(cols, start, counts, order, np.empty(cells)), n, work)
+    return _bounded(cols, n, counts[:order], offset, budget, work)
 
 
-def _fold(sums: np.ndarray, invalid: Optional[np.ndarray], n: int, work: _ScanWork
-          ) -> tuple[float, float]:
+def _fold(sums: np.ndarray, n: int, work: _ScanWork) -> tuple[float, float]:
     """The evaluation step: over a block of sums with L on its first axis,
     the largest smallest-over-L cell and the smallest largest-over-L cell,
-    both divided by n.  ``invalid`` masks the cells of ``sums[0]`` that are
-    no multiset of the pass."""
-    low, high = _cells(sums, invalid, n, work)
+    both divided by n."""
+    low, high = _cells(sums, None, n, work)
     return float(low.max()), float(high.min())
 
 
@@ -270,29 +270,21 @@ def _cells(sums: np.ndarray, invalid: Optional[np.ndarray], n: int, work: _ScanW
     return low, high
 
 
-def _whole(cols: np.ndarray, order: int, counts: list, offset: Optional[np.ndarray]
-           ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """All sums of a pass of order 2 or more in one block, and the mask of
-    its cells that are no multiset of the pass.
+def _table(cols: np.ndarray, start: np.ndarray, counts: list, t: int, scratch: np.ndarray
+           ) -> np.ndarray:
+    """Sums of every order-t multiset of the first ``len(counts[0])``
+    columns, in colex order, from the column ``start`` (|L| x 1); ``scratch``
+    is a flat block for ``_sums``.
 
-    The block holds ``(T[q] + k_b) + k_c`` for every sum T[q] of order
-    ``order - 2`` and all b and c; a cell is a multiset when q's largest
-    index is at most b and b <= c.  For order 2 from 0.0 a cell with c < b
-    holds the sum of (c, b) exactly, since k_b + k_c == k_c + k_b, and stays
-    unmasked.
+    Order 0 is ``start``, order 1 ``start + k_x``, and each higher order one
+    ``_sums`` call from the order below: one peel and one add per sum.
     """
-    n_l, width = cols.shape[0], int(counts[order - 2][-1])
-    start = np.zeros((n_l, 1)) if offset is None else offset
-    table = _sums(cols, start, 0, counts, order - 2, np.arange(width), np.empty((n_l, width)),
-                  np.empty(n_l * width))
-    heads = table[:, :, None] + cols[:, None, :]
-    sums = heads[:, :, :, None] + cols[:, None, None, :]
-    if order == 2 and offset is None:
-        return sums, None
-    step = np.arange(cols.shape[1])
-    invalid = ((np.arange(table.shape[1])[:, None] >= counts[order - 2])[:, :, None]
-               | (step < step[:, None]))
-    return sums, invalid
+    table = start if t == 0 else start + cols[:, :len(counts[0])]
+    for j in range(2, t + 1):
+        width = int(counts[j][-1])
+        table = _sums(cols, table, j - 1, counts, j, np.arange(width),
+                      np.empty((cols.shape[0], width)), scratch)
+    return table
 
 
 def _bound(heads: np.ndarray, edge: np.ndarray, t: np.ndarray, extreme: np.ufunc,
@@ -388,9 +380,7 @@ def _bounded(cols: np.ndarray, n: int, counts: list, offset: Optional[np.ndarray
     t = 0
     while t + 1 < k and n_s * int(counts[t + 1][-1]) <= _CHUNK_CELLS:
         t += 1
-    width = int(counts[t][-1])
-    table = _sums(seen_cols, seen_start, 0, counts, t, np.arange(width), np.empty((n_s, width)),
-                  heads)
+    table = _table(seen_cols, seen_start, counts, t, heads)
     # The largest and smallest kernel entry from each row of S over each
     # tile, and over each tile and all tiles after it.
     tile_max, tile_min = seen_blocks[:, :, 0].copy(), seen_blocks[:, :, 0].copy()

@@ -137,6 +137,15 @@ def _floyd_warshall(weights: np.ndarray) -> np.ndarray:
     return d
 
 
+def _connected(adj: np.ndarray) -> bool:
+    """Whether the finite entries of ``adj`` link every point to point 0."""
+    linked = np.isfinite(adj)
+    seen, grown = None, linked[0]
+    while not np.array_equal(seen, grown):
+        seen, grown = grown, linked[grown].any(axis=0)
+    return bool(seen.all())
+
+
 def _uniforms(rng: np.random.Generator, size: int):
     """The values of successive ``rng.random()`` calls, drawn ``size`` at a
     time: an array draw takes the same values from the stream in order."""
@@ -163,9 +172,8 @@ def _random_graph_kernel(m: int, edge_prob: float, seed: int) -> np.ndarray:
         if ends:
             i, j = np.array(ends).T
             adj[i, j] = adj[j, i] = weights
-        dist = _floyd_warshall(adj)
-        if np.all(np.isfinite(dist)):
-            return dist
+        if _connected(adj):
+            return _floyd_warshall(adj)
     raise DisconnectedAfterRetriesError(
         f"no connected graph on {m} points with edge probability {edge_prob} "
         f"after {_MAX_GRAPH_RETRIES} draws (seed {seed})"

@@ -503,7 +503,7 @@ class TestAnchoredScan:
 
     @pytest.mark.parametrize("cells", [1, 100, 5000])
     def test_small_budgets(self, monkeypatch, cells):
-        # masked order-2 blocks, split blocks and prefixes filled from a
+        # plain tables, split blocks and prefixes filled from a
         # lower-order table, all after the offset column
         monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", cells)
         for desc in (hypercube(4), circle(12, "arc"), circle(9, radius=1e3), circle(10)):
@@ -597,9 +597,9 @@ class TestBoundedPass:
             assert work.bound > 0
             assert lo == hi
 
-    @pytest.mark.parametrize("cells", [1, 100, 5000])
+    @pytest.mark.parametrize("cells", [1, 100, 1000])
     def test_small_budgets(self, monkeypatch, cells):
-        # one prefix, tile and seed per chunk at 1 cell; several at 5000
+        # one prefix, tile and seed per chunk at 1 cell; several at 1000
         monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", cells)
         bounded = 0
         for space, pair in _tie_cases():
@@ -624,6 +624,39 @@ class TestBoundedPass:
         order = n - 1 if chebyshev._transitive(space, pair, n) else n
         _, work = _work(space, pair, n)
         assert work.evaluated + work.bound < multiset_count(space.m, order) * space.m / 4
+
+
+class TestPlainPass:
+    """A pass above order 1 whose cells fit one block of a quarter of the
+    budget is plain: one table of its multisets, with no bound."""
+
+    @pytest.mark.parametrize("m, seed", [(12, 1), (13, 2), (14, 3)])
+    def test_boundary_with_bounded_pass(self, monkeypatch, m, seed):
+        # the analyze-random sizes at order 4: plain at the full budget, and
+        # bounded once the budget is one cell short of the pass
+        space = generate(random_graph(m, 0.5, seed))
+        pair = SubsetPair.full(m)
+        assert not chebyshev._transitive(space, pair, 4)
+        cells = multiset_count(m, 4) * m
+        lo, _, hi, _ = chebyshev_prefix_loop(space, pair, 4)
+        plain, work = _work(space, pair, 4)
+        assert cells <= chebyshev._CHUNK_CELLS // 4
+        assert work == chebyshev._ScanWork(evaluated=cells, bound=0, screen=0)
+        monkeypatch.setattr(chebyshev, "_CHUNK_CELLS", 4 * (cells - 1))
+        bounded, work = _work(space, pair, 4)
+        assert work.bound > 0 and work.screen == m
+        assert plain == bounded == (lo, hi)
+
+    @pytest.mark.parametrize("desc, n, multisets", [
+        (interval_grid(16), 4, multiset_count(16, 4)),
+        # anchored at point 0: an order-(n - 1) pass over the rest
+        (circle(12), 3, multiset_count(12, 2)),
+        (hypercube(3), 5, multiset_count(8, 4)),
+    ])
+    def test_work(self, desc, n, multisets):
+        space = generate(desc)
+        _, work = _work(space, SubsetPair.full(space.m), n)
+        assert work == chebyshev._ScanWork(evaluated=multisets * space.m, bound=0, screen=0)
 
 
 def _relabelled_grid(m):
@@ -771,6 +804,26 @@ class TestColexSums:
                     assert np.array_equal(got, _loop_sums(rows, lead, multisets[r]))
 
 
+class TestTable:
+    """``_table`` builds every order's sums from the order below, as the
+    prefix loop adds them, from 0.0 and from a column start."""
+
+    @pytest.mark.parametrize("h, t, cells", [*((9, t, 4096) for t in range(7)),
+                                             (5, 40, 2 ** 15)])
+    def test_against_prefix_loop(self, h, t, cells):
+        # the columns past the first h are never read
+        cols = np.ascontiguousarray(generate(random_graph(11, 0.5, 6)).kernel)
+        counts = [np.ones(h, dtype=np.int64)]
+        for _ in range(t):
+            counts.append(np.cumsum(counts[-1]))
+        multisets = _colex_multisets(h, t)
+        # the start is 0.0, or the column 0.0 + k_3: the sums that begin with 3
+        for lead, start in (((), np.zeros((11, 1))), ((3,), 0.0 + cols[:, 3:4])):
+            got = chebyshev._table(cols, start, counts, t, np.empty(cells))
+            assert got.shape == (11, multiset_count(h, t))
+            assert np.array_equal(got, _loop_sums(cols.T, lead, multisets).reshape(11, -1))
+
+
 def _moved_by_one_ulp(desc):
     k = generate(desc).kernel.copy()
     k[0, 2] = k[2, 0] = np.nextafter(k[0, 2], np.inf)
@@ -854,6 +907,12 @@ class TestMemoryBound:
         # the order-38 table alone would hold 111,930 x 5 cells
         assert multiset_count(5, 38) * 5 > chebyshev._CHUNK_CELLS
         self.assert_bounded(generate(random_graph(5, 0.5, 3)), 40)
+
+    def test_plain_pass(self):
+        # 3,876 multisets of 16 points seen from 16: one table of 62,016 cells
+        space = generate(interval_grid(16))
+        assert 4 * multiset_count(16, 4) * 16 <= chebyshev._CHUNK_CELLS
+        self.assert_bounded(space, 4)
 
     def test_wide_order_two(self):
         # one block for all 33,153 pairs of 257 points would hold 8.5M cells

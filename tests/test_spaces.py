@@ -29,6 +29,7 @@ from rdv import (
     space_to_document,
     validate_kernel,
 )
+import rdv.spaces as spaces
 from rdv.spaces import DEFAULT_POINT_CAP, _random_graph_kernel
 
 from oracles import random_graph_kernel_loop
@@ -171,6 +172,18 @@ class TestRandomGraph:
                         continue
                     assert np.array_equal(_random_graph_kernel(m, p, seed), old)
         assert failed > 0
+
+    def test_disconnected_draws_skip_floyd_warshall(self, monkeypatch):
+        # all 64 draws at m = 14, p = 0.05 are disconnected: the search over
+        # their edges tells, and no draw pays for all-pairs distances
+        calls = []
+        monkeypatch.setattr(spaces, "_floyd_warshall",
+                            lambda weights: calls.append(weights) or weights)
+        with pytest.raises(DisconnectedAfterRetriesError):
+            _random_graph_kernel(14, 0.05, 0)
+        assert calls == []
+        _random_graph_kernel(14, 0.5, 0)
+        assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
