@@ -33,19 +33,20 @@ each distinct support's KKT system is solved once per multistart, not
 once per start.  The certified route's exact solve drops the atoms of
 negative weight and solves again on the rest (the active-set step of
 nonnegative least squares), so it mostly closes the gap at iteration 0.
-The enumeration solves the supports of one size as stacked KKT systems
-and replays the near-best ones one at a time, so its result is exactly
-that of solving every support on its own; one stacked pass per space and
-subset serves the maximum and the minimum.  Every space solves its own
-extrema: a dual kernel C - k built by ``core.dual_kernel`` is a space like
-any other.
+The enumeration walks the supports level by level and solves each one's
+KKT system from its prefix's by bordering, with no factorization; a
+support whose verdict the bordered solution's error bound leaves open is
+solved by stacked LU.  It then replays the near-best supports one at a
+time, so its result is exactly that of solving every support on its own;
+one pass per space and subset serves the maximum and the minimum.  Every
+space solves its own extrema: a dual kernel C - k built by
+``core.dual_kernel`` is a space like any other.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .core import (
 )
 from .spectral import sum_zero_definiteness
 from .tolerances import (
+    BORDER_TRUST_TOL,
     DUAL_TOL,
     EQUAL_VALUE_TOL,
     GAP_TOL,
@@ -75,6 +77,7 @@ from .tolerances import (
     SUPPORT_EPS,
     VALUE_TIE_TOL,
     WEIGHT_TOL,
+    gamma,
 )
 
 LP_SIZE_CAP = 10_000
@@ -377,9 +380,9 @@ class EnergyResult:
     ``kkt_solves`` counts the one-support KKT solves of the Frank-Wolfe
     routes, each re-solve of a polish included, and ``fw_iterations`` their
     iterations, both summed over the starts of a multistart.  Both are 0 on an
-    enumerated extremum, which solves its supports as stacked systems and
-    does not count its few one-support replays, and on a minimum that a zero
-    diagonal entry proves.
+    enumerated extremum, which solves its supports by bordering, with stacked
+    LU for the few it cannot decide, and does not count its one-support
+    replays; and on a minimum that a zero diagonal entry proves.
     """
 
     value: float
@@ -405,7 +408,7 @@ def _kkt_weights(M: np.ndarray, support: np.ndarray):
     """The weights w of M_S w = lam, sum w = 1, or None when the system is
     singular or its residual exceeds ``RESID_TOL * (1 + max|M|)``."""
     s = support.size
-    M_S = M[np.ix_(support, support)]
+    M_S = M[support[:, None], support]
     kkt = np.zeros((s + 1, s + 1))
     kkt[:s, :s] = M_S
     kkt[:s, s] = -1.0
@@ -564,72 +567,185 @@ def _solve_stack(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return sol
 
 
-def _support_pass(Q: np.ndarray):
-    """Every support of Q solved as stacked KKT systems and filtered.
+class _SupportPass(NamedTuple):
+    """Every support of a kernel, solved and filtered once for both signs.
 
-    Supports are visited by size, then lexicographically, and each chunk of
-    at most ``_ENUM_CHUNK`` supports of one size is one stacked KKT solve.
-    A vectorized filter accepts or rejects a support when it is clear of
-    ``_polish_support``'s thresholds by a factor of two; the supports in
-    between are replayed through ``_polish_support``.  Returns the accepted
-    supports with their values ``w' Q w``, one pair per chunk in visiting
-    order, and the number of rejected supports.
+    ``accepted`` holds one (supports, values) pair per solved block, in
+    visiting order: the kept supports as rows of point indices, and their
+    values lam = w' Q w.  ``skipped`` counts the rejected supports,
+    ``bordered`` and ``fallback`` those decided by bordering and by stacked
+    LU, and ``replays`` the one-support replays among the latter.
+    """
 
-    The pass serves both signs.  The KKT matrix of -Q is -D kkt(Q) D with
-    D = diag(1, ..., 1, -1), so LU with partial pivoting meets the same
-    pivots, up to sign, and returns the same weights and the negated
-    multiplier: every residual, weight, verdict and value here is that of
-    -Q, up to the sign of the value, bit for bit.
+    accepted: tuple
+    skipped: int
+    bordered: int
+    fallback: int
+    replays: int
+
+    @property
+    def visited(self) -> int:
+        return self.bordered + self.fallback
+
+
+def _stacked_verdicts(lu: np.ndarray, S: np.ndarray, Q: np.ndarray, resid_tol: float):
+    """The supports S, rows of one size, solved as stacked KKT systems and
+    filtered: (kept mask, values, one-support replays).
+
+    A support clear of ``_polish_support``'s thresholds by a factor of two is
+    decided here, the others by replaying ``_polish_support``.  Indexing
+    ``lu`` = [[Q, -1], [1, 0]] with a support plus index h gives its KKT
+    matrix.
     """
     h = Q.shape[0]
-    resid_tol = RESID_TOL * (1.0 + np.max(np.abs(Q)))
-    # [[Q, -1], [1, 0]]: indexing it with a support plus index h gives that
-    # support's KKT matrix
-    bordered = np.zeros((h + 1, h + 1))
-    bordered[:h, :h] = Q
-    bordered[:h, h] = -1.0
-    bordered[h, :h] = 1.0
-    accepted = []  # (supports, stacked values) per chunk, in visiting order
-    skipped = 0
-    for size in range(1, h + 1):
-        combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(h), size)),
-                             dtype=np.intp).reshape(-1, size)
-        rhs = np.zeros(size + 1)
-        rhs[size] = 1.0
-        for start in range(0, len(combos), _ENUM_CHUNK):
-            S = combos[start:start + _ENUM_CHUNK]
-            idx = np.hstack([S, np.full((len(S), 1), h)])
-            kkt = bordered[idx[:, :, None], idx[:, None, :]]
-            Q_S = kkt[:, :size, :size]
-            sol = _solve_stack(kkt, rhs)
-            w_s = sol[:, :size]
-            with np.errstate(invalid="ignore"):
-                resid = np.abs(np.einsum("nij,nj->ni", Q_S, w_s) - sol[:, size:]).max(axis=1)
-                low = w_s.min(axis=1)
-                finite = np.isfinite(w_s).all(axis=1)
-                keep = finite & (resid <= 0.5 * resid_tol) & (low >= -0.5 * WEIGHT_TOL)
-                unsure = (finite & ~keep & ~(resid > 2.0 * resid_tol)
-                          & ~(low < -2.0 * WEIGHT_TOL))
-            for i in np.flatnonzero(unsure):
-                keep[i] = _polish_support(Q, S[i], h) is not None
-            skipped += len(S) - int(keep.sum())
-            w = np.clip(w_s[keep], 0.0, None)
-            w /= w.sum(axis=1, keepdims=True)
-            accepted.append((S[keep], np.einsum("ni,nij,nj->n", w, Q_S[keep], w)))
-    return tuple(accepted), skipped
+    size = S.shape[1]
+    idx = np.hstack([S, np.full((len(S), 1), h)])
+    kkt = lu[idx[:, :, None], idx[:, None, :]]
+    Q_S = kkt[:, :size, :size]
+    rhs = np.zeros(size + 1)
+    rhs[size] = 1.0
+    sol = _solve_stack(kkt, rhs)
+    w_s = sol[:, :size]
+    with np.errstate(invalid="ignore"):
+        resid = np.abs(np.einsum("nij,nj->ni", Q_S, w_s) - sol[:, size:]).max(axis=1)
+        low = w_s.min(axis=1)
+        finite = np.isfinite(w_s).all(axis=1)
+        keep = finite & (resid <= 0.5 * resid_tol) & (low >= -0.5 * WEIGHT_TOL)
+        unsure = (finite & ~keep & ~(resid > 2.0 * resid_tol)
+                  & ~(low < -2.0 * WEIGHT_TOL))
+    replays = np.flatnonzero(unsure)
+    for i in replays:
+        keep[i] = _polish_support(Q, S[i], h) is not None
+    w = np.clip(w_s[keep], 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    return keep, np.einsum("ni,nij,nj->n", w, Q_S[keep], w), replays.size
 
 
-def _enumerate_supports(Q: np.ndarray, sign: float, stacked=None):
+def _support_pass(Q: np.ndarray) -> _SupportPass:
+    """Every support of Q solved and filtered, by size, then lexicographically.
+
+    A support T has the KKT matrix A_T = [[0, 1'], [1, Q_T]], border first,
+    and A_T^-1 e_0 = x_T = [-lam, w].  T = S + {j}, j = max T, is solved
+    from S by bordering: with a = [1; Q[S, j]], y = A_S^-1 a and the Schur
+    complement s = Q[j, j] - a'y, x_T = [x_S + y y_0/s; -y_0/s].  No inverse
+    is formed: the y of a child T + {j'} is [y' - g y; g], with y' that of
+    T's sibling S + {j'} and g = (Q[j, j'] - a'y)/s, and its s is s' - g^2 s.
+
+    With the residual r = A_T x_T - e_0 and a bound p on the row sums of the
+    weight block of A_T^-1 (S's block plus a rank-one term, so p sums
+    (1 + |y|_1)^2/|s| along the prefixes, y without its border entry),
+
+        delta = |w|_1 (|r_0| + c (|w|_1 + 2 max|Q| p)) + p max|r_Q|,
+
+    c = gamma_{8(k+1)}, bounds the distance from w to the weights of
+    ``_polish_support``'s LU solve.  A support whose lowest weight is more
+    than delta <= ``BORDER_TRUST_TOL`` from -``WEIGHT_TOL`` is decided here
+    (a kept one sums to 1, so the LU's residual is far below ``RESID_TOL``),
+    with lam as its value; ``_stacked_verdicts`` decides the rest.
+
+    The KKT matrix of -Q is -D kkt(Q) D with D = diag(1, ..., 1, -1), so LU
+    with partial pivoting meets the same pivots, up to sign, and
+    ``_polish_support`` reaches the same verdicts on -Q: the pass serves both
+    signs, the values of -Q negated.
+    """
+    h = Q.shape[0]
+    q_max = float(np.max(np.abs(Q)))
+    resid_tol = RESID_TOL * (1.0 + q_max)
+    lu = np.zeros((h + 1, h + 1))
+    lu[:h, :h] = Q
+    lu[:h, h] = -1.0
+    lu[h, :h] = 1.0
+    q = Q.diagonal()
+    # a single point: w = 1 and lam = Q[i, i], always kept
+    accepted = [(np.arange(h, dtype=np.int8)[:, None], q.copy())]
+    counts = {"skipped": 0, "bordered": h, "fallback": 0, "replays": 0}
+
+    def decide(sets: np.ndarray, x: np.ndarray, p: np.ndarray) -> None:
+        # one support a column, border first
+        m = sets.shape[1]
+        at = np.multiply(sets, m, dtype=np.intp)
+        at += np.arange(m)
+        X = np.zeros((h + 1, m))
+        X.put(at, x)
+        # A_T x_T - e_0 with r_0 negated, as lu's border column is -1
+        r = (lu.T @ X).take(at)
+        w1 = np.abs(x[1:]).sum(axis=0)
+        delta = (w1 * (np.abs(r[0] + 1.0) + gamma(8 * len(sets)) * (w1 + 2.0 * q_max * p))
+                 + p * np.abs(r[1:]).max(axis=0))
+        margin = x[1:].min(axis=0) + WEIGHT_TOL
+        decided = (np.abs(margin) > delta) & (delta <= BORDER_TRUST_TOL)
+        keep = decided & (margin >= 0.0)
+        values = -x[0]
+        rest = np.flatnonzero(~decided)
+        if rest.size:
+            kept, stacked, replays = _stacked_verdicts(lu, sets[1:, rest].T, Q, resid_tol)
+            keep[rest] = kept
+            values[rest[kept]] = stacked
+            counts["replays"] += replays
+        counts["fallback"] += rest.size
+        counts["bordered"] += m - rest.size
+        counts["skipped"] += m - int(np.count_nonzero(keep))
+        accepted.append((sets[1:, keep].T, values[keep]))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # pairs {i, j}: y = A_{i}^-1 [1; Q_ij] = [Q_ij - Q_ii, 1]
+        i, j = np.triu_indices(h, 1)
+        sets = np.array([np.full(i.size, h), i, j], dtype=np.int8)  # indices <= 14
+        y = np.array([Q[i, j] - q[i], np.ones(i.size)])
+        s = q[i] + q[j] - 2.0 * Q[i, j]
+        z = y[0] / s
+        x = np.array([y[0] * z - q[i], z + 1.0, -z])
+        p = 4.0 / np.abs(s)
+        if i.size:
+            decide(sets, x, p)
+        for k in range(2, h):
+            # the children T + {j'}, j' = max T + 1, ..., h - 1, of each T in
+            # order; the sibling S + {j'} of T = S + {j} is j' - j rows on
+            spread = np.subtract(h - 1, sets[-1], dtype=np.intp)
+            parent = np.arange(spread.size).repeat(spread)
+            offset = np.arange(1, parent.size + 1) - (spread.cumsum() - spread).take(parent)
+            sibling, new = parent + offset, offset + sets[-1].take(parent)
+            n = parent.size
+            level = (np.empty((k + 2, n), dtype=np.int8), np.empty((k + 1, n)),
+                     np.empty((k + 2, n)), np.empty(n), np.empty(n))
+            sets_k, y_k, x_k, s_k, p_k = level
+            for lo in range(0, n, _ENUM_CHUNK):
+                block = slice(lo, lo + _ENUM_CHUNK)
+                par, jn = parent[block], new[block]
+                sets_k[:-1, block] = sets[:, par]
+                sets_k[-1, block] = jn
+                # [1; Q[S, j']; Q[j, j']] on the rows of T = S + {j}
+                at = np.multiply(sets_k[:-1, block], h + 1, dtype=np.intp)
+                at += jn
+                a = lu.take(at)
+                y_t, s_t = y[:, par], s.take(par)
+                g = (a[k] - (y_t * a[:k]).sum(axis=0)) / s_t
+                y_k[:k, block] = y[:, sibling[block]] - y_t * g
+                y_k[k, block] = g
+                s_k[block] = s.take(sibling[block]) - g * g * s_t
+                z = y_k[0, block] / s_k[block]
+                x_k[:-1, block] = x[:, par] + y_k[:, block] * z
+                x_k[-1, block] = -z
+                grow = np.abs(y_k[1:, block]).sum(axis=0) + 1.0
+                p_k[block] = grow * grow / np.abs(s_k[block]) + p.take(par)
+                decide(sets_k[:, block], x_k[:, block], p_k[block])
+            sets, y, x, s, p = level
+    return _SupportPass(tuple(accepted), **counts)
+
+
+def _enumerate_supports(Q: np.ndarray, sign: float, swept: _SupportPass | None = None):
     """Exact extremum via stationary points of every support, plus vertices.
 
-    ``stacked`` is ``_support_pass(Q)``, computed here when not given; one
-    pass serves both signs.  The supports whose stacked value of
-    ``sign * Q`` is within ``REPLAY_BAND_TOL * (1 + max|Q|)`` of the
-    smallest are replayed through ``_polish_support``, and the tie rule runs
-    on their replayed points in visiting order, so measure, value and notes
-    are those of solving every support on its own.
+    ``swept`` is ``_support_pass(Q)``, computed here when not given; one
+    pass serves both signs.  The supports whose value of ``sign * Q`` in the
+    pass is within ``REPLAY_BAND_TOL * (1 + max|Q|)`` of the smallest are
+    replayed through ``_polish_support``, and the tie rule runs on their
+    replayed points in visiting order, so measure, value and notes are
+    those of solving every support on its own.
     """
-    accepted, skipped = _support_pass(Q) if stacked is None else stacked
+    if swept is None:
+        swept = _support_pass(Q)
+    accepted, skipped = swept.accepted, swept.skipped
     h = Q.shape[0]
     M = sign * Q
     # The tie rule looks VALUE_TIE_TOL and EQUAL_VALUE_TOL apart.  A support
@@ -747,8 +863,8 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         if gap > gap_tol:
             notes = (f"conditional gradient stopped at gap {gap:.3e}",)
     elif h <= QP_ENUM_LIMIT:
-        stacked = space.memo(("support_pass", idx), lambda: _support_pass(Q))
-        v, _, notes = _enumerate_supports(Q, sign, stacked)
+        swept = space.memo(("support_pass", idx), lambda: _support_pass(Q))
+        v, _, notes = _enumerate_supports(Q, sign, swept)
         gap = 0.0
         cert = "enumerated_exact"
     else:

@@ -56,6 +56,7 @@ WEIGHT_TOL = 1e-10  # KKT weight below -WEIGHT_TOL rejects a support; unit
 VALUE_TIE_TOL = 1e-15  # a candidate energy must beat the best by more; K-scale
 EQUAL_VALUE_TOL = 1e-12  # energies this close tie, and the smaller weights win; K-scale
 REPLAY_BAND_TOL = 1e-9  # band above the best replayed, times (1 + max|Q|); K-scale
+BORDER_TRUST_TOL = 1e-3  # largest error bound a bordered support verdict rests on; unit
 
 # spectral and structure
 DEFINITENESS_TOL = 1e-10  # zero threshold of every sum-zero eigenvalue decision; K-scale

@@ -1,5 +1,6 @@
 """LP solver certificates and quadratic optimization on the simplex."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,11 +552,23 @@ class TestQuadraticAgainstGrid:
         assert bottom.value >= lo_grid - 5.0 / denom
 
 
-def _twin(kernel: np.ndarray) -> np.ndarray:
-    """The kernel with point 1 replaced by a copy of point 0."""
+def _twin(kernel: np.ndarray, distance: float = 0.0) -> np.ndarray:
+    """The kernel with point 1 replaced by a copy of point 0, whose row and
+    column are then scaled by 1 + ``distance``: a near-twin at that
+    relative distance, and an exact twin at 0."""
     k = kernel.copy()
-    k[1] = k[0]
-    k[:, 1] = k[:, 0]
+    k[1] = k[0] * (1.0 + distance)
+    k[:, 1] = k[:, 0] * (1.0 + distance)
+    return k
+
+
+def _flat_pair(kernel: np.ndarray, distance: float) -> np.ndarray:
+    """The kernel with the block of {0, 1} set to K[0, 0], up to a relative
+    ``distance`` on K[1, 1]: that support's KKT system is singular, or
+    nearly so, while points 0 and 1 still differ towards the others."""
+    k = kernel.copy()
+    k[0, 1] = k[1, 0] = k[0, 0]
+    k[1, 1] = k[0, 0] * (1.0 + distance)
     return k
 
 
@@ -575,6 +588,7 @@ def _differential_kernels():
             yield f"random({m},{seed})", k
             if m <= 12:
                 yield f"random({m},{seed})*1e6", k * 1e6
+                yield f"random({m},{seed})*1e-6", k * 1e-6
                 yield f"dual random({m},{seed})", 2.0 * k.max() - k
     for seed in range(200):
         space = instance_space(seed)
@@ -583,7 +597,18 @@ def _differential_kernels():
     for m in range(3, 11):
         a = rng.normal(size=(m, m))
         yield f"symmetric({m})", a + a.T
-    yield "twin random(14,3)", _twin(generate(random_graph(14, 0.5, 3)).kernel)
+    # every support with both twins is singular, or ill-conditioned on a
+    # near-twin, and so is every bordered prefix of its extensions
+    base = generate(random_graph(14, 0.5, 3)).kernel
+    yield "twin random(14,3)", _twin(base)
+    for distance in (1e-8, 1e-12):
+        yield f"near-twin {distance} random(14,3)", _twin(base, distance)
+    # regular supports whose bordered prefix {0, 1} is singular or nearly so
+    rng = np.random.default_rng(1)
+    for m in (8, 10):
+        a = rng.random((m, m))
+        for distance in (0.0, 1e-14, 1e-10):
+            yield f"flat pair {distance} ({m})", _flat_pair(a + a.T, distance)
     # supports whose lowest weight falls between the filter's two thresholds
     for weight in (-0.3e-10, -0.7e-10, -1.5e-10, -3e-10):
         yield f"boundary {weight}", _boundary_kernel(weight)
@@ -602,10 +627,11 @@ class TestBatchedEnumeration:
             assert notes == notes_ref, name
 
     def test_boundary_supports_follow_the_loop(self):
-        # {0, 1} and {0, 1, 2} solve to a lowest weight between the filter's
-        # thresholds, so _polish_support decides them: kept at -0.7e-10 and
-        # -0.47e-10, dropped at -1.5e-10 and -1.0000001e-10 (its own bound
-        # is -1e-10)
+        # {0, 1} and {0, 1, 2} solve to a lowest weight between the stacked
+        # filter's thresholds, near _polish_support's own bound -1e-10: kept
+        # at -0.7e-10 and -0.47e-10, dropped at -1.5e-10 and -1.0000001e-10;
+        # the last is within the bordered solution's error of the bound, so
+        # stacked LU and a replay decide it
         assert _enumerate_supports(_boundary_kernel(-0.7e-10), 1.0)[2] == ()
         assert _enumerate_supports(_boundary_kernel(-1.5e-10), 1.0)[2] == (
             "skipped 2 singular or infeasible support systems",)
@@ -662,6 +688,36 @@ class TestBatchedEnumeration:
         # one-system solves only replay the near-best supports: at most the
         # h tied Diracs of the minimum
         assert calls["single"] <= h
+
+    def test_lu_takes_only_the_supports_bordering_cannot_decide(self):
+        # random(14, 0.5, 3) is decided from bordered solutions alone; on its
+        # twin, each of the 2^12 supports that hold both twins is singular,
+        # and stacked LU decides it
+        plain = generate(random_graph(14, 0.5, 3)).kernel
+        for kernel, fallback in ((plain, 0), (_twin(plain), 2 ** 12)):
+            swept = optimize_mod._support_pass(kernel)
+            assert swept.visited == 2 ** 14 - 1
+            assert swept.fallback == fallback
+            for sign in (1.0, -1.0):
+                w, value, notes = _enumerate_supports(kernel, sign, swept)
+                w_ref, value_ref, notes_ref = enumerate_supports_loop(kernel, sign)
+                assert w.tobytes() == w_ref.tobytes()
+                assert value == value_ref
+                assert notes == notes_ref
+
+    def test_support_pass_memory_is_bounded(self):
+        # the pass keeps two levels of O(k) vectors a support and one block
+        # of at most _ENUM_CHUNK supports in flight: a 14-point pass peaks
+        # near 1.35 MiB, where forming every inverse of a level took 7 MiB
+        kernel = generate(random_graph(14, 0.5, 3)).kernel
+        optimize_mod._support_pass(kernel)
+        tracemalloc.start()
+        try:
+            optimize_mod._support_pass(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 2 ** 20
 
 
 def _disjoint_pairs(m: int = 16) -> KernelSpace:

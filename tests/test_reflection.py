@@ -5,10 +5,9 @@ the dual kernel C - k is the maximal energy of k.  An analysis reads
 everything about C - k from k (``dual_equilibrium``) and builds no C - k;
 the space that ``dual_kernel`` builds solves on its own, and the two must
 agree on every QP route.  The maximum and the minimum of one kernel share
-one stacked support pass, and each equals the one-support-at-a-time loop
-bit for bit.
+one support pass, and each equals the one-support-at-a-time loop bit for
+bit.
 """
-import math
 import sys
 
 import numpy as np
@@ -32,7 +31,6 @@ from rdv import (
 )
 from rdv.cli import build_analysis
 from rdv.optimize import (
-    _ENUM_CHUNK,
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
 )
@@ -198,36 +196,42 @@ def test_full_pair_analysis_solves_each_problem_once(monkeypatch):
         calls.clear()
 
 
-def _chunks(h):
-    return sum(-(-math.comb(h, size) // _ENUM_CHUNK) for size in range(1, h + 1))
-
-
 @pytest.mark.parametrize("first", ["min", "max"])
 @pytest.mark.parametrize("m, seed", [(9, 1), (12, 1), (14, 3)])
 def test_both_signs_share_one_stacked_pass(monkeypatch, first, m, seed):
     # C - K: a metric's own minimum is 0 at a Dirac mass and enumerates
     # nothing, while C - K has a positive diagonal and K's curvature, negated
     space = dual_kernel(generate(random_graph(m, 0.5, seed)))[0]
-    stacks, picks = [], []
-    solve_stack, enumerate_supports = optimize_mod._solve_stack, optimize_mod._enumerate_supports
+    passes, stacks, picks = [], [], []
+    support_pass, enumerate_supports = optimize_mod._support_pass, optimize_mod._enumerate_supports
+    stacked_verdicts = optimize_mod._stacked_verdicts
 
-    def counted_stack(kkt, rhs):
-        stacks.append(len(kkt))
-        return solve_stack(kkt, rhs)
+    def counted_pass(Q):
+        passes.append(support_pass(Q))
+        return passes[-1]
 
-    def recorded(Q, sign, stacked=None):
-        out = enumerate_supports(Q, sign, stacked)
-        picks.append((sign, out))
+    def counted_stack(lu, S, Q, resid_tol):
+        stacks.append(len(S))
+        return stacked_verdicts(lu, S, Q, resid_tol)
+
+    def recorded(Q, sign, swept=None):
+        out = enumerate_supports(Q, sign, swept)
+        picks.append((sign, swept, out))
         return out
 
-    monkeypatch.setattr(optimize_mod, "_solve_stack", counted_stack)
+    monkeypatch.setattr(optimize_mod, "_support_pass", counted_pass)
+    monkeypatch.setattr(optimize_mod, "_stacked_verdicts", counted_stack)
     monkeypatch.setattr(optimize_mod, "_enumerate_supports", recorded)
     for kind in (first, OPPOSITE[first]):
         assert SOLVERS[kind](space, range(m)).certificate == "enumerated_exact"
-    assert len(stacks) == _chunks(m)
-    assert sum(stacks) == 2 ** m - 1
-    assert [sign for sign, _ in picks] == ([1.0, -1.0] if first == "min" else [-1.0, 1.0])
-    for sign, (w, value, notes) in picks:
+    # one pass for both signs, which visits every support once, and decides
+    # every one from its bordered solution
+    [swept] = passes
+    assert swept.visited == swept.bordered == 2 ** m - 1
+    assert (swept.fallback, swept.replays, stacks) == (0, 0, [])
+    assert [sign for sign, _, _ in picks] == ([1.0, -1.0] if first == "min" else [-1.0, 1.0])
+    for sign, given, (w, value, notes) in picks:
+        assert given is swept
         w_ref, value_ref, notes_ref = enumerate_supports_loop(space.kernel, sign)
         assert w.tobytes() == w_ref.tobytes()
         assert value == value_ref

@@ -53,7 +53,7 @@ def proved():
 def _ties_at_zero(Q: np.ndarray) -> bool:
     """Whether a stationary point other than a zero-diagonal Dirac mass has
     a value within 1e-12 of 0, where the enumeration's tie rule decides."""
-    accepted, _ = optimize_mod._support_pass(Q)
+    accepted = optimize_mod._support_pass(Q).accepted
     return any(value <= 1e-12 and not (len(S) == 1 and Q[S[0], S[0]] == 0.0)
                for supports, values in accepted for S, value in zip(supports, values))
 
