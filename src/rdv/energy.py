@@ -39,6 +39,7 @@ from .optimize import (
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
 )
+from .potential import potentials
 # not called here; perfbench's binding test pins it until its repin
 from .spectral import sum_zero_definiteness
 from .structure import invariant_measure
@@ -98,12 +99,13 @@ def _principle(pot: np.ndarray, value: float, weights: np.ndarray,
 def frostman_check(space: KernelSpace, H: Sequence[int], mu: Measure) -> FrostmanReport:
     """Test the three maximum-principle statements for ``mu`` on H, within
     ``FROSTMAN_TOL``."""
-    subset = list(check_subset(H, space.m))
+    subset = check_subset(H, space.m)
     if mu.weights.shape[0] != space.m:
         raise DimensionMismatchError(
             f"measure has {mu.weights.shape[0]} weights, space has {space.m} points")
     w = wiener_energy(space, subset).value
-    return _principle(space.kernel[subset, :] @ mu.weights, w, mu.weights[subset], FROSTMAN_TOL)
+    return _principle(potentials(space, subset, mu.weights), w, mu.weights[list(subset)],
+                      FROSTMAN_TOL)
 
 
 def maximal_energy(space: KernelSpace) -> EnergyResult:
@@ -111,6 +113,8 @@ def maximal_energy(space: KernelSpace) -> EnergyResult:
 
     The router certifies the concave route exactly when the kernel is of
     negative type, so ``global_concave_max`` marks a certified maximum.
+    There, an invariant measure of the space, when it has one, is the
+    maximum (E = r, Wolf's equality) and no Frank-Wolfe route runs.
     """
     return maximize_quadratic_on_simplex(space, tuple(range(space.m)))
 
@@ -167,8 +171,14 @@ def dual_route_check(space: KernelSpace, constant: Optional[float] = None) -> fl
     ``dual_equilibrium`` reads from.  On a metric whose maximal energy is
     certified concave (a metric of negative type, where both routes carry
     global certificates) a gap above ``DUAL_MATCH_TOL`` raises
-    ``DualMismatchError``.
+    ``DualMismatchError``.  The gap is kept on the space, once per
+    constant, so the wolf and converse suites share one solve of C - k.
     """
+    c = check_dual_constant(space, constant)
+    return space.memo(("dual_route_check", c), lambda: _dual_route_gap(space, c))
+
+
+def _dual_route_gap(space: KernelSpace, constant: float) -> float:
     e = maximal_energy(space)
     dual, C = dual_kernel(space, constant)
     dual_value = C - wiener_energy(dual).value

@@ -16,10 +16,10 @@ only this module reads a solved one: ``q_value``, ``q_floor_value`` and
 its duals.
 
 For H = L an invariant measure, one whose potential is constant on L,
-settles both values without an LP: ``invariant_candidate`` tries the
-uniform measure and the normalized solution of K[H, H] z = 1, and accepts
-one only when its oscillation, rounding error included, is proved below
-``INVARIANCE_TOL``.
+settles both values without an LP: ``potential.invariant_candidate``
+tries the uniform measure and the normalized solution of K[H, H] z = 1,
+and accepts one only when its oscillation, rounding error included, is
+proved below ``INVARIANCE_TOL``.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ from .core import (
 )
 from .chebyshev import check_n_max, chebyshev_table
 from .optimize import EQ, LE, LinearProgram, LpSolution, solve_lp
-from .potential import profile
-from .tolerances import GAP_UNIQUE_TOL, INVARIANCE_TOL, MEASURE_NEG_TOL, gamma
+from .potential import invariant_candidate, potentials, profile
+from .tolerances import GAP_UNIQUE_TOL
 
 
 def level_program(space: KernelSpace, pair: SubsetPair, roof: bool,
@@ -130,54 +130,6 @@ def q_lower_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]
     # + 0.0 keeps -0.0 out of the measure and the reports
     nu = Measure.from_subvector(space.m, pair.H, -sol.y[:len(pair.H)] + 0.0)
     return profile(space, nu, pair.L).interval.lo, nu
-
-
-def _certified_invariant(space: KernelSpace, pair: SubsetPair,
-                         z: np.ndarray) -> Optional[Measure]:
-    """z / sum(z) as a measure on H = L, if its potential is provably near constant.
-
-    Weights within ``MEASURE_NEG_TOL`` of zero, relative to the largest,
-    are snapped to zero; any other negative weight rejects z.  K and mu are
-    nonnegative, so each computed potential is off by at most
-    gamma_h max(K mu), with gamma_h (``tolerances.gamma``) the rounding
-    bound of a dot product of h nonzero terms.  The computed oscillation
-    plus twice that must be at most ``INVARIANCE_TOL``.
-    """
-    if not np.all(np.isfinite(z)):
-        return None
-    z = np.where(np.abs(z) <= MEASURE_NEG_TOL * np.abs(z).max(), 0.0, z)
-    if np.any(z < 0.0):
-        return None
-    mu = Measure.from_subvector(space.m, pair.H, z / z.sum())
-    levels = profile(space, mu, pair.L).interval
-    return mu if levels.width + 2.0 * gamma(len(pair.H)) * levels.hi <= INVARIANCE_TOL else None
-
-
-def invariant_candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
-    """A measure on H with provably constant potential on L = H, or None.
-
-    Tries the uniform measure (exact on vertex-transitive spaces such as the
-    circle and the hypercube), then the normalized solution of
-    K[H, H] z = 1 (the two endpoints on an interval grid), once per space
-    and pair.  For H != L, or when both miss, returns None and the LPs
-    decide.
-    """
-    if pair.H != pair.L:
-        return None
-    pair.check_range(space.m)
-    return space.memo(("invariant_candidate", pair), lambda: _candidate(space, pair))
-
-
-def _candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
-    ones = np.ones(len(pair.H))
-    mu = _certified_invariant(space, pair, ones)
-    if mu is not None:
-        return mu
-    try:
-        z = np.linalg.solve(space.kernel[np.ix_(pair.H, pair.H)], ones)
-    except np.linalg.LinAlgError:
-        return None
-    return _certified_invariant(space, pair, z)
 
 
 @dataclass(frozen=True)
@@ -273,9 +225,8 @@ def elton_measures(space: KernelSpace, subset: Optional[Sequence[int]] = None) -
 def _elton(space: KernelSpace, pair: SubsetPair, avg: AverageResult) -> EltonMeasures:
     """The separating pair of ``avg``, an average interval on H = L."""
     r = float(avg.unique_point)
-    rows = list(pair.L)
-    pot_mu = space.kernel[rows, :] @ avg.mu_opt.weights
-    pot_nu = space.kernel[rows, :] @ avg.nu_opt.weights
+    pot_mu = potentials(space, pair.L, avg.mu_opt.weights)
+    pot_nu = potentials(space, pair.L, avg.nu_opt.weights)
     max_mu = float(pot_mu.max())
     min_nu = float(pot_nu.min())
     return EltonMeasures(

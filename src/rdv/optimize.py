@@ -25,7 +25,14 @@ periodic exact solves on the current support), exhaustive stationary-point
 enumeration over supports for up to 14 points, and a multistart heuristic
 that only claims a bound.  A minimum on a block with a zero diagonal entry,
 as on every metric, takes none of them: the kernel is nonnegative, so it
-is 0, at that point's Dirac mass.  Both Frank-Wolfe routes run one loop,
+is 0, at that point's Dirac mass.  Nor does the maximum on every point of
+a kernel proved of negative type that has an invariant measure
+(``potential.invariant_candidate``, memoized on the space): the energy
+is concave on the simplex there, and a measure whose potential is
+constant on every point is stationary on the simplex's affine hull, so it
+is the global maximum, E = r.  Its Frank-Wolfe gap is computed, and only
+a gap within the tolerance skips the route; it copies no block of the
+kernel.  Both Frank-Wolfe routes run one loop,
 which advances a block of starts with one matrix product per step: the
 certified route runs it from the uniform measure alone, and the 32 starts
 of a multistart run as one block that shares its exact support solves, so
@@ -57,8 +64,10 @@ from .core import (
     Measure,
     NonFiniteEntryError,
     NumericalBreakdownError,
+    SubsetPair,
     check_subset,
 )
+from .potential import invariant_candidate
 from .spectral import sum_zero_definiteness
 from .tolerances import (
     BORDER_TRUST_TOL,
@@ -382,7 +391,9 @@ class EnergyResult:
     iterations, both summed over the starts of a multistart.  Both are 0 on an
     enumerated extremum, which solves its supports by bordering, with stacked
     LU for the few it cannot decide, and does not count its one-support
-    replays; and on a minimum that a zero diagonal entry proves.
+    replays; on a minimum that a zero diagonal entry proves; and on a
+    maximum that an invariant measure settles, whose ``gap`` is the
+    computed Frank-Wolfe gap of that measure.
     """
 
     value: float
@@ -801,7 +812,10 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     """The extremum over measures on ``idx``, by the route the curvature picks.
 
     A minimum on a block with a zero diagonal entry needs no route: it is 0,
-    at a Dirac mass (``_zero_diagonal_minimum``).  Otherwise a kernel
+    at a Dirac mass (``_zero_diagonal_minimum``).  Nor does a maximum on
+    every point of a kernel proved of negative type whose invariant
+    candidate closes the gap (``_invariant_maximum``): it is that measure,
+    tagged ``global_concave_max``, with no KKT solve.  Otherwise a kernel
     definite in the right sense on the sum-zero subspace gets one certified
     Frank-Wolfe run from the uniform measure; failing that, up to
     ``QP_ENUM_LIMIT`` points are enumerated exactly, and above that a
@@ -813,7 +827,8 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
     more.  Every point it returns still has to close the gap.  The starts of
     the multistart share a plain polish, so each distinct support's KKT
     system is solved once per multistart; nothing is kept after the solve
-    returns.
+    returns.  On every point the routes read the kernel itself, not a copy
+    of its block.
     """
     defin = subset_definiteness(space, idx)
     certified = defin["nsd"] if maximize else defin["psd"]
@@ -821,7 +836,15 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         dirac = _zero_diagonal_minimum(space, idx, certified)
         if dirac is not None:
             return dirac
-    Q = space.kernel[np.ix_(idx, idx)]
+    # idx is sorted and distinct: m indices are every point, read in place
+    whole = len(idx) == space.m
+    if maximize and certified and whole:
+        settled = _invariant_maximum(space, gap_tol)
+        if settled is not None:
+            v, gap = settled
+            note = "an invariant measure: its potential is constant on every point"
+            return _extremum_result(space, idx, v, gap, "global_concave_max", (note,))
+    Q = space.kernel if whole else space.kernel[np.ix_(idx, idx)]
     h = len(idx)
     sign = -1.0 if maximize else 1.0
     M = sign * Q
@@ -889,6 +912,31 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         cert = "heuristic_bound"
         notes = ("multistart bound only; no global certificate",)
 
+    return _extremum_result(space, idx, v, gap, cert, notes, kkt_solves, fw_iterations)
+
+
+def _invariant_maximum(space: KernelSpace, gap_tol: float):
+    """The invariant candidate of the full pair as (weights, Frank-Wolfe
+    gap), or None when there is none or its gap exceeds ``gap_tol``.
+
+    Read only on a kernel proved of negative type, where the energy is
+    concave on the simplex: a measure whose potential is constant on every
+    point is stationary on the simplex's affine hull, so it is the global
+    maximum.  The gap is computed, 2 (max K mu - mu' K mu), never assumed.
+    """
+    mu = invariant_candidate(space, SubsetPair.full(space.m))
+    if mu is None:
+        return None
+    v = mu.weights
+    pot = space.kernel @ v
+    gap = 2.0 * (float(pot.max()) - float(pot @ v))
+    return (v, gap) if gap <= gap_tol else None
+
+
+def _extremum_result(space: KernelSpace, idx: tuple[int, ...], v: np.ndarray, gap: float,
+                     cert: str, notes: tuple[str, ...], kkt_solves: int = 0,
+                     fw_iterations: int = 0) -> EnergyResult:
+    """The ``EnergyResult`` of the point ``v`` of the simplex on ``idx``."""
     # drop dust atoms below the support threshold before reporting
     v = np.where(v < SUPPORT_EPS, 0.0, v)
     v = v / v.sum()

@@ -1,14 +1,23 @@
-"""Potentials and energies of measures on a kernel space.
+"""Potentials and energies of measures on a kernel space, and invariant measures.
 
 The potential of a measure at a point is the kernel-weighted sum of the
 measure's mass; the energy is the measure's own average potential.  These
 two sums are the primitive quantities every minimax and equilibrium
-computation is built from.
+computation is built from.  ``potentials`` forms them on a set of points,
+reading the kernel in place when the set is every point.
+
+An invariant measure on H = L, one whose potential is constant on L,
+settles both minimax values without an LP (``minimax.average_interval``)
+and, on a kernel of negative type with L every point, the maximal energy
+without a Frank-Wolfe run (``optimize``).  ``invariant_candidate`` tries
+the uniform measure and the normalized solution of K[H, H] z = 1, and
+accepts one only when its oscillation, rounding error included, is proved
+below ``INVARIANCE_TOL``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,10 +27,11 @@ from .core import (
     IndexOutOfRangeError,
     KernelSpace,
     Measure,
+    SubsetPair,
     ValueInterval,
     _check_index,
 )
-from .tolerances import TIE_TOL
+from .tolerances import INVARIANCE_TOL, MEASURE_NEG_TOL, TIE_TOL, gamma
 
 
 def _check_measure(space: KernelSpace, mu: Measure) -> None:
@@ -38,6 +48,18 @@ def potential_at(space: KernelSpace, mu: Measure, x: int) -> float:
     if xi >= space.m:
         raise IndexOutOfRangeError(f"point index {x} out of range for {space.m} points")
     return float(space.kernel[xi] @ mu.weights)
+
+
+def potentials(space: KernelSpace, L: Sequence[int], w: np.ndarray) -> np.ndarray:
+    """The potentials K[L, :] @ w of the weights ``w`` at the points of ``L``.
+
+    When L is every point in order this is ``space.kernel @ w``, the same
+    product bit for bit, with no copy of the kernel's rows.
+    """
+    rows = list(L)
+    if rows == list(range(space.m)):
+        return space.kernel @ w
+    return space.kernel[rows, :] @ w
 
 
 def energy(space: KernelSpace, mu: Measure) -> float:
@@ -69,7 +91,7 @@ def profile(space: KernelSpace, mu: Measure, L: Sequence[int]) -> PotentialProfi
         raise EmptySubsetError("profile over an empty evaluation set")
     if max(idx) >= space.m:
         raise IndexOutOfRangeError(f"evaluation set index out of range for {space.m} points")
-    values = space.kernel[list(idx), :] @ mu.weights
+    values = potentials(space, idx, mu.weights)
     lo = float(values.min())
     hi = float(values.max())
     argmin = tuple(idx[j] for j in np.flatnonzero(values <= lo + TIE_TOL))
@@ -81,3 +103,63 @@ def profile(space: KernelSpace, mu: Measure, L: Sequence[int]) -> PotentialProfi
         argmin=argmin,
         argmax=argmax,
     )
+
+
+def _certified_invariant(space: KernelSpace, pair: SubsetPair,
+                         z: np.ndarray) -> Optional[Measure]:
+    """z / sum(z) as a measure on H = L, if its potential is provably near constant.
+
+    Weights within ``MEASURE_NEG_TOL`` of zero, relative to the largest,
+    are snapped to zero; any other negative weight rejects z.  K and mu are
+    nonnegative, so each computed potential is off by at most
+    gamma_h max(K mu), with gamma_h (``tolerances.gamma``) the rounding
+    bound of a dot product of h nonzero terms.  The computed oscillation
+    plus twice that must be at most ``INVARIANCE_TOL``.  The test runs on
+    the weights that ``Measure.from_subvector`` would form, with its own
+    arithmetic, so a rejected z builds no measure.
+    """
+    if not np.all(np.isfinite(z)):
+        return None
+    z = np.where(np.abs(z) <= MEASURE_NEG_TOL * np.abs(z).max(), 0.0, z)
+    if np.any(z < 0.0):
+        return None
+    values = z / z.sum()
+    w = np.zeros(space.m)
+    w[list(pair.H)] = values
+    w /= np.sum(w)
+    pot = potentials(space, pair.L, w)
+    lo, hi = float(pot.min()), float(pot.max())
+    if (hi - lo) + 2.0 * gamma(len(pair.H)) * hi > INVARIANCE_TOL:
+        return None
+    return Measure.from_subvector(space.m, pair.H, values)
+
+
+def invariant_candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
+    """A measure on H with provably constant potential on L = H, or None.
+
+    Tries the uniform measure (exact on vertex-transitive spaces such as the
+    circle and the hypercube), then the normalized solution of
+    K[H, H] z = 1 (the two endpoints on an interval grid), once per space
+    and pair.  For H != L, or when both miss, returns None and the LPs
+    decide.  The minimax values read it, and so does the maximal energy on
+    every point of a kernel of negative type, where its energy is the
+    maximum.
+    """
+    if pair.H != pair.L:
+        return None
+    pair.check_range(space.m)
+    return space.memo(("invariant_candidate", pair), lambda: _candidate(space, pair))
+
+
+def _candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
+    ones = np.ones(len(pair.H))
+    mu = _certified_invariant(space, pair, ones)
+    if mu is not None:
+        return mu
+    # H is sorted and distinct: m indices are every point, read in place
+    whole = len(pair.H) == space.m
+    try:
+        z = np.linalg.solve(space.kernel if whole else space.kernel[np.ix_(pair.H, pair.H)], ones)
+    except np.linalg.LinAlgError:
+        return None
+    return _certified_invariant(space, pair, z)

@@ -101,13 +101,16 @@ def random_graph(m: int, edge_prob: float = 0.5, seed: int = 0) -> SpaceDescript
 def _grid_kernel(m: int) -> np.ndarray:
     if m == 1:
         return np.zeros((1, 1))
-    idx = np.arange(m)
-    return np.abs(idx[:, None] - idx[None, :]) / float(m - 1)
+    # float indices subtract exactly, so no m x m integer temporary is needed
+    x = np.arange(m, dtype=float)
+    k = x[:, None] - x[None, :]
+    np.abs(k, out=k)
+    k /= float(m - 1)
+    return k
 
 
 def _circle_kernel(m: int, metric: str, radius: float) -> np.ndarray:
     # build from a half-row and mirror so the matrix is symmetric to the bit
-    steps = np.arange(m)
     row = np.empty(m)
     for d in range(m // 2 + 1):
         if metric == "chord":
@@ -116,16 +119,34 @@ def _circle_kernel(m: int, metric: str, radius: float) -> np.ndarray:
             row[d] = radius * (2.0 * math.pi * d / m)
     for d in range(m // 2 + 1, m):
         row[d] = row[m - d]
-    diff = (steps[:, None] - steps[None, :]) % m
-    return row[diff]
+    # K[i, j] = row[(i - j) % m]: row i is the reversed row, doubled, read
+    # from position m - 1 - i, so each row is a window one step left of the last
+    doubled = np.concatenate((row[::-1], row[::-1]))
+    windows = np.lib.stride_tricks.as_strided(doubled[m - 1:], shape=(m, m),
+                                              strides=(-doubled.itemsize, doubled.itemsize))
+    return windows.copy()
 
 
 def _hypercube_kernel(dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
     m = 1 << dim
-    idx = np.arange(m, dtype=np.uint64)
-    k = np.bitwise_count(np.bitwise_xor.outer(idx, idx)).astype(float)
+    # K[i, j] is the popcount of i ^ j; a new top bit adds 1 off the diagonal
+    # blocks: K' = [[K, K + 1], [K + 1, K]], built in place in float, exactly
+    k = np.empty((m, m))
+    k[0, 0] = 0.0
+    for d in range(dim):
+        n = 1 << d
+        np.add(k[:n, :n], 1.0, out=k[:n, n:2 * n])
+        k[n:2 * n, :n] = k[:n, n:2 * n]
+        k[n:2 * n, n:2 * n] = k[:n, :n]
     labels = tuple(format(i, f"0{max(dim, 1)}b") for i in range(m))
     return k, labels
+
+
+def _positive_off_diagonal(kernel: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of a finite nonnegative kernel is
+    positive, counted with no m x m temporary."""
+    m = kernel.shape[0]
+    return np.count_nonzero(kernel) - np.count_nonzero(kernel.diagonal()) == m * (m - 1)
 
 
 def _floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -209,9 +230,10 @@ def generate(desc: SpaceDescriptor, cap: Optional[int] = None) -> KernelSpace:
         kernel = _random_graph_kernel(m, desc.edge_prob, desc.seed)
         name = f"random_graph({m},p={desc.edge_prob:g},seed={desc.seed})"
 
-    if not np.all(np.isfinite(kernel)):
+    # reductions, not an m x m mask: a NaN or an infinity reaches max or min
+    if not (math.isfinite(float(kernel.max())) and math.isfinite(float(kernel.min()))):
         raise NonFiniteEntryError(f"{name} has a non-finite kernel entry")
-    is_metric = m == 1 or bool(np.all(kernel + np.eye(m) > 0))
+    is_metric = m == 1 or _positive_off_diagonal(kernel)
     return KernelSpace(name=name, points=labels, kernel=kernel, is_metric=is_metric)
 
 

@@ -4,7 +4,7 @@ A measure on H is invariant for the pair (H, L) when its potential is
 constant across L.  The least achievable potential oscillation g is itself
 a linear program, ``minimax.min_invariance_gap`` (``minimax`` alone reads
 level programs); invariance means that minimum is (numerically) zero.  For
-H = L the program is skipped when ``minimax.invariant_candidate`` proves a
+H = L the program is skipped when ``potential.invariant_candidate`` proves a
 uniform or linear-solve measure invariant.  Quasi-invariance is the same
 program read once more: the least-oscillation measure's level on L is
 within g of both minimax values.
@@ -24,18 +24,14 @@ from typing import Optional
 import numpy as np
 
 from .core import KernelSpace, Measure, SubsetPair
-from .minimax import (
-    AverageResult,
-    average_interval,
-    invariant_candidate,
-    min_invariance_gap,
-)
+from .minimax import AverageResult, average_interval, min_invariance_gap
 from .optimize import (
     maximize_quadratic_on_simplex,
     minimize_quadratic_on_simplex,
     solve_lp,  # not called here; perfbench's binding test pins it until its repin
     subset_definiteness,
 )
+from .potential import invariant_candidate, potentials
 from .spectral import centered, recenter_unit
 # not called here; perfbench's binding test pins it until its repin
 from .spectral import sum_zero_definiteness
@@ -69,7 +65,7 @@ def invariant_measure(space: KernelSpace, pair: SubsetPair) -> InvarianceResult:
     gap = None
     if measure is None:
         gap, measure = min_invariance_gap(space, pair)
-    pot = space.kernel[list(pair.L), :] @ measure.weights
+    pot = potentials(space, pair.L, measure.weights)
     hi, lo = float(pot.max()), float(pot.min())
     gap = hi - lo if gap is None else gap
     mid = 0.5 * (hi + lo)
@@ -210,7 +206,10 @@ def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
     over H; the metric (negative-type) form, evaluated for H = L, compares
     the level, and the invariant measure's energy, against the maximal
     energy.  A branch whose hypotheses fail is reported not-applicable, with
-    reasons, and asserts nothing.
+    reasons, and asserts nothing.  Where the Wolf form applies, the maximal
+    energy is the invariant measure's own (``optimize`` reads it), so its
+    independent check is ``energy.dual_route_check``, which the converse
+    suite runs.
     """
     pair.check_range(space.m)
     defin = subset_definiteness(space, pair.H)
@@ -227,7 +226,7 @@ def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
     failed = []
     if not defin["psd"]:
         failed.append("kernel energy form is not positive on sum-zero charges")
-    potential = space.kernel[list(pair.L), :] @ mu
+    potential = potentials(space, pair.L, mu)
     kernel_form = _converse_form(failed + shared, space, pair, avg.unique_point,
                                  minimize_quadratic_on_simplex, potential)
 

@@ -7,7 +7,9 @@ so failures are diagnosable from the report alone; the offending space
 can be dumped to a file for replay.
 
 The duality suite solves the lower value from its own floor LP
-(``minimax.q_floor_value``); the quasi suite prints the minimal gap g, the
+(``minimax.q_floor_value``); the wolf suite, and the converse suite where
+its Wolf form applies, solve the dual kernel C - k on its own
+(``energy.dual_route_check``); the quasi suite prints the minimal gap g, the
 deviation d of the least-oscillation level and d - g, which must be at most
 ``INVARIANCE_TOL``.
 """
@@ -171,6 +173,11 @@ def _check_wolf(space: KernelSpace) -> tuple[bool, str]:
 
 def _check_converse(space: KernelSpace) -> tuple[bool, str]:
     rep = converse_check(space, SubsetPair.full(space.m))
+    if rep.wolf_form.applicable:
+        # the Wolf form's maximal energy is the invariant measure's own, so
+        # the maximum is checked against C - k solved on its own, as in the
+        # wolf suite; a mismatch raises DualMismatchError, a failing outcome
+        dual_route_check(space)
     ok = rep.kernel_form.passed and rep.wolf_form.passed
     parts = []
     if rep.kernel_form.applicable:

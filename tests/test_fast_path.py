@@ -25,7 +25,8 @@ from rdv import (
     rendezvous_number,
     validate_kernel,
 )
-from rdv.minimax import _certified_invariant, invariant_candidate
+from rdv.minimax import invariant_candidate
+from rdv.potential import _certified_invariant
 from rdv.suites import instance_space
 from rdv.tolerances import INVARIANCE_TOL
 import rdv.minimax as minimax_mod

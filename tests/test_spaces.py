@@ -122,6 +122,72 @@ class TestHypercube:
         assert generate(hypercube(4)).is_metric
 
 
+def _grid_formula(m: int) -> np.ndarray:
+    """|i - j| / (m - 1) through an m x m integer difference."""
+    if m == 1:
+        return np.zeros((1, 1))
+    idx = np.arange(m)
+    return np.abs(idx[:, None] - idx[None, :]) / float(m - 1)
+
+
+def _circle_formula(m: int, metric: str, radius: float) -> np.ndarray:
+    """The half-row mirrored, then read through the index matrix (i - j) mod m."""
+    row = np.empty(m)
+    for d in range(m // 2 + 1):
+        if metric == "chord":
+            row[d] = 2.0 * radius * math.sin(math.pi * d / m)
+        else:
+            row[d] = radius * (2.0 * math.pi * d / m)
+    for d in range(m // 2 + 1, m):
+        row[d] = row[m - d]
+    steps = np.arange(m)
+    return row[(steps[:, None] - steps[None, :]) % m]
+
+
+def _hypercube_formula(dim: int) -> np.ndarray:
+    """The popcount of i ^ j over an m x m integer matrix."""
+    idx = np.arange(1 << dim, dtype=np.uint64)
+    return np.bitwise_count(np.bitwise_xor.outer(idx, idx)).astype(float)
+
+
+_BUILDER_SIZES = list(range(1, 71)) + [256, 257]
+
+
+class TestBuildersMatchTheirFormulas:
+    """The builders form no m x m integer temporary, and keep every bit."""
+
+    @pytest.mark.parametrize("m", _BUILDER_SIZES)
+    def test_grid(self, m):
+        k = spaces._grid_kernel(m)
+        assert k.dtype == np.float64 and k.flags.c_contiguous
+        assert k.tobytes() == _grid_formula(m).tobytes()
+
+    @pytest.mark.parametrize("m", _BUILDER_SIZES)
+    def test_circle(self, m):
+        for metric, radius in (("chord", 1.0), ("arc", 1.0), ("chord", 2.5), ("arc", 0.3)):
+            k = spaces._circle_kernel(m, metric, radius)
+            assert k.dtype == np.float64 and k.flags.c_contiguous
+            assert k.tobytes() == _circle_formula(m, metric, radius).tobytes(), (metric, radius)
+
+    @pytest.mark.parametrize("dim", range(9))
+    def test_hypercube(self, dim):
+        k, labels = spaces._hypercube_kernel(dim)
+        assert k.dtype == np.float64 and k.flags.c_contiguous
+        assert k.tobytes() == _hypercube_formula(dim).tobytes()
+        assert len(labels) == 1 << dim
+
+    @pytest.mark.parametrize("zero_pair", [False, True])
+    @pytest.mark.parametrize("diagonal", [0.0, 0.5])
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_metric_flag_is_the_positive_sum_with_the_identity(self, m, diagonal, zero_pair):
+        k = np.random.default_rng(m).random((m, m)) + 0.1
+        k = k + k.T
+        np.fill_diagonal(k, diagonal)
+        if zero_pair:
+            k[0, m - 1] = k[m - 1, 0] = 0.0
+        assert spaces._positive_off_diagonal(k) == bool(np.all(k + np.eye(m) > 0)) != zero_pair
+
+
 class TestRandomGraph:
     def test_deterministic_in_seed(self):
         a = generate(random_graph(7, 0.5, 42))
