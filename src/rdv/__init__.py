@@ -4,6 +4,8 @@ Minimax potential levels, rendezvous values, Chebyshev constants,
 extremal energies, equilibrium and invariant measures, and spectral
 negative-type tests — all with explicit certificates and tolerances.
 """
+from types import ModuleType as _ModuleType
+
 from .chebyshev import (
     ChebyshevTable,
     ChebyshevWitness,
@@ -98,89 +100,6 @@ from .suites import SuiteReport, run_suite, run_suites
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "AsymmetricKernelError",
-    "AverageResult",
-    "CapExceededError",
-    "ChainReport",
-    "ChebyshevTable",
-    "ChebyshevWitness",
-    "ConstantTooSmallError",
-    "ConverseReport",
-    "DimensionMismatchError",
-    "DisconnectedAfterRetriesError",
-    "DualEquilibrium",
-    "DualMismatchError",
-    "EltonMeasures",
-    "EmptyInputError",
-    "EmptySubsetError",
-    "EnergyResult",
-    "EnumerationCapExceededError",
-    "FrostmanReport",
-    "IndexOutOfRangeError",
-    "InvalidMeasureError",
-    "InvarianceResult",
-    "KernelSpace",
-    "Measure",
-    "MetricViolationError",
-    "NegativeEntryError",
-    "NegativeTypeCertificate",
-    "NonFiniteEntryError",
-    "NumericalBreakdownError",
-    "ParseError",
-    "PotentialProfile",
-    "QuasiReport",
-    "RdvError",
-    "SchemaError",
-    "SpaceDescriptor",
-    "SubsetPair",
-    "SuiteReport",
-    "TooLargeError",
-    "UniquenessViolatedError",
-    "ValueInterval",
-    "WolfReport",
-    "average_interval",
-    "chebyshev_limit_bounds",
-    "chebyshev_n",
-    "chebyshev_table",
-    "circle",
-    "converse_check",
-    "dual_chebyshev_n",
-    "dual_equilibrium",
-    "dual_kernel",
-    "dual_route_check",
-    "elton_measures",
-    "energy",
-    "frostman_check",
-    "generate",
-    "hypercube",
-    "inequality_chain",
-    "interval_grid",
-    "invariant_measure",
-    "load_report",
-    "load_space",
-    "load_space_file",
-    "maximal_energy",
-    "min_invariance_gap",
-    "multiset_count",
-    "negative_type_test",
-    "point_cap",
-    "potential_at",
-    "profile",
-    "q_lower_value",
-    "q_value",
-    "quasi_invariant_convergence",
-    "random_graph",
-    "rendezvous_n",
-    "rendezvous_number",
-    "report_to_csv",
-    "run_suite",
-    "run_suites",
-    "save_report",
-    "save_space",
-    "space_to_document",
-    "validate_kernel",
-    "wiener_energy",
-    "wolf_relations",
-]
+# the public API is every name imported above; the submodules are not part of it
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

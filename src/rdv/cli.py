@@ -88,7 +88,8 @@ def build_analysis(space, pair: SubsetPair, n_max: int = 4,
     """Full analysis of one space/pair; returns (report, exit code).
 
     Every solve is cached on its space, so the readers below share each LP,
-    QP, scan and spectrum.  Everything reported about the dual kernel C - k
+    QP, scan, spectrum, average interval and invariance result, and an
+    invariant measure's potential.  Everything reported about the dual kernel C - k
     (``w_dual``, ``equilibrium_dual``, its certificate, the Frostman
     verdicts and the maximal energy's dual route) is read from the maximal
     energy of k (``energy.dual_equilibrium``): no C - k is built.  The

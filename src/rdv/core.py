@@ -157,6 +157,10 @@ class KernelSpace:
     def max_entry(self) -> float:
         return float(np.max(self.kernel)) if self.m else 0.0
 
+    def block(self, idx: tuple[int, ...]) -> np.ndarray:
+        """K[idx, idx] for a checked subset ``idx``; on every point, the kernel itself."""
+        return self.kernel if len(idx) == self.m else self.kernel[np.ix_(idx, idx)]
+
     def memo(self, key: tuple, compute):
         """``compute()``, run once per ``key`` (a solve and all its arguments).
 

@@ -16,7 +16,7 @@ only this module reads a solved one: ``q_value``, ``q_floor_value`` and
 its duals.
 
 For H = L an invariant measure, one whose potential is constant on L,
-settles both values without an LP: ``potential.invariant_candidate``
+settles both values without an LP: ``potential.invariant_record``
 tries the uniform measure and the normalized solution of K[H, H] z = 1,
 and accepts one only when its oscillation, rounding error included, is
 proved below ``INVARIANCE_TOL``.
@@ -37,7 +37,8 @@ from .core import (
 )
 from .chebyshev import check_n_max, chebyshev_table
 from .optimize import EQ, LE, LinearProgram, LpSolution, solve_lp
-from .potential import invariant_candidate, potentials, profile
+# invariant_candidate is not called here; it stays importable from this module
+from .potential import invariant_candidate, invariant_record, potentials
 from .tolerances import GAP_UNIQUE_TOL
 
 
@@ -129,7 +130,7 @@ def q_lower_value(space: KernelSpace, pair: SubsetPair) -> tuple[float, Measure]
     sol = solve_level_program(space, pair.swapped(), roof=True, floor=False)
     # + 0.0 keeps -0.0 out of the measure and the reports
     nu = Measure.from_subvector(space.m, pair.H, -sol.y[:len(pair.H)] + 0.0)
-    return profile(space, nu, pair.L).interval.lo, nu
+    return float(potentials(space, pair.L, nu.weights).min()), nu
 
 
 @dataclass(frozen=True)
@@ -153,23 +154,26 @@ class AverageResult:
 
 
 def average_interval(space: KernelSpace, pair: SubsetPair) -> AverageResult:
-    """Both minimax values over one subset pair.
+    """Both minimax values over one subset pair, once per space and pair.
 
-    For H = L, an ``invariant_candidate`` mu settles both values without an
-    LP.  K is symmetric, so every measure nu on H has
+    For H = L, an invariant measure mu (``invariant_record``) settles both
+    values without an LP.  K is symmetric, so every measure nu on H has
     max K nu >= <nu, K mu> >= min K mu and min K nu <= <mu, K nu> <= max K mu:
-    both values lie in [min K mu, max K mu], which is returned, with mu as
-    the measure of both sides.  Otherwise the upper value is solved on
-    (H, L) and the lower value read from the upper value's LP on (L, H):
-    one LP for H = L, two for other pairs.  For H = L the values must agree
-    within ``GAP_UNIQUE_TOL`` (the interval is a single point there); any
-    larger discrepancy raises ``UniquenessViolatedError`` rather than
-    returning a fudged answer.
+    both values lie in [min K mu, max K mu] (the potential kept with mu),
+    which is returned, with mu as the measure of both sides.  Otherwise the
+    upper value is solved on (H, L) and the lower value read from the upper
+    value's LP on (L, H): one LP for H = L, two for other pairs.  For H = L
+    the values must agree within ``GAP_UNIQUE_TOL``; any larger discrepancy
+    raises ``UniquenessViolatedError`` rather than returning a fudged answer.
     """
-    mu = invariant_candidate(space, pair)
-    if mu is not None:
-        levels = profile(space, mu, pair.L).interval
-        return _average(space, pair, levels.hi, levels.lo, mu, mu)
+    return space.memo(("average_interval", pair), lambda: _average_interval(space, pair))
+
+
+def _average_interval(space: KernelSpace, pair: SubsetPair) -> AverageResult:
+    record = invariant_record(space, pair)
+    if record is not None:
+        pot, mu = record.potential, record.measure
+        return _average(space, pair, float(pot.max()), float(pot.min()), mu, mu)
     qu, mu = q_value(space, pair)
     ql, nu = q_lower_value(space, pair)
     return _average(space, pair, qu, ql, mu, nu)

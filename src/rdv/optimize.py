@@ -27,12 +27,12 @@ that only claims a bound.  A minimum on a block with a zero diagonal entry,
 as on every metric, takes none of them: the kernel is nonnegative, so it
 is 0, at that point's Dirac mass.  Nor does the maximum on every point of
 a kernel proved of negative type that has an invariant measure
-(``potential.invariant_candidate``, memoized on the space): the energy
+(``potential.invariant_record``, memoized on the space): the energy
 is concave on the simplex there, and a measure whose potential is
 constant on every point is stationary on the simplex's affine hull, so it
-is the global maximum, E = r.  Its Frank-Wolfe gap is computed, and only
-a gap within the tolerance skips the route; it copies no block of the
-kernel.  Both Frank-Wolfe routes run one loop,
+is the global maximum, E = r.  Its Frank-Wolfe gap is computed from the
+potential kept with it, and only a gap within the tolerance skips the
+route.  Both Frank-Wolfe routes run one loop,
 which advances a block of starts with one matrix product per step: the
 certified route runs it from the uniform measure alone, and the 32 starts
 of a multistart run as one block that shares its exact support solves, so
@@ -67,7 +67,7 @@ from .core import (
     SubsetPair,
     check_subset,
 )
-from .potential import invariant_candidate
+from .potential import invariant_record
 from .spectral import sum_zero_definiteness
 from .tolerances import (
     BORDER_TRUST_TOL,
@@ -789,14 +789,10 @@ def _enumerate_supports(Q: np.ndarray, sign: float, swept: _SupportPass | None =
 def subset_definiteness(space: KernelSpace, idx: tuple[int, ...]) -> dict:
     """``sum_zero_definiteness`` of K[idx, idx], once per space and subset.
 
-    ``idx`` is a checked subset, as ``check_subset`` returns it: m distinct
-    indices are every point, read in place of a copy.
+    ``idx`` is a checked subset, as ``check_subset`` returns it.
     """
-    def definiteness() -> dict:
-        whole = len(idx) == space.m
-        return sum_zero_definiteness(space.kernel if whole else space.kernel[np.ix_(idx, idx)])
-
-    return space.memo(("sum_zero_definiteness", idx), definiteness)
+    return space.memo(("sum_zero_definiteness", idx),
+                      lambda: sum_zero_definiteness(space.block(idx)))
 
 
 def _quadratic_extremum(space: KernelSpace, H: Sequence[int], maximize: bool,
@@ -836,15 +832,13 @@ def _solve_extremum(space: KernelSpace, idx: tuple[int, ...], maximize: bool,
         dirac = _zero_diagonal_minimum(space, idx, certified)
         if dirac is not None:
             return dirac
-    # idx is sorted and distinct: m indices are every point, read in place
-    whole = len(idx) == space.m
-    if maximize and certified and whole:
+    if maximize and certified and len(idx) == space.m:
         settled = _invariant_maximum(space, gap_tol)
         if settled is not None:
             v, gap = settled
             note = "an invariant measure: its potential is constant on every point"
             return _extremum_result(space, idx, v, gap, "global_concave_max", (note,))
-    Q = space.kernel if whole else space.kernel[np.ix_(idx, idx)]
+    Q = space.block(idx)
     h = len(idx)
     sign = -1.0 if maximize else 1.0
     M = sign * Q
@@ -924,11 +918,10 @@ def _invariant_maximum(space: KernelSpace, gap_tol: float):
     point is stationary on the simplex's affine hull, so it is the global
     maximum.  The gap is computed, 2 (max K mu - mu' K mu), never assumed.
     """
-    mu = invariant_candidate(space, SubsetPair.full(space.m))
-    if mu is None:
+    record = invariant_record(space, SubsetPair.full(space.m))
+    if record is None:
         return None
-    v = mu.weights
-    pot = space.kernel @ v
+    v, pot = record.measure.weights, record.potential
     gap = 2.0 * (float(pot.max()) - float(pot @ v))
     return (v, gap) if gap <= gap_tol else None
 

@@ -9,10 +9,10 @@ reading the kernel in place when the set is every point.
 An invariant measure on H = L, one whose potential is constant on L,
 settles both minimax values without an LP (``minimax.average_interval``)
 and, on a kernel of negative type with L every point, the maximal energy
-without a Frank-Wolfe run (``optimize``).  ``invariant_candidate`` tries
+without a Frank-Wolfe run (``optimize``).  ``invariant_record`` tries
 the uniform measure and the normalized solution of K[H, H] z = 1, and
 accepts one only when its oscillation, rounding error included, is proved
-below ``INVARIANCE_TOL``.
+below ``INVARIANCE_TOL``, keeping it with the potential that proved it.
 """
 from __future__ import annotations
 
@@ -105,9 +105,17 @@ def profile(space: KernelSpace, mu: Measure, L: Sequence[int]) -> PotentialProfi
     )
 
 
+@dataclass(frozen=True)
+class InvariantRecord:
+    """An invariant measure on H = L with its potential K[L, :] mu on L."""
+
+    measure: Measure
+    potential: np.ndarray
+
+
 def _certified_invariant(space: KernelSpace, pair: SubsetPair,
-                         z: np.ndarray) -> Optional[Measure]:
-    """z / sum(z) as a measure on H = L, if its potential is provably near constant.
+                         z: np.ndarray) -> Optional[InvariantRecord]:
+    """z / sum(z) as a measure on H = L, with its potential, if provably near constant.
 
     Weights within ``MEASURE_NEG_TOL`` of zero, relative to the largest,
     are snapped to zero; any other negative weight rejects z.  K and mu are
@@ -116,7 +124,7 @@ def _certified_invariant(space: KernelSpace, pair: SubsetPair,
     bound of a dot product of h nonzero terms.  The computed oscillation
     plus twice that must be at most ``INVARIANCE_TOL``.  The test runs on
     the weights that ``Measure.from_subvector`` would form, with its own
-    arithmetic, so a rejected z builds no measure.
+    arithmetic: a rejected z builds no measure, and the potential is the measure's own.
     """
     if not np.all(np.isfinite(z)):
         return None
@@ -131,35 +139,40 @@ def _certified_invariant(space: KernelSpace, pair: SubsetPair,
     lo, hi = float(pot.min()), float(pot.max())
     if (hi - lo) + 2.0 * gamma(len(pair.H)) * hi > INVARIANCE_TOL:
         return None
-    return Measure.from_subvector(space.m, pair.H, values)
+    pot.flags.writeable = False  # shared by every reader of the record
+    return InvariantRecord(Measure.from_subvector(space.m, pair.H, values), pot)
 
 
-def invariant_candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
-    """A measure on H with provably constant potential on L = H, or None.
+def invariant_record(space: KernelSpace, pair: SubsetPair) -> Optional[InvariantRecord]:
+    """A measure on H with provably constant potential on L = H, with that potential, or None.
 
     Tries the uniform measure (exact on vertex-transitive spaces such as the
     circle and the hypercube), then the normalized solution of
     K[H, H] z = 1 (the two endpoints on an interval grid), once per space
     and pair.  For H != L, or when both miss, returns None and the LPs
-    decide.  The minimax values read it, and so does the maximal energy on
-    every point of a kernel of negative type, where its energy is the
-    maximum.
+    decide.  The minimax values, the invariance result and the converse
+    check read it, and so does the maximal energy on every point of a
+    kernel of negative type, where its energy is the maximum.
     """
     if pair.H != pair.L:
         return None
     pair.check_range(space.m)
-    return space.memo(("invariant_candidate", pair), lambda: _candidate(space, pair))
+    return space.memo(("invariant_record", pair), lambda: _candidate(space, pair))
 
 
-def _candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
+def invariant_candidate(space: KernelSpace, pair: SubsetPair) -> Optional[Measure]:
+    """The measure of ``invariant_record``, or None."""
+    record = invariant_record(space, pair)
+    return None if record is None else record.measure
+
+
+def _candidate(space: KernelSpace, pair: SubsetPair) -> Optional[InvariantRecord]:
     ones = np.ones(len(pair.H))
-    mu = _certified_invariant(space, pair, ones)
-    if mu is not None:
-        return mu
-    # H is sorted and distinct: m indices are every point, read in place
-    whole = len(pair.H) == space.m
+    record = _certified_invariant(space, pair, ones)
+    if record is not None:
+        return record
     try:
-        z = np.linalg.solve(space.kernel if whole else space.kernel[np.ix_(pair.H, pair.H)], ones)
+        z = np.linalg.solve(space.block(pair.H), ones)
     except np.linalg.LinAlgError:
         return None
     return _certified_invariant(space, pair, z)

@@ -4,7 +4,7 @@ A measure on H is invariant for the pair (H, L) when its potential is
 constant across L.  The least achievable potential oscillation g is itself
 a linear program, ``minimax.min_invariance_gap`` (``minimax`` alone reads
 level programs); invariance means that minimum is (numerically) zero.  For
-H = L the program is skipped when ``potential.invariant_candidate`` proves a
+H = L the program is skipped when ``potential.invariant_record`` proves a
 uniform or linear-solve measure invariant.  Quasi-invariance is the same
 program read once more: the least-oscillation measure's level on L is
 within g of both minimax values.
@@ -31,7 +31,7 @@ from .optimize import (
     solve_lp,  # not called here; perfbench's binding test pins it until its repin
     subset_definiteness,
 )
-from .potential import invariant_candidate, potentials
+from .potential import invariant_record, potentials
 from .spectral import centered, recenter_unit
 # not called here; perfbench's binding test pins it until its repin
 from .spectral import sum_zero_definiteness
@@ -56,18 +56,23 @@ class InvarianceResult:
 
 
 def invariant_measure(space: KernelSpace, pair: SubsetPair) -> InvarianceResult:
-    """Search for a measure on H whose potential is constant on L.
+    """Search for a measure on H whose potential is constant on L, once per pair.
 
-    For H = L an ``invariant_candidate`` is taken when there is one, with its
-    computed oscillation as ``gap``; otherwise the invariance LP decides.
+    For H = L an ``invariant_record`` is taken when there is one, with its
+    potential's oscillation as ``gap``; otherwise the invariance LP decides.
     """
-    measure = invariant_candidate(space, pair)
-    gap = None
-    if measure is None:
-        gap, measure = min_invariance_gap(space, pair)
-    pot = potentials(space, pair.L, measure.weights)
+    return space.memo(("invariant_measure", pair), lambda: _invariant_measure(space, pair))
+
+
+def _invariant_measure(space: KernelSpace, pair: SubsetPair) -> InvarianceResult:
+    record = invariant_record(space, pair)
+    if record is None:
+        lp_gap, measure = min_invariance_gap(space, pair)
+        pot = potentials(space, pair.L, measure.weights)
+    else:
+        measure, pot = record.measure, record.potential
     hi, lo = float(pot.max()), float(pot.min())
-    gap = hi - lo if gap is None else gap
+    gap = lp_gap if record is None else hi - lo
     mid = 0.5 * (hi + lo)
     residual = 0.5 * (hi - lo)
     found = gap <= INVARIANCE_TOL
@@ -206,7 +211,8 @@ def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
     over H; the metric (negative-type) form, evaluated for H = L, compares
     the level, and the invariant measure's energy, against the maximal
     energy.  A branch whose hypotheses fail is reported not-applicable, with
-    reasons, and asserts nothing.  Where the Wolf form applies, the maximal
+    reasons, and asserts nothing.  An ``invariant_record`` gives the
+    measure's potential and energy.  Where the Wolf form applies, the maximal
     energy is the invariant measure's own (``optimize`` reads it), so its
     independent check is ``energy.dual_route_check``, which the converse
     suite runs.
@@ -226,7 +232,8 @@ def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
     failed = []
     if not defin["psd"]:
         failed.append("kernel energy form is not positive on sum-zero charges")
-    potential = potentials(space, pair.L, mu)
+    record = invariant_record(space, pair)
+    potential = potentials(space, pair.L, mu) if record is None else record.potential
     kernel_form = _converse_form(failed + shared, space, pair, avg.unique_point,
                                  minimize_quadratic_on_simplex, potential)
 
@@ -237,7 +244,8 @@ def converse_check(space: KernelSpace, pair: SubsetPair) -> ConverseReport:
             failed.append("kernel is not a metric")
         if not defin["nsd"]:
             failed.append("restricted kernel is not of negative type")
-        energy = np.array([mu @ space.kernel @ mu])
+        # mu lives on H = L, so its energy is its mass against its potential on L
+        energy = np.array([potential @ mu.take(pair.L)])
         wolf_form = _converse_form(failed + shared, space, pair, avg.unique_point,
                                    maximize_quadratic_on_simplex, energy)
     return ConverseReport(kernel_form=kernel_form, wolf_form=wolf_form)

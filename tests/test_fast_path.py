@@ -127,12 +127,12 @@ class TestAcceptance:
     FULL = SubsetPair.full(3)
 
     def test_endpoints_accepted(self):
-        mu = _certified_invariant(self.GRID, self.FULL, np.array([1.0, 0.0, 1.0]))
-        assert mu is not None and list(mu.weights) == [0.5, 0.0, 0.5]
+        record = _certified_invariant(self.GRID, self.FULL, np.array([1.0, 0.0, 1.0]))
+        assert record is not None and list(record.measure.weights) == [0.5, 0.0, 0.5]
 
     def test_round_off_negative_weight_snapped(self):
-        mu = _certified_invariant(self.GRID, self.FULL, np.array([1000.0, -0.5e-6, 1000.0]))
-        assert mu is not None and list(mu.weights) == [0.5, 0.0, 0.5]
+        record = _certified_invariant(self.GRID, self.FULL, np.array([1000.0, -0.5e-6, 1000.0]))
+        assert record is not None and list(record.measure.weights) == [0.5, 0.0, 0.5]
 
     @pytest.mark.parametrize("middle", [-1.5e-6, -1e-3])
     def test_negative_weight_rejected(self, middle):

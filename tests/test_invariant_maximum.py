@@ -58,7 +58,7 @@ def _cases():
 
 def _frank_wolfe_route(monkeypatch, space):
     """The maximal energy of ``space`` with the candidate lookup finding nothing."""
-    monkeypatch.setattr(optimize_mod, "invariant_candidate", lambda space, pair: None)
+    monkeypatch.setattr(optimize_mod, "invariant_record", lambda space, pair: None)
     try:
         return maximal_energy(space)
     finally:

@@ -947,7 +947,7 @@ def _negative_type_solves():
 def _no_invariant_candidate(monkeypatch):
     """Send every maximum to the route: an invariant measure settles the
     maximal energy on the full pair of a kernel of negative type."""
-    monkeypatch.setattr(optimize_mod, "invariant_candidate", lambda space, pair: None)
+    monkeypatch.setattr(optimize_mod, "invariant_record", lambda space, pair: None)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Solves cached on their space: a warm space answers as a fresh one does.
 
-Every LP, QP, order scan, invariant candidate and sum-zero spectrum is
-solved once per ``KernelSpace`` and argument list.  Each public
+Every LP, QP, order scan, invariant candidate (with its potential),
+average interval, invariance result and sum-zero spectrum is solved once
+per ``KernelSpace`` and argument list.  Each public
 reader, called on a space whose cache a full analysis has already filled,
 must match the same call on a fresh space built from the same kernel bit
 for bit, measures included, and must solve nothing: no LP, no Frank-Wolfe
@@ -9,6 +10,7 @@ run, no support enumeration, no order scan, no witness search, no dense
 solve and no eigenvalue decomposition.
 """
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ import pytest
 import rdv.chebyshev as chebyshev_mod
 import rdv.minimax as minimax_mod
 import rdv.optimize as optimize_mod
+import rdv.potential as potential_mod
+import rdv.structure as structure_mod
 from rdv import (
     EnumerationCapExceededError,
     KernelSpace,
@@ -32,6 +36,7 @@ from rdv import (
     generate,
     hypercube,
     inequality_chain,
+    interval_grid,
     invariant_measure,
     maximal_energy,
     min_invariance_gap,
@@ -47,7 +52,10 @@ from rdv import (
 from rdv.cli import build_analysis
 from rdv.minimax import q_floor_value
 from rdv.optimize import maximize_quadratic_on_simplex
+from rdv.potential import invariant_candidate
 from rdv.suites import instance_pairs
+
+energy_mod = sys.modules["rdv.energy"]  # rdv.energy is also a function
 
 
 def plain(value):
@@ -193,3 +201,39 @@ def test_a_failed_solve_is_not_cached(monkeypatch):
     assert len(calls) == 2
     monkeypatch.setattr(minimax_mod, "solve_lp", real)
     assert plain(q_value(space, pair)) == plain(q_value(fresh(space), pair))
+
+
+@pytest.mark.parametrize("desc", [circle(64), interval_grid(257), random_graph(12, 0.5, 1)],
+                         ids=["circle(64)", "grid(257)", "random(12,0.5,1)"])
+def test_one_analysis_builds_each_invariant_quantity_once(monkeypatch, desc):
+    """One analysis of the full pair builds one average interval and one
+    invariance result, and forms an invariant candidate's potential once:
+    in the test that accepts it, from which every other reader takes it."""
+    space = generate(desc)
+    built, formed = [], []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def count(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    counting(minimax_mod, "AverageResult")
+    counting(structure_mod, "InvarianceResult")
+    real_potentials = potential_mod.potentials
+
+    def recording(s, L, w):
+        formed.append(np.array(w))
+        return real_potentials(s, L, w)
+
+    for module in (potential_mod, minimax_mod, structure_mod, energy_mod):
+        monkeypatch.setattr(module, "potentials", recording)
+    pair = SubsetPair.full(space.m)
+    build_analysis(space, pair, n_max=2)
+    assert sorted(built) == ["AverageResult", "InvarianceResult"]
+    candidate = invariant_candidate(space, pair)
+    assert (candidate is None) == (desc.kind == "random_graph")
+    if candidate is not None:
+        assert sum(np.array_equal(w, candidate.weights) for w in formed) == 1
